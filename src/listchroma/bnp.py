@@ -299,6 +299,9 @@ class _Search:
         ):
             self.trace.root_branch_pair = (u, v)
         real_cols = [c for c in mp.columns if not c.is_dummy]
+        # Free this node's LP model before descending, or every ancestor's
+        # model stays alive down the depth-first stack.
+        del mp
         self._evaluate(branch_same(state, u, v), real_cols, lp_total)
         self._evaluate(branch_differ(state, u, v), real_cols, lp_total)
 
@@ -313,14 +316,15 @@ def solve(
     start = time.perf_counter()
     limit = sys.getrecursionlimit()
     depth_budget = 10000 + 50 * max(root.n, 1) * max(root.n, 1)
-    if limit < depth_budget:
-        sys.setrecursionlimit(depth_budget)
     search = _Search(root, Deadline(time_limit), use_assignment, trace)
     timed_out = False
     try:
+        sys.setrecursionlimit(max(limit, depth_budget))
         search.run()
     except SearchTimeout:
         timed_out = True
+    finally:
+        sys.setrecursionlimit(limit)
     incumbent = search.incumbent
     if timed_out:
         status = TIME_LIMIT

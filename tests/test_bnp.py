@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ class TestSolveBasic:
         assert report.status == TIME_LIMIT
         assert report.coloring is None
         assert report.nodes == 0
+
+    @pytest.mark.parametrize("time_limit, status", [(None, OPTIMAL), (0.0, TIME_LIMIT)])
+    def test_recursion_limit_restored(self, time_limit, status):
+        before = sys.getrecursionlimit()
+        assert solve(petersen(), time_limit=time_limit).status == status
+        assert sys.getrecursionlimit() == before
 
     def test_assignment_module_can_be_disabled(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})

@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from listchroma.core import EPS, partition_colors, root_state
 from listchroma.master import (
@@ -19,7 +22,7 @@ from listchroma.master import (
     solve_lp,
 )
 
-from conftest import make_instance
+from conftest import make_instance, stable_sets
 
 
 def master_for(inst):
@@ -50,6 +53,52 @@ def brute_force_selection_cost(mp, columns):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def assert_duals_certify(mp, res):
+    """Dual feasibility plus complementary slackness of an optimal LP point."""
+    tol = EPS * max(1.0, mp.big_m)
+    for col, x in zip(res.columns, res.values):
+        gamma = 0.0 if col.is_dummy else res.duals.gamma_of(col.class_rep)
+        reduced = sum(res.duals.pi[v] for v in col.vertices()) - (col.cost + gamma)
+        assert reduced <= tol
+        if x > EPS:
+            assert abs(reduced) <= tol
+    # primal feasibility and row-side complementary slackness
+    for v in range(mp.instance.n):
+        cover = sum(
+            x for col, x in zip(res.columns, res.values) if col.mask >> v & 1
+        )
+        assert cover >= 1 - EPS
+        if cover > 1 + EPS:
+            assert res.duals.pi[v] <= tol
+    for k in mp.partition.bounded:
+        used = sum(
+            x
+            for col, x in zip(res.columns, res.values)
+            if col.class_rep == k
+        )
+        assert used <= mp.partition.class_size[k] + EPS
+        if used < mp.partition.class_size[k] - EPS:
+            assert res.duals.gamma_of(k) <= tol
+
+
+def cold_linprog_objective(mp):
+    """The pool's LP optimum from a fresh scipy linprog solve (the reference)."""
+    n = mp.instance.n
+    bounded = sorted(mp.partition.bounded)
+    class_row = {k: n + i for i, k in enumerate(bounded)}
+    a_ub = np.zeros((n + len(bounded), len(mp.columns)))
+    for j, col in enumerate(mp.columns):
+        for v in col.vertices():
+            a_ub[v, j] = -1.0
+        if col.class_rep in class_row:
+            a_ub[class_row[col.class_rep], j] = 1.0
+    b_ub = [-1.0] * n + [float(mp.partition.class_size[k]) for k in bounded]
+    cost = [col.cost for col in mp.columns]
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun
 
 
 class TestInitWithDummies:
@@ -112,31 +161,7 @@ class TestSolveLP:
                 Column(0b1001, 0, 2),
             ],
         )
-        res = solve_lp(mp)
-        tol = EPS * max(1.0, mp.big_m)
-        for col, x in zip(res.columns, res.values):
-            gamma = 0.0 if col.is_dummy else res.duals.gamma_of(col.class_rep)
-            reduced = sum(res.duals.pi[v] for v in col.vertices()) - (col.cost + gamma)
-            assert reduced <= tol
-            if x > EPS:
-                assert abs(reduced) <= tol
-        # primal feasibility and row-side complementary slackness
-        for v in range(inst.n):
-            cover = sum(
-                x for col, x in zip(res.columns, res.values) if col.mask >> v & 1
-            )
-            assert cover >= 1 - EPS
-            if cover > 1 + EPS:
-                assert res.duals.pi[v] <= tol
-        for k in mp.partition.bounded:
-            used = sum(
-                x
-                for col, x in zip(res.columns, res.values)
-                if col.class_rep == k
-            )
-            assert used <= mp.partition.class_size[k] + EPS
-            if used < mp.partition.class_size[k] - EPS:
-                assert res.duals.gamma_of(k) <= tol
+        assert_duals_certify(mp, solve_lp(mp))
 
     def test_objective_never_increases_with_columns(self):
         inst = make_instance(3, [(0, 1), (1, 2)], [[0, 1]] * 3, weights={0: 1, 1: 2})
@@ -167,6 +192,56 @@ class TestSolveLP:
         assert a == b
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_warm_resolves_match_cold_linprog(data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    ncolors = data.draw(st.integers(min_value=1, max_value=4))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if data.draw(st.booleans(), label=f"edge{u},{v}")
+    ]
+    lists = [
+        data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=ncolors - 1),
+                min_size=1,
+                max_size=ncolors,
+                unique=True,
+            ),
+            label=f"list{v}",
+        )
+        for v in range(n)
+    ]
+    used = sorted({j for lst in lists for j in lst})
+    weights = {j: data.draw(st.integers(min_value=0, max_value=6), label=f"w{j}") for j in used}
+    inst = make_instance(n, edges, lists, weights=weights)
+    mp = master_for(inst)
+    part = mp.partition
+    pool = [
+        Column(mask, k, inst.weights[k])
+        for k in part.reps
+        for mask in stable_sets(inst.graph.adj, part.vertex_mask[k])
+        if mask
+    ]
+    pool = data.draw(st.permutations(pool), label="order")
+    batches = data.draw(st.integers(min_value=1, max_value=4), label="batches")
+    cuts = sorted(
+        data.draw(st.integers(min_value=0, max_value=len(pool)), label=f"cut{i}")
+        for i in range(batches - 1)
+    )
+    res = solve_lp(mp)
+    for lo, hi in zip([0] + cuts, cuts + [len(pool)]):
+        add_columns(mp, pool[lo:hi])
+        res = solve_lp(mp)
+        assert res.columns == tuple(mp.columns)
+        ref = cold_linprog_objective(mp)
+        assert res.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert_duals_certify(mp, res)
+
+
 class TestAddColumns:
     def test_grows_pool(self):
         inst = make_instance(2, [], [[0], [0, 1]])
@@ -188,6 +263,11 @@ class TestAddColumns:
         add_columns(mp, [Column(0b11, 0, 1)])
         with pytest.raises(DuplicateColumnError):
             add_columns(mp, [Column(0b11, 0, 1)])
+        with pytest.raises(DuplicateColumnError):
+            add_columns(mp, [Column(0b01, 0, 1), Column(0b01, 0, 1)])
+        # a rejected batch leaves the pool and its LP untouched
+        assert len(mp.columns) == 3
+        assert len(solve_lp(mp).values) == 3
 
     def test_unstable_column_rejected(self):
         inst = make_instance(2, [(0, 1)], [[0], [0, 1]])
