@@ -30,18 +30,14 @@ from .core import (
     preprocess_singletons,
     reconstruct,
     root_state,
-    validate_coloring,
-    ColoringError,
 )
 from .master import (
     Column,
     ExtractResult,
-    INTEGRAL,
     LPResult,
-    SINGLETON_FRACTIONAL_ONLY,
     add_columns,
-    check_integrality,
     extract_integer_solution,
+    has_fractional_big_column,
     init_with_dummies,
     node_lower_bound,
     solve_lp,
@@ -51,10 +47,6 @@ from .pricing import price_all
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 TIME_LIMIT = "time_limit"
-
-
-class InvalidCandidateError(RuntimeError):
-    """A candidate incumbent failed re-validation: internal bug."""
 
 
 @dataclass
@@ -82,35 +74,29 @@ class SolveTrace:
 
     def __init__(self) -> None:
         self.pricing_certifications: list[CertifiedPricing] = []
-        self.singleton_extractions: list[tuple[LPResult, ExtractResult]] = []
+        self.extractions: list[tuple[LPResult, ExtractResult]] = []  # one per leaf
         self.root_branch_pair: tuple[int, int] | None = None
         self.bound_violations: list[tuple[float, float]] = []
 
 
-def update_incumbent(
-    root: Instance, candidate: ListColoring, current: ListColoring | None
-) -> ListColoring:
-    """Keep the strictly lighter of the two colorings, re-validating first."""
-    try:
-        weight = validate_coloring(root, candidate.as_dict())
-    except ColoringError as exc:
-        raise InvalidCandidateError(str(exc)) from exc
-    if weight != candidate.weight:
-        raise InvalidCandidateError(
-            f"candidate weight {candidate.weight} recomputes to {weight}"
-        )
+def update_incumbent(current: ListColoring | None, candidate: ListColoring) -> ListColoring:
+    """Keep the strictly lighter of the two colorings.
+
+    Every ListColoring was validated against the root instance when
+    list_coloring built it, so only the weights are compared here.
+    """
     if current is None or candidate.weight < current.weight:
         return candidate
     return current
 
 
-def select_branching_pair(res: LPResult, inst: Instance) -> tuple[int, int]:
+def select_branching_pair(res: LPResult) -> tuple[int, int]:
     """Pick the non-adjacent pair (u, v) from the most fractional big column.
 
     u is the lowest vertex of that column S1; v comes from the first other
     positive column through u that leaves S1, falling back to S1 itself.
     Both choices keep u and v in a common stable set, hence non-adjacent with
-    intersecting lists.
+    intersecting lists; branch_same and branch_differ raise otherwise.
     """
     candidates = [
         (abs(x - 0.5), -col.size, i)
@@ -133,8 +119,6 @@ def select_branching_pair(res: LPResult, inst: Instance) -> tuple[int, int]:
     if v is None:
         rest = s1 ^ (1 << u)
         v = (rest & -rest).bit_length() - 1
-    assert not inst.graph.has_edge(u, v)
-    assert inst.lists[u] & inst.lists[v]
     return u, v
 
 
@@ -198,7 +182,7 @@ class _Search:
         self._evaluate(root_state(self.root), [])
 
     def _offer(self, candidate: ListColoring) -> None:
-        self.incumbent = update_incumbent(self.root, candidate, self.incumbent)
+        self.incumbent = update_incumbent(self.incumbent, candidate)
 
     def _evaluate(
         self,
@@ -272,26 +256,19 @@ class _Search:
         if self.incumbent is not None and bound + state.fixed_weight >= self.incumbent.weight:
             return
 
-        verdict = check_integrality(res)
-        if verdict.kind == INTEGRAL:
-            selection = verdict.selection
-        elif verdict.kind == SINGLETON_FRACTIONAL_ONLY:
+        if not has_fractional_big_column(res):
             extracted = extract_integer_solution(mp, res)
             if self.trace is not None:
-                self.trace.singleton_extractions.append((res, extracted))
-            selection = extracted.selection
-        else:
-            selection = None
-
-        if selection is not None:
+                self.trace.extractions.append((res, extracted))
             chosen = [
-                (res.columns[i].mask, res.columns[i].class_rep) for i in selection
+                (res.columns[i].mask, res.columns[i].class_rep)
+                for i in extracted.selection
             ]
             class_colors = assign_class_colors(chosen, partition)
             self._offer(reconstruct(chosen, class_colors, state, self.root))
             return
 
-        u, v = select_branching_pair(res, inst)
+        u, v = select_branching_pair(res)
         if (
             self.trace is not None
             and state.depth == 0

@@ -28,7 +28,7 @@ class ColoringError(ValueError):
 
 
 class ReconstructionBug(RuntimeError):
-    """Internal error: a reconstructed coloring failed validation."""
+    """Internal error: the solver built a coloring that fails validation."""
 
 
 class SearchTimeout(Exception):
@@ -112,14 +112,6 @@ class Instance:
     def n(self) -> int:
         return self.graph.n
 
-    def color_mask(self, j: int) -> int:
-        """Bitmask of the vertices whose list contains color j."""
-        m = 0
-        for v, lst in enumerate(self.lists):
-            if j in lst:
-                m |= 1 << v
-        return m
-
 
 def build_instance(
     graph: Graph,
@@ -177,13 +169,13 @@ class ColorPartition:
 def partition_colors(inst: Instance) -> ColorPartition:
     """Group indistinguishable colors; deterministic for identical instances."""
     groups: dict[tuple[int, int], list[int]] = {}
-    color_masks = {j: 0 for j in inst.colors}
+    vertex_masks = {j: 0 for j in inst.colors}
     for v, lst in enumerate(inst.lists):
         bit = 1 << v
         for j in lst:
-            color_masks[j] |= bit
+            vertex_masks[j] |= bit
     for j in inst.colors:  # ascending, so the first member is the smallest
-        key = (inst.weights[j], color_masks[j])
+        key = (inst.weights[j], vertex_masks[j])
         groups.setdefault(key, []).append(j)
     reps = []
     members = {}

@@ -1,28 +1,36 @@
-"""Restricted master problem: column pool, LP relaxation, duals, integrality.
+"""Restricted master problem: column pool, LP relaxation, duals, leaf read-off.
 
 The LP is
     min  sum_cols cost * x
     s.t. sum_{columns covering v} x >= 1          (one row per vertex)
          sum_{columns of class k} x <= |C^k|      (bounded classes only)
          x >= 0
-Each search node keeps one persistent HiGHS model with these rows: new
-columns are appended to it and every pricing round re-solves it with primal
-simplex from the previous optimal basis, which the new columns leave primal
-feasible. The model is scipy's bundled HiGHS binding,
-scipy.optimize._highspy._core._Highs, a private API; every use of it stays in
-this module. Vertex duals pi and class duals gamma are the row duals, with
-the sign flipped on the <= class rows. Upper bounds x <= 1 are intentionally
-absent; non-negative costs make them redundant at some optimum.
+Each search node keeps one persistent HiGHS model with these rows, built by
+MasterProblem: new columns are appended to it and every pricing round
+re-solves it (solve_lp) with primal simplex from the previous optimal basis,
+which the new columns leave primal feasible. The model is scipy's bundled
+HiGHS binding, scipy.optimize._highspy._core._Highs, a private API; every
+use of it stays in this module. Vertex duals pi and class duals gamma are the
+row duals, with the sign flipped on the <= class rows. Upper bounds x <= 1
+are intentionally absent; non-negative costs make them redundant at some
+optimum.
+
+An LP optimum without a fractional big column is a leaf of the search.
+extract_integer_solution reads it off as an integral selection by keeping
+the big columns and matching the remaining vertices to singleton columns
+(assignment.min_cost_matching); no second LP is solved.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
+from .assignment import min_cost_matching
 from .core import EPS, ColorPartition, NodeState, bits
 
 
@@ -31,7 +39,7 @@ class DuplicateColumnError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """The LP solver did not return a clean optimal basic solution."""
+    """The LP solver, or the read-off of a leaf, did not return a clean optimum."""
 
 
 @dataclass(frozen=True)
@@ -95,58 +103,6 @@ def _check(status: _highs.HighsStatus, what: str) -> None:
         raise NumericalFailure(f"HiGHS failed {what}")
 
 
-def _lp_model(covers: int, capacities: list[int]) -> _highs._Highs:
-    """A silent HiGHS model with no columns yet and, in this order, rows
-    `covers` times [1, inf) and then (-inf, cap] for each capacity."""
-    lp = _highs._Highs()
-    lp.setOptionValue("output_flag", False)
-    lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-    empty = np.zeros(0, dtype=np.int32)
-    _check(
-        lp.addRows(
-            covers + len(capacities),
-            np.array([1.0] * covers + [-_INF] * len(capacities)),
-            np.array([_INF] * covers + capacities, dtype=float),
-            0,
-            empty,
-            empty,
-            np.zeros(0),
-        ),
-        "adding LP rows",
-    )
-    return lp
-
-
-def _add_lp_columns(lp: _highs._Highs, costs: list[float], rows: list[list[int]]) -> None:
-    """Append columns x >= 0 with unit coefficients in the given rows."""
-    starts: list[int] = []
-    index: list[int] = []
-    for r in rows:
-        starts.append(len(index))
-        index.extend(r)
-    _check(
-        lp.addCols(
-            len(rows),
-            np.array(costs, dtype=float),
-            np.zeros(len(rows)),
-            np.full(len(rows), _INF),
-            len(index),
-            np.array(starts, dtype=np.int32),
-            np.array(index, dtype=np.int32),
-            np.ones(len(index)),
-        ),
-        "adding LP columns",
-    )
-
-
-def _solve_model(lp: _highs._Highs, what: str) -> _highs.HighsSolution:
-    lp.run()
-    status = lp.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
-        raise NumericalFailure(f"{what} failed: {lp.modelStatusToString(status)}")
-    return lp.getSolution()
-
-
 class MasterProblem:
     """Mutable column pool plus the LP model of one search node.
 
@@ -163,19 +119,49 @@ class MasterProblem:
         n = self.instance.n
         bounded = sorted(partition.bounded)
         self._class_row = {k: n + i for i, k in enumerate(bounded)}
-        self._lp = _lp_model(n, [partition.class_size[k] for k in bounded])
+        caps = [float(partition.class_size[k]) for k in bounded]
+        lp = self._lp = _highs._Highs()
+        lp.setOptionValue("output_flag", False)
+        lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        empty = np.zeros(0, dtype=np.int32)
+        _check(
+            lp.addRows(
+                n + len(caps),
+                np.array([1.0] * n + [-_INF] * len(caps)),
+                np.array([_INF] * n + caps),
+                0,
+                empty,
+                empty,
+                np.zeros(0),
+            ),
+            "adding LP rows",
+        )
 
     def __len__(self) -> int:
         return len(self.columns)
 
     def _append(self, cols: list[Column]) -> None:
-        rows = []
+        """Append columns x >= 0 with unit coefficients in their rows."""
+        starts: list[int] = []
+        index: list[int] = []
         for col in cols:
-            r = col.vertices()
+            starts.append(len(index))
+            index.extend(col.vertices())
             if col.class_rep in self._class_row:
-                r.append(self._class_row[col.class_rep])
-            rows.append(r)
-        _add_lp_columns(self._lp, [col.cost for col in cols], rows)
+                index.append(self._class_row[col.class_rep])
+        _check(
+            self._lp.addCols(
+                len(cols),
+                np.array([col.cost for col in cols], dtype=float),
+                np.zeros(len(cols)),
+                np.full(len(cols), _INF),
+                len(index),
+                np.array(starts, dtype=np.int32),
+                np.array(index, dtype=np.int32),
+                np.ones(len(index)),
+            ),
+            "adding LP columns",
+        )
         self.columns.extend(cols)
         self._keys.update(col.key for col in cols)
 
@@ -218,60 +204,45 @@ def add_columns(mp: MasterProblem, cols: list[Column]) -> None:
 
 def solve_lp(mp: MasterProblem) -> LPResult:
     """Re-optimise the node's LP from its last basis; optimal primal and duals."""
-    sol = _solve_model(mp._lp, "LP solve")
+    lp = mp._lp
+    lp.run()
+    status = lp.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"LP solve failed: {lp.modelStatusToString(status)}")
+    sol = lp.getSolution()
     n = mp.instance.n
     row_dual = sol.row_dual
     pi = tuple(max(0.0, row_dual[v]) for v in range(n))
     gamma = {k: max(0.0, -row_dual[r]) for k, r in mp._class_row.items()}
     return LPResult(
-        objective=mp._lp.getObjectiveValue(),
+        objective=lp.getObjectiveValue(),
         values=tuple(sol.col_value),
         columns=tuple(mp.columns),
         duals=DualSolution(pi, gamma),
     )
 
 
-INTEGRAL = "integral"
-SINGLETON_FRACTIONAL_ONLY = "singleton_fractional_only"
-FRACTIONAL_ON_BIG_SETS = "fractional_on_big_sets"
+def has_fractional_big_column(res: LPResult) -> bool:
+    """Whether an optimal LP point must be branched on.
 
-
-@dataclass(frozen=True)
-class IntegralityVerdict:
-    kind: str
-    selection: tuple[int, ...] | None  # column indices, set when kind == INTEGRAL
-
-
-def _is_integral(x: float) -> bool:
-    return abs(x - round(x)) <= EPS
-
-
-def check_integrality(res: LPResult) -> IntegralityVerdict:
-    """Classify an optimal LP point for the branching logic.
-
-    Integral solutions over the |S| >= 2 columns are enough to recover an
-    optimal integer solution from the remaining singletons (their residual
-    constraint matrix is totally unimodular), so only fractional big sets
-    force a branching step.
+    Only a column with at least two vertices at a fractional value forces a
+    branching step. Once every such column is integral, the vertices they
+    leave uncovered form a residual problem over singleton columns whose
+    constraint matrix (one cover row per vertex, one capacity row per class)
+    is totally unimodular: it is a transportation problem from vertices to
+    classes. Its optimum is therefore integral, and since the LP point is
+    optimal it costs what the point's singletons cost. extract_integer_solution
+    finds it as a matching.
     """
-    big_fractional = any(
-        col.size >= 2 and not _is_integral(x) for col, x in zip(res.columns, res.values)
+    return any(
+        col.size >= 2 and abs(x - round(x)) > EPS
+        for col, x in zip(res.columns, res.values)
     )
-    if big_fractional:
-        return IntegralityVerdict(FRACTIONAL_ON_BIG_SETS, None)
-    all_integral = all(_is_integral(x) for x in res.values)
-    dummies_zero = all(
-        x <= EPS for col, x in zip(res.columns, res.values) if col.is_dummy
-    )
-    if all_integral and dummies_zero:
-        sel = tuple(i for i, x in enumerate(res.values) if x > 0.5)
-        return IntegralityVerdict(INTEGRAL, sel)
-    return IntegralityVerdict(SINGLETON_FRACTIONAL_ONLY, None)
 
 
 @dataclass(frozen=True)
 class ExtractResult:
-    """An integral selection recovered from a singleton-fractional LP point."""
+    """An integral selection recovered from an LP point of a search leaf."""
 
     selection: tuple[int, ...]
     objective: float
@@ -282,60 +253,53 @@ class ExtractResult:
 
 
 def extract_integer_solution(mp: MasterProblem, res: LPResult) -> ExtractResult:
-    """Recover an integer optimum when only singleton columns are fractional.
+    """Turn an LP optimum without fractional big columns into a selection.
 
-    Keeps the big columns at value one, then re-solves the residual LP over
-    singleton columns; total unimodularity of that residual guarantees the
-    basic optimum is 0/1, at no change in objective.
+    Keeps the big columns at value one and matches every vertex they leave
+    uncovered to a free concrete color of a class that has a pool singleton
+    on that vertex, at minimum cost; class k has |C^k| colors minus its kept
+    big columns free. capacities holds that number for the bounded classes,
+    the caps of the residual LP the matching solves.
     """
     cols = res.columns
+    part = mp.partition
     keep = [i for i, col in enumerate(cols) if col.size >= 2 and res.values[i] > 0.5]
     covered = 0
-    used: dict[int, int] = {}
-    fixed_cost = 0
     for i in keep:
         covered |= cols[i].mask
-        fixed_cost += cols[i].cost
-        k = cols[i].class_rep
-        if k in mp.partition.bounded:
-            used[k] = used.get(k, 0) + 1
-    residual = [v for v in range(mp.instance.n) if not covered >> v & 1]
-    caps = {k: mp.partition.class_size[k] - used.get(k, 0) for k in sorted(mp.partition.bounded)}
-    if any(c < 0 for c in caps.values()):
+    fixed_cost = sum(cols[i].cost for i in keep)
+    used = Counter(cols[i].class_rep for i in keep)
+    free = {k: part.class_size[k] - used[k] for k in part.reps}
+    if any(c < 0 for c in free.values()):
         raise NumericalFailure("big columns exceed a class capacity")
-    cand = [
-        i for i, col in enumerate(cols) if col.size == 1 and col.mask & ~covered
+    residual = [v for v in range(mp.instance.n) if not covered >> v & 1]
+    singleton = {
+        (col.class_rep, col.mask): i
+        for i, col in enumerate(cols)
+        if col.size == 1 and not col.is_dummy and col.mask & ~covered
+    }
+    # One slot per free color, but no class needs more slots than the
+    # residual vertices it has singletons on.
+    serves = Counter(k for k, _ in singleton)
+    slot_class = [k for k in sorted(serves) for _ in range(min(free[k], serves[k]))]
+    options = [
+        {
+            s: cols[singleton[k, 1 << v]].cost
+            for s, k in enumerate(slot_class)
+            if (k, 1 << v) in singleton
+        }
+        for v in residual
     ]
+    match = min_cost_matching(options, len(slot_class))
+    if match is None:
+        raise NumericalFailure("no singleton matching covers the residual vertices")
+    chosen = [singleton[slot_class[s], 1 << v] for v, s in zip(residual, match)]
 
-    chosen_singletons: list[int] = []
-    residual_obj = 0.0
-    if residual:
-        vrow = {v: r for r, v in enumerate(residual)}
-        bounded = sorted(caps)
-        crow = {k: len(residual) + r for r, k in enumerate(bounded)}
-        sub = _lp_model(len(residual), [caps[k] for k in bounded])
-        rows = []
-        for i in cand:
-            col = cols[i]
-            (v,) = col.vertices()
-            r = [vrow[v]]
-            if col.class_rep in crow:
-                r.append(crow[col.class_rep])
-            rows.append(r)
-        _add_lp_columns(sub, [cols[i].cost for i in cand], rows)
-        sol = _solve_model(sub, "residual LP")
-        for j, y in enumerate(sol.col_value):
-            if not _is_integral(y):
-                raise NumericalFailure("residual LP returned a fractional vertex")
-            if y > 0.5:
-                chosen_singletons.append(cand[j])
-        residual_obj = sub.getObjectiveValue()
-
-    selection = tuple(sorted(keep + chosen_singletons))
+    selection = tuple(sorted(keep + chosen))
     for i in selection:
         if cols[i].is_dummy:
             raise NumericalFailure("dummy column survived integer extraction")
-    objective = fixed_cost + residual_obj
+    objective = fixed_cost + sum(cols[i].cost for i in chosen)
     if abs(objective - res.objective) > 1e-6 * max(1.0, abs(res.objective)):
         raise NumericalFailure(
             f"extraction changed the objective: {objective} vs {res.objective}"
@@ -345,8 +309,8 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> ExtractResult:
         objective=objective,
         fixed_cost=fixed_cost,
         residual_vertices=tuple(residual),
-        residual_columns=tuple(cand),
-        capacities=caps,
+        residual_columns=tuple(sorted(singleton.values())),
+        capacities={k: free[k] for k in sorted(part.bounded)},
     )
 
 

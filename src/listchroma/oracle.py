@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, ListColoring, list_coloring
+from .core import Instance, ListColoring, list_coloring, partition_colors
 
 
 class TooLargeError(ValueError):
@@ -44,14 +44,15 @@ def oracle_solve(inst: Instance, cap: int = 14) -> OracleResult:
     earlier_nbrs = [
         [u for u in range(v) if inst.graph.adj[v] >> u & 1] for v in range(n)
     ]
-    color_masks = {j: inst.color_mask(j) for j in inst.colors}
+    part = partition_colors(inst)
+    vertex_masks = {j: part.vertex_mask[part.rep_of[j]] for j in inst.colors}
     class_at: list[dict[int, int]] = []
     for v in range(n):
         suffix = ((1 << n) - 1) >> v << v
         groups: dict[tuple[int, int], int] = {}
         table = {}
         for j in inst.colors:
-            key = (weights[j], color_masks[j] & suffix)
+            key = (weights[j], vertex_masks[j] & suffix)
             table[j] = groups.setdefault(key, len(groups))
         class_at.append(table)
 

@@ -14,14 +14,6 @@ from .core import EPS, ColorPartition, Deadline, Graph, Instance, bits
 from .master import Column, DualSolution
 
 
-@dataclass(frozen=True)
-class PricingTask:
-    class_rep: int
-    vertex_mask: int
-    pi: dict[int, float]
-    threshold: float
-
-
 @dataclass
 class PricingStats:
     nodes: int = 0
@@ -38,13 +30,17 @@ class PricingOutcome:
 
 
 def mwss_search(
-    task: PricingTask,
     graph: Graph,
+    vertex_mask: int,
+    pi: dict[int, float],
+    threshold: float,
     early_exit: bool = True,
     stats: PricingStats | None = None,
     deadline: Deadline | None = None,
 ) -> tuple[int, float]:
     """Branch and bound for a heavy stable set of G^k; returns (mask, weight).
+
+    G^k is graph restricted to vertex_mask, and pi weighs its vertices.
 
     Vertices are branched in decreasing pi order (include first), pruning a
     subtree when the current weight plus everything still selectable cannot
@@ -54,17 +50,15 @@ def mwss_search(
     """
     if stats is None:
         stats = PricingStats()
-    verts = bits(task.vertex_mask)
-    order = sorted(verts, key=lambda v: (-task.pi[v], v))
+    order = sorted(bits(vertex_mask), key=lambda v: (-pi[v], v))
     loc = {v: i for i, v in enumerate(order)}
-    pl = [task.pi[v] for v in order]
+    pl = [pi[v] for v in order]
     ladj = []
     for v in order:
         m = 0
-        for u in bits(graph.adj[v] & task.vertex_mask):
+        for u in bits(graph.adj[v] & vertex_mask):
             m |= 1 << loc[u]
         ladj.append(m)
-    limit = task.threshold
 
     best_w = 0.0
     best_mask = 0
@@ -76,7 +70,7 @@ def mwss_search(
         if deadline is not None and stats.nodes % 1000 == 0:
             deadline.check()
         if early_exit:
-            if cur_w + rem <= limit + EPS:
+            if cur_w + rem <= threshold + EPS:
                 return
         elif cur_w + rem <= best_w:
             return
@@ -87,7 +81,7 @@ def mwss_search(
         w2 = cur_w + pl[i]
         m2 = cur_mask | bit
         if early_exit:
-            if w2 > limit + EPS:
+            if w2 > threshold + EPS:
                 best_w, best_mask, found = w2, m2, True
                 return
         elif w2 > best_w:
@@ -168,8 +162,7 @@ def price_all(
                 resolved = True
                 stats.cache_hits += 1
         if not resolved:
-            task = PricingTask(k, vmask, pi, t)
-            mask, w = mwss_search(task, graph, early_exit, stats, deadline)
+            mask, w = mwss_search(graph, vmask, pi, t, early_exit, stats, deadline)
             if w > t + EPS:
                 chosen = mask
                 cache[vmask] = (w, mask, not early_exit, None)

@@ -188,10 +188,11 @@ def enumerate_residual_optimum(columns, residual_vertices, capacities):
 
 def test_criterion_5_singleton_extraction(suite):
     with criterion(5, "integer extraction matches LP objective and enumeration"):
-        # occurrences inside the suite (a simplex backend rarely produces
-        # them: basic solutions with integral big columns are already 0/1)
+        # every leaf of the suite's search trees is read off by extraction
+        extractions = 0
         for e in suite:
-            for res, ext in e.trace.singleton_extractions:
+            for res, ext in e.trace.extractions:
+                extractions += 1
                 assert abs(ext.objective - res.objective) <= 1e-6
                 residual_best = enumerate_residual_optimum(
                     [res.columns[i] for i in ext.residual_columns],
@@ -200,6 +201,7 @@ def test_criterion_5_singleton_extraction(suite):
                 )
                 assert residual_best is not None
                 assert abs(ext.objective - ext.fixed_cost - residual_best) <= 1e-6
+        assert extractions >= 100
 
         # direct exercise of the path on optimal degenerate LP points
         inst = make_instance(3, [], [[0, 2], [0], [1, 2]], weights={0: 1, 1: 2, 2: 2})

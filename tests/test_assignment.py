@@ -1,8 +1,9 @@
 import itertools
 
 import numpy as np
+import pytest
 
-from listchroma.assignment import all_complete, hungarian, solve_assignment
+from listchroma.assignment import all_complete, hungarian, min_cost_matching, solve_assignment
 from listchroma.core import partition_colors, root_state, validate_coloring
 from listchroma.oracle import oracle_solve
 
@@ -11,8 +12,9 @@ from conftest import make_instance, random_all_complete
 
 def brute_force_matching(cost):
     n = len(cost)
+    m = len(cost[0]) if cost else 0
     best = None
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(m), n):
         total = sum(cost[i][perm[i]] for i in range(n))
         if best is None or total < best:
             best = total
@@ -50,6 +52,38 @@ class TestHungarian:
             assert sorted(match) == list(range(n))  # a permutation
             assert total == brute_force_matching(cost)
             assert total == sum(cost[i][match[i]] for i in range(n))
+
+    def test_rectangular_matches_brute_force(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(80):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(n, 8))
+            cost = [[int(rng.integers(0, 20)) for _ in range(m)] for _ in range(n)]
+            total, match = hungarian(cost)
+            assert len(set(match)) == n and all(0 <= j < m for j in match)
+            assert total == brute_force_matching(cost)
+            assert total == sum(cost[i][match[i]] for i in range(n))
+
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(ValueError):
+            hungarian([[1], [2]])
+
+
+class TestMinCostMatching:
+    def test_cheapest_slots_taken(self):
+        assert min_cost_matching([{0: 5, 2: 1}, {0: 1, 2: 1}], 3) == [2, 0]
+
+    def test_no_rows(self):
+        assert min_cost_matching([], 0) == []
+
+    def test_row_without_option_is_unmatched(self):
+        assert min_cost_matching([{0: 1}, {}], 2) is None
+
+    def test_more_rows_than_slots_is_unmatched(self):
+        assert min_cost_matching([{0: 1}, {0: 1}], 1) is None
+
+    def test_rows_competing_for_one_slot_are_unmatched(self):
+        assert min_cost_matching([{0: 1}, {0: 2}, {1: 0, 2: 0}], 3) is None
 
 
 class TestSolveAssignment:

@@ -7,7 +7,6 @@ from listchroma.bnp import (
     INFEASIBLE,
     OPTIMAL,
     TIME_LIMIT,
-    InvalidCandidateError,
     SolveTrace,
     inherit_columns,
     select_branching_pair,
@@ -15,7 +14,6 @@ from listchroma.bnp import (
     update_incumbent,
 )
 from listchroma.core import (
-    ListColoring,
     branch_differ,
     branch_same,
     list_coloring,
@@ -82,19 +80,19 @@ class TestSelectBranchingPair:
         inst = make_instance(3, [], [[0]] * 3)
         cols = [Column(0b011, 0, 1), Column(0b101, 0, 1)]
         res = fake_lp(inst, cols, [0.5, 0.5])
-        assert select_branching_pair(res, inst) == (0, 2)
+        assert select_branching_pair(res) == (0, 2)
 
     def test_fallback_inside_s1(self):
         inst = make_instance(3, [], [[0]] * 3)
         cols = [Column(0b011, 0, 1), Column(0b100, 0, 1)]
         res = fake_lp(inst, cols, [0.5, 1.0])
-        assert select_branching_pair(res, inst) == (0, 1)
+        assert select_branching_pair(res) == (0, 1)
 
     def test_most_fractional_wins(self):
         inst = make_instance(4, [], [[0]] * 4)
         cols = [Column(0b0011, 0, 1), Column(0b1100, 0, 1), Column(0b0101, 0, 1)]
         res = fake_lp(inst, cols, [0.9, 0.3, 0.4])
-        u, v = select_branching_pair(res, inst)
+        u, v = select_branching_pair(res)
         # S1 is the 0.4 column {0,2}; first other positive column through 0
         assert (u, v) == (0, 1)
 
@@ -103,7 +101,7 @@ class TestSelectBranchingPair:
         cols = [Column(0b01, 0, 1), Column(0b10, 0, 1)]
         res = fake_lp(inst, cols, [1.0, 1.0])
         with pytest.raises(ValueError):
-            select_branching_pair(res, inst)
+            select_branching_pair(res)
 
 
 class TestInheritColumns:
@@ -156,22 +154,17 @@ class TestUpdateIncumbent:
 
     def test_first_candidate_kept(self):
         cand = list_coloring(self.inst, {0: 0, 1: 0})
-        assert update_incumbent(self.inst, cand, None) is cand
+        assert update_incumbent(None, cand) is cand
 
     def test_tie_keeps_current(self):
         first = list_coloring(self.inst, {0: 0, 1: 0})
         second = list_coloring(self.inst, {0: 0, 1: 0})
-        assert update_incumbent(self.inst, second, first) is first
+        assert update_incumbent(first, second) is first
 
     def test_strict_improvement_replaces(self):
         worse = list_coloring(self.inst, {0: 0, 1: 0})
         better = list_coloring(self.inst, {0: 1, 1: 1})
-        assert update_incumbent(self.inst, better, worse) is better
-
-    def test_corrupt_candidate_raises(self):
-        bogus = ListColoring(((0, 0), (1, 0)), weight=1)
-        with pytest.raises(InvalidCandidateError):
-            update_incumbent(self.inst, bogus, None)
+        assert update_incumbent(worse, better) is better
 
 
 class TestExactness:

@@ -276,6 +276,16 @@ class TestReconstruct:
         with pytest.raises(ReconstructionBug):
             reconstruct([(0b01, 0)], [0], root_state(inst), inst)
 
+    def test_improper_node_coloring_is_a_bug(self):
+        inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})
+        with pytest.raises(ReconstructionBug):
+            lift_node_assignment({0: 0, 1: 0}, root_state(inst), inst)
+
+    def test_off_list_node_coloring_is_a_bug(self):
+        inst = make_instance(2, [], [[0], [0, 1]])
+        with pytest.raises(ReconstructionBug):
+            lift_node_assignment({0: 1, 1: 1}, root_state(inst), inst)
+
 
 class TestValidateColoring:
     def test_weight_counts_distinct_colors_once(self):

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from listchroma.core import EPS, partition_colors, root_state
+from listchroma.core import EPS, assign_class_colors, partition_colors, reconstruct, root_state
 from listchroma.master import (
     Column,
     DualSolution,
     DuplicateColumnError,
-    FRACTIONAL_ON_BIG_SETS,
-    INTEGRAL,
     LPResult,
-    SINGLETON_FRACTIONAL_ONLY,
+    NumericalFailure,
     add_columns,
-    check_integrality,
     extract_integer_solution,
+    has_fractional_big_column,
     init_with_dummies,
     node_lower_bound,
     solve_lp,
@@ -290,19 +288,17 @@ class TestCheckIntegrality:
     def test_integral(self):
         cols = [Column(0b011, 0, 1), Column(0b100, 0, 1), Column(0b001, None, 9)]
         res = fake_result(cols, [1.0, 1.0, 0.0])
-        verdict = check_integrality(res)
-        assert verdict.kind == INTEGRAL
-        assert verdict.selection == (0, 1)
+        assert not has_fractional_big_column(res)
 
     def test_fractional_big_set(self):
         cols = [Column(0b011, 0, 1), Column(0b101, 0, 1), Column(0b010, 0, 1)]
         res = fake_result(cols, [0.5, 0.5, 0.5])
-        assert check_integrality(res).kind == FRACTIONAL_ON_BIG_SETS
+        assert has_fractional_big_column(res)
 
     def test_singleton_fractional_only(self):
         cols = [Column(0b011, 0, 1), Column(0b100, 0, 1), Column(0b100, 1, 1)]
         res = fake_result(cols, [1.0, 0.5, 0.5])
-        assert check_integrality(res).kind == SINGLETON_FRACTIONAL_ONLY
+        assert not has_fractional_big_column(res)
 
 
 class TestExtractIntegerSolution:
@@ -372,6 +368,123 @@ class TestExtractIntegerSolution:
         ext = extract_integer_solution(mp, res)
         assert ext.selection == (2,)
         assert ext.residual_vertices == ()
+
+
+def residual_linprog(mp, keep, residual, singles):
+    """The residual LP a leaf read-off solves, cold by linprog (the reference).
+
+    Covers every vertex of `residual` by the singleton columns `singles` at
+    minimum cost, each bounded class capped at |C^k| minus its columns in
+    `keep`. Returns (objective, values), or None when it is infeasible.
+    """
+    if not singles:
+        return None if residual else (0.0, [])
+    part = mp.partition
+    bounded = sorted(part.bounded)
+    a_ub = np.zeros((len(residual) + len(bounded), len(singles)))
+    for j, i in enumerate(singles):
+        col = mp.columns[i]
+        a_ub[residual.index(col.vertices()[0]), j] = -1.0
+        if col.class_rep in part.bounded:
+            a_ub[len(residual) + bounded.index(col.class_rep), j] = 1.0
+    caps = [
+        part.class_size[k] - sum(mp.columns[i].class_rep == k for i in keep)
+        for k in bounded
+    ]
+    cost = [mp.columns[i].cost for i in singles]
+    ref = linprog(cost, A_ub=a_ub, b_ub=[-1.0] * len(residual) + caps, bounds=(0, None), method="highs")
+    if ref.status == 2:
+        return None
+    assert ref.status == 0
+    return ref.fun, list(ref.x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_extraction_matches_residual_linprog(data):
+    n = data.draw(st.integers(min_value=1, max_value=7), label="n")
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if data.draw(st.booleans(), label=f"edge{u},{v}")
+    ]
+    # every base color comes in 1-3 copies of equal weight and equal lists,
+    # so classes hold several colors and their caps bind
+    copies = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="copies")
+    groups = [range(sum(copies[:b]), sum(copies[: b + 1])) for b in range(len(copies))]
+    base_weight = [data.draw(st.integers(0, 5), label=f"w{b}") for b in range(len(groups))]
+    weights = {j: base_weight[b] for b, group in enumerate(groups) for j in group}
+    lists = []
+    for v in range(n):
+        bases = data.draw(
+            st.lists(st.integers(0, len(groups) - 1), min_size=1, unique=True),
+            label=f"list{v}",
+        )
+        lists.append([j for b in bases for j in groups[b]])
+    inst = make_instance(n, edges, lists, weights=weights)
+    mp = master_for(inst)
+    part = mp.partition
+
+    # big columns at one: pairwise disjoint and within their class caps
+    big = [
+        Column(mask, k, inst.weights[k])
+        for k in part.reps
+        for mask in stable_sets(inst.graph.adj, part.vertex_mask[k])
+        if mask.bit_count() >= 2
+    ]
+    at_one, covered, used = [], 0, {}
+    for col in data.draw(st.permutations(big), label="big order"):
+        k = col.class_rep
+        if col.mask & covered or used.get(k, 0) == part.class_size[k]:
+            continue
+        if data.draw(st.booleans(), label="at one"):
+            at_one.append(col)
+            covered |= col.mask
+            used[k] = used.get(k, 0) + 1
+    singles = [Column(1 << v, k, inst.weights[k]) for k in part.reps for v in part.vertices[k]]
+    dropped = data.draw(st.lists(st.sampled_from(singles), unique=True, max_size=3), label="drop")
+    add_columns(mp, at_one + [col for col in singles if col not in dropped])
+
+    cols = mp.columns
+    keep = [cols.index(col) for col in at_one]
+    residual = [v for v in range(n) if not covered >> v & 1]
+    cand = [
+        i for i, col in enumerate(cols) if col.size == 1 and not col.is_dummy and col.mask & ~covered
+    ]
+    fixed = sum(col.cost for col in at_one)
+    values = [0.0] * len(cols)
+    for i in keep:
+        values[i] = 1.0
+    ref = residual_linprog(mp, keep, residual, cand)
+    if ref is None:
+        # only the big-M dummies cover what the singletons cannot
+        for v in residual:
+            values[v] = 1.0
+        res = LPResult(fixed + mp.big_m * len(residual), tuple(values), tuple(cols),
+                       DualSolution((0.0,) * n, {}))
+        with pytest.raises(NumericalFailure, match="no singleton matching"):
+            extract_integer_solution(mp, res)
+        return
+    objective, x = ref
+    for i, xi in zip(cand, x):
+        values[i] = xi
+    res = LPResult(fixed + objective, tuple(values), tuple(cols), DualSolution((0.0,) * n, {}))
+    ext = extract_integer_solution(mp, res)
+    assert ext.objective == pytest.approx(fixed + objective, abs=1e-9)
+    assert ext.fixed_cost == fixed
+    chosen = [cols[i] for i in ext.selection]
+    assert not any(col.is_dummy for col in chosen)
+    cover = 0
+    for col in chosen:
+        cover |= col.mask
+    assert cover == (1 << n) - 1
+    for k in part.reps:
+        assert sum(col.class_rep == k for col in chosen) <= part.class_size[k]
+    assert ext.objective == sum(col.cost for col in chosen)
+    pairs = [(col.mask, col.class_rep) for col in chosen]
+    coloring = reconstruct(pairs, assign_class_colors(pairs, part), root_state(inst), inst)
+    assert coloring.weight <= ext.objective
 
 
 class TestNodeLowerBound:

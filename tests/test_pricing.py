@@ -4,7 +4,6 @@ import pytest
 from listchroma.core import EPS, Graph, partition_colors
 from listchroma.master import DualSolution
 from listchroma.pricing import (
-    PricingTask,
     extend_to_maximal,
     mwss_search,
     price_all,
@@ -64,16 +63,16 @@ class TestPriceAll:
 class TestMwssSearch:
     def test_clique_takes_single_heaviest(self):
         inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0]] * 3)
-        task = PricingTask(0, 0b111, {0: 1.0, 1: 1.0, 2: 1.0}, 10.0)
-        mask, weight = mwss_search(task, inst.graph, early_exit=False)
+        mask, weight = mwss_search(
+            inst.graph, 0b111, {0: 1.0, 1: 1.0, 2: 1.0}, 10.0, early_exit=False
+        )
         assert weight == pytest.approx(1.0)
         assert mask.bit_count() == 1
 
     def test_c5_independence_number(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
         g = Graph.from_edges(5, edges)
-        task = PricingTask(0, 0b11111, {v: 1.0 for v in range(5)}, 10.0)
-        _, weight = mwss_search(task, g, early_exit=False)
+        _, weight = mwss_search(g, 0b11111, {v: 1.0 for v in range(5)}, 10.0, early_exit=False)
         assert weight == pytest.approx(2.0)
 
     def test_matches_exhaustive_enumeration(self):
@@ -96,8 +95,7 @@ class TestMwssSearch:
                     vmask |= 1 << v
             if not vmask:
                 continue
-            task = PricingTask(0, vmask, pi, 0.0)
-            _, weight = mwss_search(task, g, early_exit=False)
+            _, weight = mwss_search(g, vmask, pi, 0.0, early_exit=False)
             expect = max_stable_weight(g.adj, vmask, [pi.get(v, 0.0) for v in range(n)])
             assert weight == pytest.approx(expect, abs=1e-9)
 
@@ -117,8 +115,7 @@ class TestMwssSearch:
             pi = {v: float(np.round(rng.random() * 3, 3)) for v in range(n)}
             vmask = (1 << n) - 1
             threshold = float(rng.random() * 4)
-            task = PricingTask(0, vmask, pi, threshold)
-            mask, weight = mwss_search(task, g, early_exit=True)
+            mask, weight = mwss_search(g, vmask, pi, threshold, early_exit=True)
             exact = max_stable_weight(g.adj, vmask, [pi[v] for v in range(n)])
             if mask:
                 assert weight > threshold + EPS
