@@ -1,14 +1,15 @@
 """Depth-first branch-and-price search.
 
 Every node is itself a list-coloring instance thanks to the robust branching
-rule: SAME merges the pair and intersects lists, DIFFER adds the edge. SAME
-children are explored first since they shrink the graph toward the
-all-complete leaves that the matching module finishes off.
+rule: SAME merges the pair and intersects lists, DIFFER adds the edge. Open
+nodes wait on an explicit stack, not in Python frames, so the depth of the
+tree is bounded by memory alone. SAME children are explored first since they
+shrink the graph toward the all-complete leaves that the matching module
+finishes off.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -161,6 +162,11 @@ def inherit_columns(
     return out
 
 
+# An open node: its state before preprocessing, the parent's columns and the
+# parent's LP bound (None at the root).
+_Node = tuple[NodeState, list[Column], float | None]
+
+
 class _Search:
     def __init__(
         self,
@@ -179,7 +185,9 @@ class _Search:
         self.pricing_rounds = 0
 
     def run(self) -> None:
-        self._evaluate(root_state(self.root), [])
+        stack: list[_Node] = [(root_state(self.root), [], None)]
+        while stack:
+            stack.extend(reversed(self._evaluate(*stack.pop())))
 
     def _offer(self, candidate: ListColoring) -> None:
         self.incumbent = update_incumbent(self.incumbent, candidate)
@@ -188,24 +196,25 @@ class _Search:
         self,
         pre_state: NodeState,
         parent_cols: list[Column],
-        parent_lp: float | None = None,
-    ) -> None:
+        parent_lp: float | None,
+    ) -> list[_Node]:
+        """Solve one node; return its children, SAME first, or [] at a leaf."""
         self.deadline.check()
         self.nodes += 1
         state = preprocess_singletons(pre_state)
         if state is None:
-            return
+            return []
         inst = state.instance
         if inst.n == 0:
             self._offer(lift_node_assignment({}, state, self.root))
-            return
+            return []
         partition = partition_colors(inst)
 
         if self.use_assignment and asg.all_complete(partition, inst.graph):
             node_coloring = asg.solve_assignment(state)
             if node_coloring is not None:
                 self._offer(lift_node_assignment(node_coloring, state, self.root))
-            return
+            return []
 
         mp = init_with_dummies(state, partition)
         if parent_cols:
@@ -252,9 +261,9 @@ class _Search:
             self.trace.bound_violations.append((parent_lp, lp_total))
         bound = node_lower_bound(res, mp.big_m)
         if bound is None:
-            return  # a dummy is still active: this subproblem has no coloring
+            return []  # a dummy is still active: this subproblem has no coloring
         if self.incumbent is not None and bound + state.fixed_weight >= self.incumbent.weight:
-            return
+            return []
 
         if not has_fractional_big_column(res):
             extracted = extract_integer_solution(mp, res)
@@ -266,7 +275,7 @@ class _Search:
             ]
             class_colors = assign_class_colors(chosen, partition)
             self._offer(reconstruct(chosen, class_colors, state, self.root))
-            return
+            return []
 
         u, v = select_branching_pair(res)
         if (
@@ -276,11 +285,10 @@ class _Search:
         ):
             self.trace.root_branch_pair = (u, v)
         real_cols = [c for c in mp.columns if not c.is_dummy]
-        # Free this node's LP model before descending, or every ancestor's
-        # model stays alive down the depth-first stack.
-        del mp
-        self._evaluate(branch_same(state, u, v), real_cols, lp_total)
-        self._evaluate(branch_differ(state, u, v), real_cols, lp_total)
+        return [
+            (branch_same(state, u, v), real_cols, lp_total),
+            (branch_differ(state, u, v), real_cols, lp_total),
+        ]
 
 
 def solve(
@@ -291,17 +299,12 @@ def solve(
 ) -> SolveReport:
     """Solve an instance to proven optimality, infeasibility, or timeout."""
     start = time.perf_counter()
-    limit = sys.getrecursionlimit()
-    depth_budget = 10000 + 50 * max(root.n, 1) * max(root.n, 1)
     search = _Search(root, Deadline(time_limit), use_assignment, trace)
     timed_out = False
     try:
-        sys.setrecursionlimit(max(limit, depth_budget))
         search.run()
     except SearchTimeout:
         timed_out = True
-    finally:
-        sys.setrecursionlimit(limit)
     incumbent = search.incumbent
     if timed_out:
         status = TIME_LIMIT

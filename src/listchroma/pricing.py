@@ -62,44 +62,43 @@ def mwss_search(
 
     best_w = 0.0
     best_mask = 0
-    found = False
-
-    def dfs(cand: int, cur_w: float, cur_mask: int, rem: float) -> None:
-        nonlocal best_w, best_mask, found
-        stats.nodes += 1
-        if deadline is not None and stats.nodes % 1000 == 0:
-            deadline.check()
-        if early_exit:
-            if cur_w + rem <= threshold + EPS:
-                return
-        elif cur_w + rem <= best_w:
-            return
-        if not cand:
-            return
-        i = (cand & -cand).bit_length() - 1
-        bit = 1 << i
-        w2 = cur_w + pl[i]
-        m2 = cur_mask | bit
-        if early_exit:
-            if w2 > threshold + EPS:
-                best_w, best_mask, found = w2, m2, True
-                return
-        elif w2 > best_w:
-            best_w, best_mask = w2, m2
-        removed = cand & (ladj[i] | bit)
-        rem2 = rem
-        rm = removed
-        while rm:
-            low = rm & -rm
-            rem2 -= pl[low.bit_length() - 1]
-            rm ^= low
-        dfs(cand & ~removed, w2, m2, rem2)
-        if found:
-            return
-        dfs(cand ^ bit, cur_w, cur_mask, rem - pl[i])
-
-    if order:
-        dfs((1 << len(order)) - 1, 0.0, 0, sum(pl))
+    # Each entry is a search node (candidates, weight, mask, weight still
+    # selectable). The include branch is followed in place and the exclude
+    # branch pushed, so nodes are visited in the depth-first, include-first
+    # order, and each is pruned against best_w as it stands when visited.
+    stack = [((1 << len(order)) - 1, 0.0, 0, sum(pl))] if order else []
+    while stack:
+        cand, cur_w, cur_mask, rem = stack.pop()
+        while True:
+            stats.nodes += 1
+            if deadline is not None and stats.nodes % 1000 == 0:
+                deadline.check()
+            if early_exit:
+                if cur_w + rem <= threshold + EPS:
+                    break
+            elif cur_w + rem <= best_w:
+                break
+            if not cand:
+                break
+            i = (cand & -cand).bit_length() - 1
+            bit = 1 << i
+            w2 = cur_w + pl[i]
+            m2 = cur_mask | bit
+            if early_exit:
+                if w2 > threshold + EPS:
+                    best_w, best_mask = w2, m2
+                    stack.clear()
+                    break
+            elif w2 > best_w:
+                best_w, best_mask = w2, m2
+            stack.append((cand ^ bit, cur_w, cur_mask, rem - pl[i]))
+            removed = cand & (ladj[i] | bit)
+            rm = removed
+            while rm:
+                low = rm & -rm
+                rem -= pl[low.bit_length() - 1]
+                rm ^= low
+            cand, cur_w, cur_mask = cand & ~removed, w2, m2
     global_mask = 0
     for i in bits(best_mask):
         global_mask |= 1 << order[i]

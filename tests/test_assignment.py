@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from listchroma.assignment import all_complete, hungarian, min_cost_matching, solve_assignment
+from listchroma.assignment import all_complete, min_cost_matching, solve_assignment
 from listchroma.core import partition_colors, root_state, validate_coloring
 from listchroma.oracle import oracle_solve
 
@@ -37,39 +37,36 @@ class TestAllComplete:
         assert not all_complete(partition_colors(inst), inst.graph)
 
 
-class TestHungarian:
+def random_options(rng, n, m):
+    """A full n x m cost matrix as min_cost_matching options."""
+    return [{s: int(rng.integers(0, 20)) for s in range(m)} for _ in range(n)]
+
+
+class TestMinCostMatching:
     def test_identity_matrix(self):
-        total, match = hungarian([[0, 9], [9, 0]])
-        assert total == 0
-        assert match == [0, 1]
+        assert min_cost_matching([{0: 0, 1: 9}, {0: 9, 1: 0}], 2) == [0, 1]
 
     def test_matches_permutation_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(2))
         for _ in range(80):
             n = int(rng.integers(1, 7))
-            cost = [[int(rng.integers(0, 20)) for _ in range(n)] for _ in range(n)]
-            total, match = hungarian(cost)
+            options = random_options(rng, n, n)
+            match = min_cost_matching(options, n)
             assert sorted(match) == list(range(n))  # a permutation
-            assert total == brute_force_matching(cost)
-            assert total == sum(cost[i][match[i]] for i in range(n))
+            cost = [[row[s] for s in range(n)] for row in options]
+            assert sum(row[s] for row, s in zip(options, match)) == brute_force_matching(cost)
 
     def test_rectangular_matches_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(80):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(n, 8))
-            cost = [[int(rng.integers(0, 20)) for _ in range(m)] for _ in range(n)]
-            total, match = hungarian(cost)
-            assert len(set(match)) == n and all(0 <= j < m for j in match)
-            assert total == brute_force_matching(cost)
-            assert total == sum(cost[i][match[i]] for i in range(n))
+            options = random_options(rng, n, m)
+            match = min_cost_matching(options, m)
+            assert len(set(match)) == n and all(0 <= s < m for s in match)
+            cost = [[row[s] for s in range(m)] for row in options]
+            assert sum(row[s] for row, s in zip(options, match)) == brute_force_matching(cost)
 
-    def test_more_rows_than_columns_rejected(self):
-        with pytest.raises(ValueError):
-            hungarian([[1], [2]])
-
-
-class TestMinCostMatching:
     def test_cheapest_slots_taken(self):
         assert min_cost_matching([{0: 5, 2: 1}, {0: 1, 2: 1}], 3) == [2, 0]
 
@@ -84,6 +81,11 @@ class TestMinCostMatching:
 
     def test_rows_competing_for_one_slot_are_unmatched(self):
         assert min_cost_matching([{0: 1}, {0: 2}, {1: 0, 2: 0}], 3) is None
+
+    def test_costs_beyond_float64_precision_rejected(self):
+        # 2**60 and 2**60 + 1 are one float64, so the cheaper slot is not provable
+        with pytest.raises(ValueError):
+            min_cost_matching([{0: 2**60 + 1, 1: 2**60}], 2)
 
 
 class TestSolveAssignment:

@@ -54,10 +54,21 @@ class TestSolveBasic:
         assert report.nodes == 0
 
     @pytest.mark.parametrize("time_limit, status", [(None, OPTIMAL), (0.0, TIME_LIMIT)])
-    def test_recursion_limit_restored(self, time_limit, status):
-        before = sys.getrecursionlimit()
-        assert solve(petersen(), time_limit=time_limit).status == status
-        assert sys.getrecursionlimit() == before
+    def test_recursion_limit_untouched(self, time_limit, status, monkeypatch):
+        def refuse(limit):
+            pytest.fail("solve changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        # Edgeless, one shared color against a private one per vertex: the LP
+        # spreads pi over all vertices, so the exact pricing of the shared
+        # class includes n vertices in a row, more than the default limit.
+        n = 1500
+        weights = {0: n - 1, **{1 + v: 1 for v in range(n)}}
+        inst = make_instance(n, [], [[0, 1 + v] for v in range(n)], weights=weights)
+        report = solve(inst, time_limit=time_limit)
+        assert report.status == status
+        if status == OPTIMAL:
+            assert report.weight == n - 1
 
     def test_assignment_module_can_be_disabled(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})

@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from listchroma.core import EPS, Graph, partition_colors
+from listchroma.core import EPS, Graph, bits, partition_colors
 from listchroma.master import DualSolution
 from listchroma.pricing import (
+    PricingStats,
     extend_to_maximal,
     mwss_search,
     price_all,
@@ -127,6 +131,93 @@ class TestMwssSearch:
                         assert not g.adj[v] & mask
             else:
                 assert exact <= threshold + EPS
+
+
+def recursive_mwss_search(graph, vertex_mask, pi, threshold, early_exit, stats):
+    """The recursive form of mwss_search, kept as the reference for its order."""
+    order = sorted(bits(vertex_mask), key=lambda v: (-pi[v], v))
+    loc = {v: i for i, v in enumerate(order)}
+    pl = [pi[v] for v in order]
+    ladj = []
+    for v in order:
+        m = 0
+        for u in bits(graph.adj[v] & vertex_mask):
+            m |= 1 << loc[u]
+        ladj.append(m)
+
+    best_w = 0.0
+    best_mask = 0
+    found = False
+
+    def dfs(cand, cur_w, cur_mask, rem):
+        nonlocal best_w, best_mask, found
+        stats.nodes += 1
+        if early_exit:
+            if cur_w + rem <= threshold + EPS:
+                return
+        elif cur_w + rem <= best_w:
+            return
+        if not cand:
+            return
+        i = (cand & -cand).bit_length() - 1
+        bit = 1 << i
+        w2 = cur_w + pl[i]
+        m2 = cur_mask | bit
+        if early_exit:
+            if w2 > threshold + EPS:
+                best_w, best_mask, found = w2, m2, True
+                return
+        elif w2 > best_w:
+            best_w, best_mask = w2, m2
+        removed = cand & (ladj[i] | bit)
+        rem2 = rem
+        rm = removed
+        while rm:
+            low = rm & -rm
+            rem2 -= pl[low.bit_length() - 1]
+            rm ^= low
+        dfs(cand & ~removed, w2, m2, rem2)
+        if found:
+            return
+        dfs(cand ^ bit, cur_w, cur_mask, rem - pl[i])
+
+    if order:
+        dfs((1 << len(order)) - 1, 0.0, 0, sum(pl))
+    global_mask = 0
+    for i in bits(best_mask):
+        global_mask |= 1 << order[i]
+    return global_mask, best_w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_search_order_matches_recursive_reference(data):
+    # Columns steer the duals and so the tree: the explicit stack must visit
+    # exactly the nodes of the recursion, in the same order.
+    n = data.draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if data.draw(st.booleans())])
+    # few distinct values, so ties in pi decide the order too
+    pi = {v: data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.125])) for v in range(n)}
+    vmask = data.draw(st.integers(1, (1 << n) - 1))
+    threshold = data.draw(st.floats(0.0, 20.0))
+    early_exit = data.draw(st.booleans())
+    got_stats, ref_stats = PricingStats(), PricingStats()
+    got = mwss_search(g, vmask, pi, threshold, early_exit, got_stats)
+    ref = recursive_mwss_search(g, vmask, pi, threshold, early_exit, ref_stats)
+    assert got == ref
+    assert got_stats.nodes == ref_stats.nodes
+
+
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_deep_search_within_default_recursion_limit(early_exit):
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    g = Graph.from_edges(n, [])
+    # only the whole vertex set beats the threshold, so the include path is n deep
+    mask, weight = mwss_search(g, (1 << n) - 1, {v: 1.0 for v in range(n)}, n - 0.5, early_exit)
+    assert mask == (1 << n) - 1
+    assert weight == n
 
 
 class TestExtendToMaximal:
