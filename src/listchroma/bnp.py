@@ -59,6 +59,7 @@ class SolveReport:
     columns_generated: int
     pricing_rounds: int
     wall_time: float
+    mwss_nodes: int  # search nodes over every pricing round
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,7 @@ class _Search:
         self.nodes = 0
         self.columns_generated = 0
         self.pricing_rounds = 0
+        self.mwss_nodes = 0
 
     def run(self) -> None:
         stack: list[_Node] = [(root_state(self.root), [], None)]
@@ -227,10 +229,12 @@ class _Search:
             res = solve_lp(mp)
             outcome = price_all(inst, partition, res.duals, True, self.deadline)
             self.pricing_rounds += 1
+            self.mwss_nodes += outcome.stats.nodes
             cols = outcome.columns()
             if not cols:
                 confirm = price_all(inst, partition, res.duals, False, self.deadline)
                 self.pricing_rounds += 1
+                self.mwss_nodes += confirm.stats.nodes
                 cols = confirm.columns()
                 if not cols:
                     if self.trace is not None:
@@ -320,4 +324,5 @@ def solve(
         columns_generated=search.columns_generated,
         pricing_rounds=search.pricing_rounds,
         wall_time=time.perf_counter() - start,
+        mwss_nodes=search.mwss_nodes,
     )

@@ -162,6 +162,7 @@ class ResultRecord:
     nodes: int
     columns: int
     pricing_rounds: int
+    mwss_nodes: int
     wall_time: float
     instance_path: str
     time_limit: float | None
@@ -173,6 +174,7 @@ class ResultRecord:
             f"nodes={self.nodes}",
             f"columns={self.columns}",
             f"pricing_rounds={self.pricing_rounds}",
+            f"mwss_nodes={self.mwss_nodes}",
             f"time_sec={self.wall_time:.4f}",
             f"input={self.instance_path}",
             f"time_limit={'none' if self.time_limit is None else self.time_limit}",
@@ -192,6 +194,7 @@ class ResultRecord:
             f"nodes explored: {self.nodes}",
             f"columns generated: {self.columns}",
             f"pricing rounds: {self.pricing_rounds}",
+            f"mwss nodes: {self.mwss_nodes}",
             f"wall time: {self.wall_time:.2f} s",
         ]
         if self.weight is not None:
@@ -219,6 +222,7 @@ def record_from_report(
         nodes=report.nodes,
         columns=report.columns_generated,
         pricing_rounds=report.pricing_rounds,
+        mwss_nodes=report.mwss_nodes,
         wall_time=report.wall_time,
         instance_path=instance_path,
         time_limit=time_limit,
@@ -290,6 +294,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             nodes=0,
             columns=0,
             pricing_rounds=0,
+            mwss_nodes=0,
             wall_time=0.0,
             instance_path=args.input,
             time_limit=args.time_limit,

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from listchroma import bnp
 from listchroma.bnp import (
     INFEASIBLE,
     OPTIMAL,
@@ -69,6 +70,21 @@ class TestSolveBasic:
         assert report.status == status
         if status == OPTIMAL:
             assert report.weight == n - 1
+
+    def test_mwss_nodes_sums_every_pricing_round(self, monkeypatch):
+        seen = []
+        price_all = bnp.price_all
+
+        def counting(*args, **kwargs):
+            outcome = price_all(*args, **kwargs)
+            seen.append(outcome.stats.nodes)
+            return outcome
+
+        monkeypatch.setattr(bnp, "price_all", counting)
+        report = solve(generate(GenConfig(n=20, p=0.5, c=1.0, q=0.5, seed=3)))
+        assert report.status == OPTIMAL
+        assert len(seen) == report.pricing_rounds > 0
+        assert report.mwss_nodes == sum(seen) > 0
 
     def test_assignment_module_can_be_disabled(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})

@@ -11,6 +11,7 @@ from listchroma.cli import (
     read_solution,
     write_instance,
 )
+from listchroma.bnp import solve
 from listchroma.core import Graph, build_instance
 from listchroma.instgen import GenConfig, generate
 
@@ -152,6 +153,19 @@ class TestSolveCommand:
         status, assignment = read_solution(out)
         assert status == "time_limit"
         assert assignment == {}
+
+    def test_record_carries_mwss_nodes(self, tmp_path, capsys):
+        from conftest import petersen
+
+        path = str(tmp_path / "p.col")
+        write_instance(path, petersen())
+        out = str(tmp_path / "p.sol")
+        assert main(["solve", path, "--out", out]) == EXIT_OK
+        expected = solve(petersen()).mwss_nodes
+        assert expected > 0
+        assert f"mwss nodes: {expected}" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fh:
+            assert f"mwss_nodes={expected}" in fh.read().splitlines()
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "bad.col", "p mwlcp nope\n")

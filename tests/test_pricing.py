@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from listchroma.core import EPS, Graph, bits, partition_colors
-from listchroma.master import DualSolution
+from listchroma.master import Column, DualSolution
 from listchroma.pricing import (
+    PricingOutcome,
     PricingStats,
     extend_to_maximal,
+    heaviest_first,
     mwss_search,
     price_all,
 )
@@ -18,6 +20,15 @@ from conftest import make_instance, max_stable_weight
 
 def duals_for(inst, pi, gamma=None):
     return DualSolution(tuple(float(x) for x in pi), gamma or {})
+
+
+def search(graph, vertex_mask, pi, threshold, early_exit, stats=None):
+    """mwss_search in the original vertex ids: renumber as price_all does, search, map back."""
+    order, pos, weights, adj = heaviest_first(graph, [pi.get(v, 0.0) for v in range(graph.n)])
+    mask, weight = mwss_search(
+        adj, sum(1 << pos[v] for v in bits(vertex_mask)), weights, threshold, early_exit, stats
+    )
+    return sum(1 << order[i] for i in bits(mask)), weight
 
 
 class TestPriceAll:
@@ -67,16 +78,15 @@ class TestPriceAll:
 class TestMwssSearch:
     def test_clique_takes_single_heaviest(self):
         inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0]] * 3)
-        mask, weight = mwss_search(
-            inst.graph, 0b111, {0: 1.0, 1: 1.0, 2: 1.0}, 10.0, early_exit=False
-        )
+        # equal weights: the given numbering is already heaviest first
+        mask, weight = mwss_search(inst.graph.adj, 0b111, [1.0, 1.0, 1.0], 10.0, early_exit=False)
         assert weight == pytest.approx(1.0)
         assert mask.bit_count() == 1
 
     def test_c5_independence_number(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
         g = Graph.from_edges(5, edges)
-        _, weight = mwss_search(g, 0b11111, {v: 1.0 for v in range(5)}, 10.0, early_exit=False)
+        _, weight = mwss_search(g.adj, 0b11111, [1.0] * 5, 10.0, early_exit=False)
         assert weight == pytest.approx(2.0)
 
     def test_matches_exhaustive_enumeration(self):
@@ -99,7 +109,7 @@ class TestMwssSearch:
                     vmask |= 1 << v
             if not vmask:
                 continue
-            _, weight = mwss_search(g, vmask, pi, 0.0, early_exit=False)
+            _, weight = search(g, vmask, pi, 0.0, early_exit=False)
             expect = max_stable_weight(g.adj, vmask, [pi.get(v, 0.0) for v in range(n)])
             assert weight == pytest.approx(expect, abs=1e-9)
 
@@ -119,7 +129,7 @@ class TestMwssSearch:
             pi = {v: float(np.round(rng.random() * 3, 3)) for v in range(n)}
             vmask = (1 << n) - 1
             threshold = float(rng.random() * 4)
-            mask, weight = mwss_search(g, vmask, pi, threshold, early_exit=True)
+            mask, weight = search(g, vmask, pi, threshold, early_exit=True)
             exact = max_stable_weight(g.adj, vmask, [pi[v] for v in range(n)])
             if mask:
                 assert weight > threshold + EPS
@@ -192,8 +202,9 @@ def recursive_mwss_search(graph, vertex_mask, pi, threshold, early_exit, stats):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_search_order_matches_recursive_reference(data):
-    # Columns steer the duals and so the tree: the explicit stack must visit
-    # exactly the nodes of the recursion, in the same order.
+    # Columns steer the duals and so the tree: the explicit stack over the
+    # renumbered graph must visit exactly the nodes of the recursion over the
+    # class's own sorted vertices, in the same order.
     n = data.draw(st.integers(1, 14))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph.from_edges(n, [e for e in pairs if data.draw(st.booleans())])
@@ -203,19 +214,105 @@ def test_search_order_matches_recursive_reference(data):
     threshold = data.draw(st.floats(0.0, 20.0))
     early_exit = data.draw(st.booleans())
     got_stats, ref_stats = PricingStats(), PricingStats()
-    got = mwss_search(g, vmask, pi, threshold, early_exit, got_stats)
+    got = search(g, vmask, pi, threshold, early_exit, got_stats)
     ref = recursive_mwss_search(g, vmask, pi, threshold, early_exit, ref_stats)
     assert got == ref
     assert got_stats.nodes == ref_stats.nodes
+
+
+def per_class_extend_to_maximal(mask, vertex_mask, graph, pi):
+    """extend_to_maximal in the original vertex ids, kept as the reference."""
+    closed = mask
+    for v in bits(mask):
+        closed |= graph.adj[v]
+    cand = vertex_mask & ~closed
+    while cand:
+        v = min(bits(cand), key=lambda x: (-pi.get(x, 0.0), x))
+        mask |= 1 << v
+        cand &= ~(graph.adj[v] | 1 << v)
+    return mask
+
+
+def per_class_price_all(inst, partition, duals, early_exit):
+    """price_all with each class's search sorting its own vertices, kept as the reference."""
+    stats = PricingStats()
+    graph = inst.graph
+    thresholds = {k: inst.weights[k] + duals.gamma_of(k) for k in partition.reps}
+    order = sorted(partition.reps, key=lambda k: (-thresholds[k], k))
+    cache = {}
+    per_class = {}
+    for k in order:
+        t = thresholds[k]
+        vmask = partition.vertex_mask[k]
+        pi = {v: duals.pi[v] for v in partition.vertices[k]}
+        chosen = None
+        entry = cache.get(vmask)
+        resolved = False
+        if entry is not None:
+            w, mask, exact, proved = entry
+            if mask and w > t + EPS:
+                chosen = mask
+                resolved = True
+                stats.cache_hits += 1
+            elif exact and w <= t + EPS:
+                per_class[k] = None
+                resolved = True
+                stats.cache_hits += 1
+            elif proved is not None and proved <= t + EPS:
+                per_class[k] = None
+                resolved = True
+                stats.cache_hits += 1
+        if not resolved:
+            mask, w = recursive_mwss_search(graph, vmask, pi, t, early_exit, stats)
+            if w > t + EPS:
+                chosen = mask
+                cache[vmask] = (w, mask, not early_exit, None)
+            else:
+                cache[vmask] = (w, mask, not early_exit, t + EPS if early_exit else None)
+        if chosen is not None:
+            full = per_class_extend_to_maximal(chosen, vmask, graph, pi)
+            per_class[k] = Column(full, k, inst.weights[k])
+        elif k not in per_class:
+            per_class[k] = None
+    return PricingOutcome(per_class, stats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_price_all_matches_per_class_reference(data):
+    # One heaviest-first numbering per round must reproduce every class's
+    # own sort: the same columns, search nodes and cache decisions.
+    n = data.draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if data.draw(st.booleans())]
+    members = [data.draw(st.integers(1, (1 << n) - 1)) for _ in range(data.draw(st.integers(1, 4)))]
+    for v in range(n):
+        if not any(m >> v & 1 for m in members):
+            members[0] |= 1 << v  # no vertex without a color
+    # a twin shares its color's vertex set; a different weight makes it a separate class
+    members += [m for m in members if data.draw(st.booleans())]
+    weights = {j: data.draw(st.sampled_from([1, 2, 3, 5])) for j in range(len(members))}
+    lists = [[j for j, m in enumerate(members) if m >> v & 1] for v in range(n)]
+    inst = make_instance(n, edges, lists, weights=weights)
+    part = partition_colors(inst)
+    # few distinct values, so ties in pi decide the order too
+    pi = [data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])) for _ in range(n)]
+    gamma = {k: data.draw(st.sampled_from([0.0, 0.5, 1.25])) for k in part.reps}
+    duals = duals_for(inst, pi, gamma)
+    for early_exit in (True, False):
+        got = price_all(inst, part, duals, early_exit)
+        ref = per_class_price_all(inst, part, duals, early_exit)
+        assert got.per_class == ref.per_class
+        assert (got.stats.nodes, got.stats.cache_hits) == (ref.stats.nodes, ref.stats.cache_hits)
 
 
 @pytest.mark.parametrize("early_exit", [True, False])
 def test_deep_search_within_default_recursion_limit(early_exit):
     n = 1500
     assert n > sys.getrecursionlimit()
-    g = Graph.from_edges(n, [])
-    # only the whole vertex set beats the threshold, so the include path is n deep
-    mask, weight = mwss_search(g, (1 << n) - 1, {v: 1.0 for v in range(n)}, n - 0.5, early_exit)
+    # edgeless; only the whole vertex set beats the threshold, so the include
+    # path is n deep
+    mask, weight = mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n - 0.5, early_exit)
     assert mask == (1 << n) - 1
     assert weight == n
 
@@ -223,19 +320,19 @@ def test_deep_search_within_default_recursion_limit(early_exit):
 class TestExtendToMaximal:
     def test_fills_edgeless_graph(self):
         g = Graph.from_edges(3, [])
-        assert extend_to_maximal(0b001, 0b111, g, {v: 0.0 for v in range(3)}) == 0b111
+        assert extend_to_maximal(0b001, 0b111, g.adj) == 0b111
 
     def test_maximal_input_unchanged(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert extend_to_maximal(0b101, 0b111, g, {v: 1.0 for v in range(3)}) == 0b101
+        assert extend_to_maximal(0b101, 0b111, g.adj) == 0b101
 
     def test_path_endpoint_gets_other_end(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert extend_to_maximal(0b001, 0b111, g, {v: 1.0 for v in range(3)}) == 0b101
+        assert extend_to_maximal(0b001, 0b111, g.adj) == 0b101
 
     def test_respects_class_vertices(self):
         g = Graph.from_edges(3, [])
-        assert extend_to_maximal(0b001, 0b011, g, {0: 1.0, 1: 1.0}) == 0b011
+        assert extend_to_maximal(0b001, 0b011, g.adj) == 0b011
 
 
 class TestReuseCorrectness:
