@@ -60,6 +60,7 @@ class SolveReport:
     pricing_rounds: int
     wall_time: float
     mwss_nodes: int  # search nodes over every pricing round
+    mwss_cache_hits: int  # classes settled by an earlier search of their vertex set
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,7 @@ class _Search:
         self.columns_generated = 0
         self.pricing_rounds = 0
         self.mwss_nodes = 0
+        self.mwss_cache_hits = 0
 
     def run(self) -> None:
         stack: list[_Node] = [(root_state(self.root), [], None)]
@@ -224,37 +226,32 @@ class _Search:
             if inherited:
                 add_columns(mp, inherited)
 
+        # One early-exit round per LP optimum: a round that finds no column has
+        # shown max pi(S) <= w_k + gamma_k + EPS for every class, so the LP is
+        # optimal at this node.
         while True:
             self.deadline.check()
             res = solve_lp(mp)
-            outcome = price_all(inst, partition, res.duals, True, self.deadline)
+            outcome = price_all(inst, partition, res.duals, deadline=self.deadline)
             self.pricing_rounds += 1
             self.mwss_nodes += outcome.stats.nodes
+            self.mwss_cache_hits += outcome.stats.cache_hits
             cols = outcome.columns()
             if not cols:
-                confirm = price_all(inst, partition, res.duals, False, self.deadline)
-                self.pricing_rounds += 1
-                self.mwss_nodes += confirm.stats.nodes
-                cols = confirm.columns()
-                if not cols:
-                    if self.trace is not None:
-                        self.trace.pricing_certifications.append(
-                            CertifiedPricing(
-                                adj=inst.graph.adj,
-                                pi=res.duals.pi,
-                                classes=tuple(
-                                    (
-                                        k,
-                                        partition.vertex_mask[k],
-                                        inst.weights[k] + res.duals.gamma_of(k),
-                                    )
-                                    for k in partition.reps
-                                ),
-                            )
-                        )
-                    break
+                break
             add_columns(mp, cols)
             self.columns_generated += len(cols)
+        if self.trace is not None:
+            self.trace.pricing_certifications.append(
+                CertifiedPricing(
+                    adj=inst.graph.adj,
+                    pi=res.duals.pi,
+                    classes=tuple(
+                        (k, partition.vertex_mask[k], inst.weights[k] + res.duals.gamma_of(k))
+                        for k in partition.reps
+                    ),
+                )
+            )
 
         lp_total = res.objective + state.fixed_weight
         if (
@@ -325,4 +322,5 @@ def solve(
         pricing_rounds=search.pricing_rounds,
         wall_time=time.perf_counter() - start,
         mwss_nodes=search.mwss_nodes,
+        mwss_cache_hits=search.mwss_cache_hits,
     )

@@ -163,6 +163,7 @@ class ResultRecord:
     columns: int
     pricing_rounds: int
     mwss_nodes: int
+    mwss_cache_hits: int
     wall_time: float
     instance_path: str
     time_limit: float | None
@@ -175,6 +176,7 @@ class ResultRecord:
             f"columns={self.columns}",
             f"pricing_rounds={self.pricing_rounds}",
             f"mwss_nodes={self.mwss_nodes}",
+            f"mwss_cache_hits={self.mwss_cache_hits}",
             f"time_sec={self.wall_time:.4f}",
             f"input={self.instance_path}",
             f"time_limit={'none' if self.time_limit is None else self.time_limit}",
@@ -195,6 +197,7 @@ class ResultRecord:
             f"columns generated: {self.columns}",
             f"pricing rounds: {self.pricing_rounds}",
             f"mwss nodes: {self.mwss_nodes}",
+            f"mwss cache hits: {self.mwss_cache_hits}",
             f"wall time: {self.wall_time:.2f} s",
         ]
         if self.weight is not None:
@@ -223,6 +226,7 @@ def record_from_report(
         columns=report.columns_generated,
         pricing_rounds=report.pricing_rounds,
         mwss_nodes=report.mwss_nodes,
+        mwss_cache_hits=report.mwss_cache_hits,
         wall_time=report.wall_time,
         instance_path=instance_path,
         time_limit=time_limit,
@@ -295,6 +299,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             columns=0,
             pricing_rounds=0,
             mwss_nodes=0,
+            mwss_cache_hits=0,
             wall_time=0.0,
             instance_path=args.input,
             time_limit=args.time_limit,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 EPS = 1e-6
@@ -79,6 +80,11 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return cls(n, tuple(masks))
+
+    @cached_property
+    def neighbors(self) -> tuple[list[int], ...]:
+        """neighbors[v] lists the neighbors of v ascending, computed once per graph."""
+        return tuple(bits(a) for a in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)

@@ -60,9 +60,11 @@ class TestSolveBasic:
             pytest.fail("solve changed the recursion limit")
 
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-        # Edgeless, one shared color against a private one per vertex: the LP
-        # spreads pi over all vertices, so the exact pricing of the shared
-        # class includes n vertices in a row, more than the default limit.
+        # Edgeless, one shared color against a private one per vertex, more
+        # vertices than the default limit. Its two pricing rounds stop at the
+        # root of every search (the first on a single vertex, the second on
+        # the bound), so search depth is covered by
+        # test_pricing.py::test_deep_search_within_default_recursion_limit.
         n = 1500
         weights = {0: n - 1, **{1 + v: 1 for v in range(n)}}
         inst = make_instance(n, [], [[0, 1 + v] for v in range(n)], weights=weights)
@@ -85,6 +87,23 @@ class TestSolveBasic:
         assert report.status == OPTIMAL
         assert len(seen) == report.pricing_rounds > 0
         assert report.mwss_nodes == sum(seen) > 0
+
+    def test_mwss_cache_hits_sums_every_pricing_round(self, monkeypatch):
+        seen = []
+        price_all = bnp.price_all
+
+        def counting(*args, **kwargs):
+            outcome = price_all(*args, **kwargs)
+            seen.append(outcome.stats.cache_hits)
+            return outcome
+
+        monkeypatch.setattr(bnp, "price_all", counting)
+        # q=0.9, weights 1-10: colors with equal lists but different weights are
+        # separate classes on one vertex set, so later classes reuse searches
+        report = solve(generate(GenConfig(n=12, p=0.5, c=1.0, q=0.9, seed=1, weight_range=(1, 10))))
+        assert report.status == OPTIMAL
+        assert len(seen) == report.pricing_rounds > 0
+        assert report.mwss_cache_hits == sum(seen) > 0
 
     def test_assignment_module_can_be_disabled(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})

@@ -167,6 +167,20 @@ class TestSolveCommand:
         with open(out, encoding="utf-8") as fh:
             assert f"mwss_nodes={expected}" in fh.read().splitlines()
 
+    def test_record_carries_mwss_cache_hits(self, tmp_path, capsys):
+        path = str(tmp_path / "inst.col")
+        # q=0.9, weights 1-10: colors with equal lists but different weights are
+        # separate classes on one vertex set, so later classes reuse searches
+        inst = generate(GenConfig(n=12, p=0.5, c=1.0, q=0.9, seed=1, weight_range=(1, 10)))
+        write_instance(path, inst)
+        out = str(tmp_path / "inst.sol")
+        assert main(["solve", path, "--out", out]) == EXIT_OK
+        expected = solve(inst).mwss_cache_hits
+        assert expected > 0
+        assert f"mwss cache hits: {expected}" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fh:
+            assert f"mwss_cache_hits={expected}" in fh.read().splitlines()
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "bad.col", "p mwlcp nope\n")
         assert main(["solve", path]) == EXIT_INPUT_ERROR

@@ -22,11 +22,11 @@ def duals_for(inst, pi, gamma=None):
     return DualSolution(tuple(float(x) for x in pi), gamma or {})
 
 
-def search(graph, vertex_mask, pi, threshold, early_exit, stats=None):
+def search(graph, vertex_mask, pi, threshold, stats=None):
     """mwss_search in the original vertex ids: renumber as price_all does, search, map back."""
-    order, pos, weights, adj = heaviest_first(graph, [pi.get(v, 0.0) for v in range(graph.n)])
+    order, bit, weights, adj = heaviest_first(graph, [pi.get(v, 0.0) for v in range(graph.n)])
     mask, weight = mwss_search(
-        adj, sum(1 << pos[v] for v in bits(vertex_mask)), weights, threshold, early_exit, stats
+        adj, sum(bit[v] for v in bits(vertex_mask)), weights, threshold, stats
     )
     return sum(1 << order[i] for i in bits(mask)), weight
 
@@ -48,22 +48,26 @@ class TestPriceAll:
         assert col.cost == 5
 
     def test_shared_vertex_set_reuses_search(self):
-        # colors 0 and 1 live on the same two isolated vertices but their
-        # weights differ: thresholds 5 and 2 against a max stable weight of 4
-        inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 5, 1: 2})
+        # four colors live on the same two isolated vertices, their weights
+        # differ: thresholds 5, 3 + 2, 2 and 1 against a max stable weight of 4
+        inst = make_instance(2, [], [[0, 1, 2, 3]] * 2, weights={0: 5, 1: 3, 2: 2, 3: 1})
         part = partition_colors(inst)
-        duals = duals_for(inst, [1, 3])
+        duals = duals_for(inst, [1, 3], {1: 2.0})
         assert max_stable_weight(inst.graph.adj, 0b11, [1, 3]) == 4
-        out = price_all(inst, part, duals, early_exit=False)
-        assert out.per_class[0] is None          # 4 <= 5
-        assert out.per_class[1] is not None      # 4 > 2
-        assert out.per_class[1].mask == 0b11
-        assert out.stats.cache_hits == 1
+        out = price_all(inst, part, duals)
+        assert out.per_class[0] is None          # 4 <= 5, searched
+        assert out.per_class[1] is None          # equal threshold: the proof is reused
+        assert out.per_class[2].mask == 0b11     # 4 > 2, searched
+        assert out.per_class[3].mask == 0b11     # the set found for 2 beats 1 too
+        assert out.stats.cache_hits == 2
 
     def test_early_exit_mode_same_outcome(self):
+        # the first set above the threshold decides each class as the exact
+        # maximum (4) would
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 5, 1: 2})
         part = partition_colors(inst)
-        out = price_all(inst, part, duals_for(inst, [1, 3]), early_exit=True)
+        assert max_stable_weight(inst.graph.adj, 0b11, [1, 3]) == 4
+        out = price_all(inst, part, duals_for(inst, [1, 3]))
         assert out.per_class[0] is None
         assert out.per_class[1] is not None
 
@@ -79,15 +83,18 @@ class TestMwssSearch:
     def test_clique_takes_single_heaviest(self):
         inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0]] * 3)
         # equal weights: the given numbering is already heaviest first
-        mask, weight = mwss_search(inst.graph.adj, 0b111, [1.0, 1.0, 1.0], 10.0, early_exit=False)
+        mask, weight = mwss_search(inst.graph.adj, 0b111, [1.0, 1.0, 1.0], 0.5)
         assert weight == pytest.approx(1.0)
         assert mask.bit_count() == 1
+        assert mwss_search(inst.graph.adj, 0b111, [1.0, 1.0, 1.0], 1.0) == (0, 0.0)
 
     def test_c5_independence_number(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
         g = Graph.from_edges(5, edges)
-        _, weight = mwss_search(g.adj, 0b11111, [1.0] * 5, 10.0, early_exit=False)
+        mask, weight = mwss_search(g.adj, 0b11111, [1.0] * 5, 1.5)
         assert weight == pytest.approx(2.0)
+        assert mask.bit_count() == 2 and all(not g.adj[v] & mask for v in bits(mask))
+        assert mwss_search(g.adj, 0b11111, [1.0] * 5, 2.0) == (0, 0.0)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.Generator(np.random.PCG64(11))
@@ -109,9 +116,14 @@ class TestMwssSearch:
                     vmask |= 1 << v
             if not vmask:
                 continue
-            _, weight = search(g, vmask, pi, 0.0, early_exit=False)
             expect = max_stable_weight(g.adj, vmask, [pi.get(v, 0.0) for v in range(n)])
+            # pi has 3 decimals, so a set above expect - 5e-4 weighs expect
+            mask, weight = search(g, vmask, pi, expect - 5e-4)
+            assert mask and not mask & ~vmask
+            assert all(not g.adj[v] & mask for v in bits(mask))
+            assert weight == pytest.approx(sum(pi[v] for v in bits(mask)))
             assert weight == pytest.approx(expect, abs=1e-9)
+            assert search(g, vmask, pi, expect) == (0, 0.0)
 
     def test_early_exit_returns_sound_violator(self):
         rng = np.random.Generator(np.random.PCG64(23))
@@ -129,7 +141,7 @@ class TestMwssSearch:
             pi = {v: float(np.round(rng.random() * 3, 3)) for v in range(n)}
             vmask = (1 << n) - 1
             threshold = float(rng.random() * 4)
-            mask, weight = search(g, vmask, pi, threshold, early_exit=True)
+            mask, weight = search(g, vmask, pi, threshold)
             exact = max_stable_weight(g.adj, vmask, [pi[v] for v in range(n)])
             if mask:
                 assert weight > threshold + EPS
@@ -143,7 +155,7 @@ class TestMwssSearch:
                 assert exact <= threshold + EPS
 
 
-def recursive_mwss_search(graph, vertex_mask, pi, threshold, early_exit, stats):
+def recursive_mwss_search(graph, vertex_mask, pi, threshold, stats):
     """The recursive form of mwss_search, kept as the reference for its order."""
     order = sorted(bits(vertex_mask), key=lambda v: (-pi[v], v))
     loc = {v: i for i, v in enumerate(order)}
@@ -162,10 +174,7 @@ def recursive_mwss_search(graph, vertex_mask, pi, threshold, early_exit, stats):
     def dfs(cand, cur_w, cur_mask, rem):
         nonlocal best_w, best_mask, found
         stats.nodes += 1
-        if early_exit:
-            if cur_w + rem <= threshold + EPS:
-                return
-        elif cur_w + rem <= best_w:
+        if cur_w + rem <= threshold + EPS:
             return
         if not cand:
             return
@@ -173,12 +182,9 @@ def recursive_mwss_search(graph, vertex_mask, pi, threshold, early_exit, stats):
         bit = 1 << i
         w2 = cur_w + pl[i]
         m2 = cur_mask | bit
-        if early_exit:
-            if w2 > threshold + EPS:
-                best_w, best_mask, found = w2, m2, True
-                return
-        elif w2 > best_w:
-            best_w, best_mask = w2, m2
+        if w2 > threshold + EPS:
+            best_w, best_mask, found = w2, m2, True
+            return
         removed = cand & (ladj[i] | bit)
         rem2 = rem
         rm = removed
@@ -212,10 +218,9 @@ def test_search_order_matches_recursive_reference(data):
     pi = {v: data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.125])) for v in range(n)}
     vmask = data.draw(st.integers(1, (1 << n) - 1))
     threshold = data.draw(st.floats(0.0, 20.0))
-    early_exit = data.draw(st.booleans())
     got_stats, ref_stats = PricingStats(), PricingStats()
-    got = search(g, vmask, pi, threshold, early_exit, got_stats)
-    ref = recursive_mwss_search(g, vmask, pi, threshold, early_exit, ref_stats)
+    got = search(g, vmask, pi, threshold, got_stats)
+    ref = recursive_mwss_search(g, vmask, pi, threshold, ref_stats)
     assert got == ref
     assert got_stats.nodes == ref_stats.nodes
 
@@ -233,7 +238,7 @@ def per_class_extend_to_maximal(mask, vertex_mask, graph, pi):
     return mask
 
 
-def per_class_price_all(inst, partition, duals, early_exit):
+def per_class_price_all(inst, partition, duals):
     """price_all with each class's search sorting its own vertices, kept as the reference."""
     stats = PricingStats()
     graph = inst.graph
@@ -249,13 +254,9 @@ def per_class_price_all(inst, partition, duals, early_exit):
         entry = cache.get(vmask)
         resolved = False
         if entry is not None:
-            w, mask, exact, proved = entry
+            w, mask, proved = entry
             if mask and w > t + EPS:
                 chosen = mask
-                resolved = True
-                stats.cache_hits += 1
-            elif exact and w <= t + EPS:
-                per_class[k] = None
                 resolved = True
                 stats.cache_hits += 1
             elif proved is not None and proved <= t + EPS:
@@ -263,12 +264,12 @@ def per_class_price_all(inst, partition, duals, early_exit):
                 resolved = True
                 stats.cache_hits += 1
         if not resolved:
-            mask, w = recursive_mwss_search(graph, vmask, pi, t, early_exit, stats)
+            mask, w = recursive_mwss_search(graph, vmask, pi, t, stats)
             if w > t + EPS:
                 chosen = mask
-                cache[vmask] = (w, mask, not early_exit, None)
+                cache[vmask] = (w, mask, None)
             else:
-                cache[vmask] = (w, mask, not early_exit, t + EPS if early_exit else None)
+                cache[vmask] = (w, mask, t + EPS)
         if chosen is not None:
             full = per_class_extend_to_maximal(chosen, vmask, graph, pi)
             per_class[k] = Column(full, k, inst.weights[k])
@@ -277,11 +278,8 @@ def per_class_price_all(inst, partition, duals, early_exit):
     return PricingOutcome(per_class, stats)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_price_all_matches_per_class_reference(data):
-    # One heaviest-first numbering per round must reproduce every class's
-    # own sort: the same columns, search nodes and cache decisions.
+def draw_priced_instance(data, pi_values):
+    """An instance with 1-8 classes, twins among them, and duals with tied pi and random gamma."""
     n = data.draw(st.integers(1, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if data.draw(st.booleans())]
@@ -296,25 +294,52 @@ def test_price_all_matches_per_class_reference(data):
     inst = make_instance(n, edges, lists, weights=weights)
     part = partition_colors(inst)
     # few distinct values, so ties in pi decide the order too
-    pi = [data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])) for _ in range(n)]
-    gamma = {k: data.draw(st.sampled_from([0.0, 0.5, 1.25])) for k in part.reps}
-    duals = duals_for(inst, pi, gamma)
-    for early_exit in (True, False):
-        got = price_all(inst, part, duals, early_exit)
-        ref = per_class_price_all(inst, part, duals, early_exit)
-        assert got.per_class == ref.per_class
-        assert (got.stats.nodes, got.stats.cache_hits) == (ref.stats.nodes, ref.stats.cache_hits)
+    pi = [data.draw(st.sampled_from(pi_values)) for _ in range(n)]
+    gamma = {k: data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.25])) for k in part.reps}
+    return inst, part, duals_for(inst, pi, gamma)
 
 
-@pytest.mark.parametrize("early_exit", [True, False])
-def test_deep_search_within_default_recursion_limit(early_exit):
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_price_all_matches_per_class_reference(data):
+    # One heaviest-first numbering per round must reproduce every class's
+    # own sort: the same columns, search nodes and cache decisions.
+    inst, part, duals = draw_priced_instance(data, [0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+    got = price_all(inst, part, duals)
+    ref = per_class_price_all(inst, part, duals)
+    assert got.per_class == ref.per_class
+    assert (got.stats.nodes, got.stats.cache_hits) == (ref.stats.nodes, ref.stats.cache_hits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fruitless_round_certifies_every_class(data):
+    # The solver ends column generation at the first round without a column,
+    # so a class left without one must have no stable set above its
+    # threshold, cache hits included; a column must beat its threshold.
+    inst, part, duals = draw_priced_instance(data, [0.0, 0.1, 1 / 3, 0.5, 1.0, 1.5, 2.5])
+    out = price_all(inst, part, duals)
+    for k in part.reps:
+        threshold = inst.weights[k] + duals.gamma_of(k)
+        col = out.per_class[k]
+        if col is None:
+            best = max_stable_weight(inst.graph.adj, part.vertex_mask[k], duals.pi)
+            assert best <= threshold + EPS
+        else:
+            assert not col.mask & ~part.vertex_mask[k]
+            assert all(not inst.graph.adj[v] & col.mask for v in col.vertices())
+            assert sum(duals.pi[v] for v in col.vertices()) > threshold + EPS
+
+
+def test_deep_search_within_default_recursion_limit():
     n = 1500
     assert n > sys.getrecursionlimit()
     # edgeless; only the whole vertex set beats the threshold, so the include
     # path is n deep
-    mask, weight = mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n - 0.5, early_exit)
+    mask, weight = mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n - 0.5)
     assert mask == (1 << n) - 1
     assert weight == n
+    assert mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n) == (0, 0.0)
 
 
 class TestExtendToMaximal:
@@ -352,7 +377,7 @@ class TestReuseCorrectness:
             )
             part = partition_colors(inst)
             pi = [float(np.round(rng.random() * 4, 3)) for _ in range(n)]
-            out = price_all(inst, part, duals_for(inst, pi), early_exit=False)
+            out = price_all(inst, part, duals_for(inst, pi))
             exact = max_stable_weight(inst.graph.adj, (1 << n) - 1, pi)
             for k in part.reps:
                 threshold = inst.weights[k]
