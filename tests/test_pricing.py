@@ -331,15 +331,26 @@ def test_fruitless_round_certifies_every_class(data):
             assert sum(duals.pi[v] for v in col.vertices()) > threshold + EPS
 
 
-def test_deep_search_within_default_recursion_limit():
+@pytest.mark.parametrize("found", [True, False])
+def test_deep_search_within_default_recursion_limit(found):
     n = 1500
     assert n > sys.getrecursionlimit()
-    # edgeless; only the whole vertex set beats the threshold, so the include
-    # path is n deep
-    mask, weight = mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n - 0.5)
-    assert mask == (1 << n) - 1
-    assert weight == n
-    assert mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n) == (0, 0.0)
+    stats = PricingStats()
+    if found:
+        # edgeless; only the whole vertex set beats the threshold, so the
+        # include path is n deep
+        mask, weight = mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n - 0.5, stats)
+        assert mask == (1 << n) - 1
+        assert weight == n
+        assert mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n) == (0, 0.0)
+    else:
+        # one edge between the last two vertices: the bound stays n until the
+        # include path reaches it n - 1 deep, where the set weighs only the
+        # threshold n - 1, so the search proves there is nothing above it
+        adj = [0] * n
+        adj[n - 2], adj[n - 1] = 1 << (n - 1), 1 << (n - 2)
+        assert mwss_search(adj, (1 << n) - 1, [1.0] * n, n - 1, stats) == (0, 0.0)
+    assert stats.nodes >= n - 1
 
 
 class TestExtendToMaximal:
