@@ -52,15 +52,17 @@ TIME_LIMIT = "time_limit"
 
 @dataclass
 class SolveReport:
+    """Outcome and counters of one solve; the search counts straight into it."""
+
     status: str
-    coloring: ListColoring | None
-    weight: int | None
-    nodes: int
-    columns_generated: int
-    pricing_rounds: int
-    wall_time: float
-    mwss_nodes: int  # search nodes over every pricing round
-    mwss_cache_hits: int  # classes settled by an earlier search of their vertex set
+    coloring: ListColoring | None = None
+    weight: int | None = None
+    nodes: int = 0
+    columns_generated: int = 0
+    pricing_rounds: int = 0
+    wall_time: float = 0.0
+    mwss_nodes: int = 0  # search nodes over every pricing round
+    mwss_cache_hits: int = 0  # classes settled by an earlier search of their vertex set
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,8 @@ class _Search:
         self.deadline = deadline
         self.use_assignment = use_assignment
         self.trace = trace
-        self.incumbent: ListColoring | None = None
-        self.nodes = 0
-        self.columns_generated = 0
-        self.pricing_rounds = 0
-        self.mwss_nodes = 0
-        self.mwss_cache_hits = 0
+        # the incumbent and the counters; solve() settles status and wall time
+        self.report = SolveReport(INFEASIBLE)
 
     def run(self) -> None:
         stack: list[_Node] = [(root_state(self.root), [], None)]
@@ -194,7 +192,9 @@ class _Search:
             stack.extend(reversed(self._evaluate(*stack.pop())))
 
     def _offer(self, candidate: ListColoring) -> None:
-        self.incumbent = update_incumbent(self.incumbent, candidate)
+        report = self.report
+        report.coloring = update_incumbent(report.coloring, candidate)
+        report.weight = report.coloring.weight
 
     def _evaluate(
         self,
@@ -204,7 +204,8 @@ class _Search:
     ) -> list[_Node]:
         """Solve one node; return its children, SAME first, or [] at a leaf."""
         self.deadline.check()
-        self.nodes += 1
+        report = self.report
+        report.nodes += 1
         state = preprocess_singletons(pre_state)
         if state is None:
             return []
@@ -233,14 +234,14 @@ class _Search:
             self.deadline.check()
             res = solve_lp(mp)
             outcome = price_all(inst, partition, res.duals, deadline=self.deadline)
-            self.pricing_rounds += 1
-            self.mwss_nodes += outcome.stats.nodes
-            self.mwss_cache_hits += outcome.stats.cache_hits
+            report.pricing_rounds += 1
+            report.mwss_nodes += outcome.stats.nodes
+            report.mwss_cache_hits += outcome.stats.cache_hits
             cols = outcome.columns()
             if not cols:
                 break
             add_columns(mp, cols)
-            self.columns_generated += len(cols)
+            report.columns_generated += len(cols)
         if self.trace is not None:
             self.trace.pricing_certifications.append(
                 CertifiedPricing(
@@ -263,7 +264,7 @@ class _Search:
         bound = node_lower_bound(res, mp.big_m)
         if bound is None:
             return []  # a dummy is still active: this subproblem has no coloring
-        if self.incumbent is not None and bound + state.fixed_weight >= self.incumbent.weight:
+        if report.weight is not None and bound + state.fixed_weight >= report.weight:
             return []
 
         if not has_fractional_big_column(res):
@@ -301,26 +302,12 @@ def solve(
     """Solve an instance to proven optimality, infeasibility, or timeout."""
     start = time.perf_counter()
     search = _Search(root, Deadline(time_limit), use_assignment, trace)
-    timed_out = False
+    report = search.report
     try:
         search.run()
+        if report.coloring is not None:
+            report.status = OPTIMAL
     except SearchTimeout:
-        timed_out = True
-    incumbent = search.incumbent
-    if timed_out:
-        status = TIME_LIMIT
-    elif incumbent is None:
-        status = INFEASIBLE
-    else:
-        status = OPTIMAL
-    return SolveReport(
-        status=status,
-        coloring=incumbent,
-        weight=incumbent.weight if incumbent is not None else None,
-        nodes=search.nodes,
-        columns_generated=search.columns_generated,
-        pricing_rounds=search.pricing_rounds,
-        wall_time=time.perf_counter() - start,
-        mwss_nodes=search.mwss_nodes,
-        mwss_cache_hits=search.mwss_cache_hits,
-    )
+        report.status = TIME_LIMIT
+    report.wall_time = time.perf_counter() - start
+    return report

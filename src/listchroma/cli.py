@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .core import EmptyListError, Graph, Instance, build_instance, validate_coloring
 from .bnp import INFEASIBLE, OPTIMAL, TIME_LIMIT, SolveReport, solve
@@ -152,86 +151,18 @@ def write_instance(path: str, inst: Instance, comments: list[str] | None = None)
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass
-class ResultRecord:
-    """Solver outcome in both human-readable and key=value form."""
-
-    status: str
-    weight: int | None
-    assignment: dict[int, int] | None
-    nodes: int
-    columns: int
-    pricing_rounds: int
-    mwss_nodes: int
-    mwss_cache_hits: int
-    wall_time: float
-    instance_path: str
-    time_limit: float | None
-    config_echo: list[str] = field(default_factory=list)
-
-    def to_kv_lines(self) -> list[str]:
-        lines = [
-            f"status={self.status}",
-            f"nodes={self.nodes}",
-            f"columns={self.columns}",
-            f"pricing_rounds={self.pricing_rounds}",
-            f"mwss_nodes={self.mwss_nodes}",
-            f"mwss_cache_hits={self.mwss_cache_hits}",
-            f"time_sec={self.wall_time:.4f}",
-            f"input={self.instance_path}",
-            f"time_limit={'none' if self.time_limit is None else self.time_limit}",
-        ]
-        if self.weight is not None:
-            lines.insert(1, f"weight={self.weight}")
-        if self.assignment is not None:
-            lines.extend(
-                f"assign.{v + 1}={j + 1}" for v, j in sorted(self.assignment.items())
-            )
-        lines.extend(f"echo.{i}={c}" for i, c in enumerate(self.config_echo))
-        return lines
-
-    def to_text(self) -> str:
-        out = [
-            f"status: {self.status}",
-            f"nodes explored: {self.nodes}",
-            f"columns generated: {self.columns}",
-            f"pricing rounds: {self.pricing_rounds}",
-            f"mwss nodes: {self.mwss_nodes}",
-            f"mwss cache hits: {self.mwss_cache_hits}",
-            f"wall time: {self.wall_time:.2f} s",
-        ]
-        if self.weight is not None:
-            out.insert(1, f"weight: {self.weight}")
-        if self.assignment is not None:
-            out.append("assignment:")
-            out.extend(
-                f"  vertex {v + 1} -> color {j + 1}"
-                for v, j in sorted(self.assignment.items())
-            )
-        return "\n".join(out)
-
-
-def record_from_report(
-    report: SolveReport,
-    instance_path: str,
-    time_limit: float | None,
-    config_echo: list[str],
-) -> ResultRecord:
-    """The record of a solve; its coloring was validated when solve built it."""
-    return ResultRecord(
-        status=report.status,
-        weight=report.weight,
-        assignment=None if report.coloring is None else report.coloring.as_dict(),
-        nodes=report.nodes,
-        columns=report.columns_generated,
-        pricing_rounds=report.pricing_rounds,
-        mwss_nodes=report.mwss_nodes,
-        mwss_cache_hits=report.mwss_cache_hits,
-        wall_time=report.wall_time,
-        instance_path=instance_path,
-        time_limit=time_limit,
-        config_echo=config_echo,
-    )
+# The SolveReport fields a solve reports, in output order: (record key,
+# SolveReport attribute, text label). A field that is None, the weight of a
+# solve without a coloring, is left out of both outputs.
+REPORT_ROWS = (
+    ("status", "status", "status"),
+    ("weight", "weight", "weight"),
+    ("nodes", "nodes", "nodes explored"),
+    ("columns", "columns_generated", "columns generated"),
+    ("pricing_rounds", "pricing_rounds", "pricing rounds"),
+    ("mwss_nodes", "mwss_nodes", "mwss nodes"),
+    ("mwss_cache_hits", "mwss_cache_hits", "mwss cache hits"),
+)
 
 
 def _default_seed(value: int | None) -> int:
@@ -291,20 +222,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     except EmptyListError as exc:
         # an empty list after normalization means no coloring exists at all
-        record = ResultRecord(
-            status=INFEASIBLE,
-            weight=None,
-            assignment=None,
-            nodes=0,
-            columns=0,
-            pricing_rounds=0,
-            mwss_nodes=0,
-            mwss_cache_hits=0,
-            wall_time=0.0,
-            instance_path=args.input,
-            time_limit=args.time_limit,
-        )
-        _emit_record(record, args.out)
+        _emit_report(SolveReport(INFEASIBLE), args, [])
         print(f"note: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
@@ -313,20 +231,41 @@ def cmd_solve(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
         use_assignment=not args.no_assignment,
     )
-    record = record_from_report(report, args.input, args.time_limit, comments)
-    _emit_record(record, args.out)
-    if record.status == OPTIMAL:
+    _emit_report(report, args, comments)
+    if report.status == OPTIMAL:
         return EXIT_OK
-    if record.status == INFEASIBLE:
+    if report.status == INFEASIBLE:
         return EXIT_INFEASIBLE
     return EXIT_TIME_LIMIT
 
 
-def _emit_record(record: ResultRecord, out_path: str | None) -> None:
-    print(record.to_text())
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(record.to_kv_lines()) + "\n")
+def _emit_report(report: SolveReport, args: argparse.Namespace, comments: list[str]) -> None:
+    """Print the text form; write the key=value record to --out if given.
+
+    The coloring was validated when solve built it, so it is written as is.
+    """
+    rows = [
+        (key, label, getattr(report, attr))
+        for key, attr, label in REPORT_ROWS
+        if getattr(report, attr) is not None
+    ]
+    assignment = [] if report.coloring is None else sorted(report.coloring.as_dict().items())
+    text = [f"{label}: {value}" for _, label, value in rows]
+    text.append(f"wall time: {report.wall_time:.2f} s")
+    if report.coloring is not None:
+        text.append("assignment:")
+        text.extend(f"  vertex {v + 1} -> color {j + 1}" for v, j in assignment)
+    print("\n".join(text))
+    if not args.out:
+        return
+    record = [f"{key}={value}" for key, _, value in rows]
+    record.append(f"time_sec={report.wall_time:.4f}")
+    record.append(f"input={args.input}")
+    record.append(f"time_limit={'none' if args.time_limit is None else args.time_limit}")
+    record.extend(f"assign.{v + 1}={j + 1}" for v, j in assignment)
+    record.extend(f"echo.{i}={c}" for i, c in enumerate(comments))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(record) + "\n")
 
 
 def read_solution(path: str) -> tuple[str, dict[int, int]]:

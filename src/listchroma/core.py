@@ -351,14 +351,11 @@ def branch_same(state: NodeState, u: int, v: int) -> NodeState:
     n = inst.n
     merged_list = inst.lists[u] & inst.lists[v]
     rename = {x: x - (x > v) for x in range(n) if x != v}
-    edges = set()
-    for a, b in inst.graph.edges():
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 != b2:
-            ra, rb = rename[a2], rename[b2]
-            edges.add((min(ra, rb), max(ra, rb)))
-    graph = Graph.from_edges(n - 1, sorted(edges))
+    adj = list(inst.graph.adj)
+    adj[u] |= adj[v]
+    for x in bits(adj[v]):
+        adj[x] |= 1 << u
+    graph = Graph(n - 1, tuple(_drop_vertex(adj, v)))
     lists = [merged_list if x == u else inst.lists[x] for x in range(n) if x != v]
     child = build_instance(graph, inst.colors, inst.weights, lists)
     merge_map = {

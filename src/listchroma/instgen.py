@@ -31,7 +31,8 @@ class GenConfig:
 
     @property
     def ncolors(self) -> int:
-        return int(self.c * self.n)
+        """floor(c * n), rounded first so float error cannot drop a color (0.29 * 100 = 28.999...)."""
+        return int(round(self.c * self.n, 9))
 
     def validate(self) -> None:
         if self.n < 1:

@@ -137,9 +137,6 @@ class MasterProblem:
             "adding LP rows",
         )
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
     def _append(self, cols: list[Column]) -> None:
         """Append columns x >= 0 with unit coefficients in their rows."""
         starts: list[int] = []

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from listchroma.cli import (
@@ -199,6 +201,158 @@ class TestSolveCommand:
         assert main(["solve", "--bogus-flag", "x.col"]) == EXIT_INPUT_ERROR
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+EMPTY_LIST = "c empty\np mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\nl 2 0\n"
+
+PETERSEN_TEXT = """status: optimal
+weight: 3
+nodes explored: 3
+columns generated: 9
+pricing rounds: 12
+mwss nodes: 35
+mwss cache hits: 0
+assignment:
+  vertex 1 -> color 1
+  vertex 2 -> color 3
+  vertex 3 -> color 2
+  vertex 4 -> color 1
+  vertex 5 -> color 3
+  vertex 6 -> color 3
+  vertex 7 -> color 1
+  vertex 8 -> color 1
+  vertex 9 -> color 2
+  vertex 10 -> color 2
+"""
+
+PETERSEN_RECORD = """status=optimal
+weight=3
+nodes=3
+columns=9
+pricing_rounds=12
+mwss_nodes=35
+mwss_cache_hits=0
+input=p.col
+time_limit=none
+assign.1=1
+assign.2=3
+assign.3=2
+assign.4=1
+assign.5=3
+assign.6=3
+assign.7=1
+assign.8=1
+assign.9=2
+assign.10=2
+echo.0=c petersen
+"""
+
+K33_TEXT = """status: infeasible
+nodes explored: 3
+columns generated: 8
+pricing rounds: 6
+mwss nodes: 46
+mwss cache hits: 0
+"""
+
+K33_RECORD = """status=infeasible
+nodes=3
+columns=8
+pricing_rounds=6
+mwss_nodes=46
+mwss_cache_hits=0
+input=k.col
+time_limit=none
+"""
+
+ZERO_COUNTS_TEXT = """status: {status}
+nodes explored: 0
+columns generated: 0
+pricing rounds: 0
+mwss nodes: 0
+mwss cache hits: 0
+"""
+
+ZERO_COUNTS_RECORD = """status={status}
+nodes=0
+columns=0
+pricing_rounds=0
+mwss_nodes=0
+mwss_cache_hits=0
+input={input}
+time_limit={time_limit}
+"""
+
+
+def _without_times(text):
+    """Drop the wall-clock lines, the only ones that differ between runs."""
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith(("time_sec=", "wall time:"))
+    )
+
+
+class TestGoldenOutput:
+    """The full text output and key=value record of four solves, line for line."""
+
+    @pytest.mark.parametrize(
+        "case, code, text, record",
+        [
+            ("optimal", EXIT_OK, PETERSEN_TEXT, PETERSEN_RECORD),
+            ("infeasible", EXIT_INFEASIBLE, K33_TEXT, K33_RECORD),
+            (
+                "empty_list",
+                EXIT_INFEASIBLE,
+                ZERO_COUNTS_TEXT.format(status="infeasible"),
+                ZERO_COUNTS_RECORD.format(status="infeasible", input="e.col", time_limit="none"),
+            ),
+            (
+                "time_limit_zero",
+                EXIT_TIME_LIMIT,
+                ZERO_COUNTS_TEXT.format(status="time_limit"),
+                ZERO_COUNTS_RECORD.format(status="time_limit", input="p.col", time_limit="0.0")
+                + "echo.0=c petersen\n",
+            ),
+        ],
+    )
+    def test_solve_output(self, tmp_path, monkeypatch, capsys, case, code, text, record):
+        from conftest import petersen
+
+        monkeypatch.chdir(tmp_path)
+        write_instance("p.col", petersen(), ["c petersen"])
+        write_instance("k.col", k33_mirrored())
+        write(tmp_path, "e.col", EMPTY_LIST)
+        argv = {
+            "optimal": ["solve", "p.col"],
+            "infeasible": ["solve", "k.col"],
+            "empty_list": ["solve", "e.col"],
+            "time_limit_zero": ["solve", "p.col", "--time-limit", "0"],
+        }[case]
+        assert main(argv + ["--out", "out.sol"]) == code
+        assert _without_times(capsys.readouterr().out) == text
+        with open("out.sol", encoding="utf-8") as fh:
+            assert _without_times(fh.read()) == record
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_instance_example() -> str:
+    """The first fenced block under the README's "Instance file format" heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Instance file format"):]
+    start = section.index("```\n") + len("```\n")
+    return section[start:section.index("```", start)]
+
+
+class TestReadmeExample:
+    def test_instance_example_parses_and_solves(self, tmp_path, capsys):
+        path = write(tmp_path, "readme.col", readme_instance_example())
+        inst, _ = parse_instance(path)
+        assert inst.n == 3
+        assert solve(inst).weight == 5
+        assert main(["solve", path]) == EXIT_OK
+        assert "weight: 5" in capsys.readouterr().out
 
 
 class TestCheckCommand:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from listchroma.core import (
     EmptyListError,
@@ -233,6 +234,51 @@ class TestBranching:
             else:
                 assert min(candidates) == parent
         assert checked >= 100
+
+
+def merged_graph_from_edges(graph, u, v):
+    """SAME child graph built from the edge list: v's edges move to u, ids above v shift down."""
+    rename = {x: x - (x > v) for x in range(graph.n) if x != v}
+    edges = set()
+    for a, b in graph.edges():
+        a, b = rename[u if a == v else a], rename[u if b == v else b]
+        edges.add((min(a, b), max(a, b)))
+    return Graph.from_edges(graph.n - 1, sorted(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_same_child_matches_edge_list_merge(data):
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    edges = [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if data.draw(st.booleans(), label=f"edge{a},{b}")
+    ]
+    lists = [
+        data.draw(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4, unique=True),
+            label=f"list{x}",
+        )
+        for x in range(n)
+    ]
+    inst = make_instance(n, edges, lists)
+    pairs = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and not inst.graph.has_edge(a, b) and set(lists[a]) & set(lists[b])
+    ]
+    assume(pairs)
+    u, v = data.draw(st.sampled_from(pairs), label="pair")
+    child = branch_same(root_state(inst), u, v)
+    reference = merged_graph_from_edges(inst.graph, u, v)
+    assert child.instance.graph == reference
+    merged = [
+        set(lists[u]) & set(lists[v]) if x == u else lists[x] for x in range(n) if x != v
+    ]
+    assert child.instance == build_instance(reference, inst.colors, inst.weights, merged)
 
 
 class TestReconstruct:

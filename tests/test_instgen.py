@@ -38,6 +38,11 @@ class TestGenerate:
         inst = generate(cfg)
         assert len(inst.colors) == 5
 
+    @pytest.mark.parametrize("c, ncolors", [(0.29, 29), (0.57, 57), (0.58, 58), (0.5, 50), (1.5, 150)])
+    def test_color_count_survives_float_error(self, c, ncolors):
+        # 0.29 * 100 evaluates to 28.999999999999996 in binary floating point
+        assert GenConfig(n=100, p=0.5, c=c, q=0.5, seed=0).ncolors == ncolors
+
     def test_instance_invariants_hold(self):
         for seed in range(25):
             cfg = GenConfig(n=10, p=0.3, c=0.8, q=0.3, seed=seed)
