@@ -22,7 +22,6 @@ from .core import (
     ListColoring,
     NodeState,
     SearchTimeout,
-    assign_class_colors,
     bits,
     branch_differ,
     branch_same,
@@ -56,13 +55,17 @@ class SolveReport:
 
     status: str
     coloring: ListColoring | None = None
-    weight: int | None = None
     nodes: int = 0
     columns_generated: int = 0
     pricing_rounds: int = 0
     wall_time: float = 0.0
     mwss_nodes: int = 0  # search nodes over every pricing round
     mwss_cache_hits: int = 0  # classes settled by an earlier search of their vertex set
+
+    @property
+    def weight(self) -> int | None:
+        """The incumbent's weight, None without a coloring."""
+        return None if self.coloring is None else self.coloring.weight
 
 
 @dataclass(frozen=True)
@@ -128,29 +131,29 @@ def select_branching_pair(res: LPResult) -> tuple[int, int]:
 
 
 def inherit_columns(
-    parent_cols: list[Column], state: NodeState, partition: ColorPartition
+    parent_cols: list[Column],
+    parent_merge_map: dict[int, int],
+    state: NodeState,
+    partition: ColorPartition,
 ) -> list[Column]:
     """Translate a parent pool into the child node, dropping what broke.
 
-    A column dies when it contains a vertex eliminated by preprocessing, when
-    its class color vanished from the child, when merging made it unstable or
-    pushed it outside V_k, and duplicates created by the merge are kept once.
+    Parent and child vertices correspond through the root vertex they both
+    represent: SAME and fixing only merge or remove vertices, so every live
+    root vertex of the child was live in the parent. A column dies when it
+    contains a vertex eliminated by preprocessing, when its class color
+    vanished from the child, when merging made it unstable or pushed it
+    outside V_k, and duplicates created by the merge are kept once.
     """
-    vmap = state.parent_map or {}
+    vmap = {parent_merge_map[r]: cur for r, cur in state.merge_map.items()}
     inst = state.instance
     out: list[Column] = []
     seen: set[tuple[int, int]] = set()
     for col in parent_cols:
-        mask = 0
-        dead = False
-        for v in bits(col.mask):
-            nv = vmap.get(v)
-            if nv is None:
-                dead = True
-                break
-            mask |= 1 << nv
-        if dead or not mask:
+        moved = {vmap.get(v) for v in bits(col.mask)}
+        if None in moved:
             continue
+        mask = sum(1 << nv for nv in moved)  # distinct bits, so their OR
         rep = partition.rep_of.get(col.class_rep)
         if rep is None:
             continue
@@ -166,9 +169,10 @@ def inherit_columns(
     return out
 
 
-# An open node: its state before preprocessing, the parent's columns and the
+# An open node: its state before preprocessing, then the parent's columns,
+# the parent's merge_map that maps their vertices to the root, and the
 # parent's LP bound (None at the root).
-_Node = tuple[NodeState, list[Column], float | None]
+_Node = tuple[NodeState, list[Column], dict[int, int], float | None]
 
 
 class _Search:
@@ -187,19 +191,18 @@ class _Search:
         self.report = SolveReport(INFEASIBLE)
 
     def run(self) -> None:
-        stack: list[_Node] = [(root_state(self.root), [], None)]
+        stack: list[_Node] = [(root_state(self.root), [], {}, None)]
         while stack:
             stack.extend(reversed(self._evaluate(*stack.pop())))
 
     def _offer(self, candidate: ListColoring) -> None:
-        report = self.report
-        report.coloring = update_incumbent(report.coloring, candidate)
-        report.weight = report.coloring.weight
+        self.report.coloring = update_incumbent(self.report.coloring, candidate)
 
     def _evaluate(
         self,
         pre_state: NodeState,
         parent_cols: list[Column],
+        parent_merge_map: dict[int, int],
         parent_lp: float | None,
     ) -> list[_Node]:
         """Solve one node; return its children, SAME first, or [] at a leaf."""
@@ -223,7 +226,7 @@ class _Search:
 
         mp = init_with_dummies(state, partition)
         if parent_cols:
-            inherited = inherit_columns(parent_cols, state, partition)
+            inherited = inherit_columns(parent_cols, parent_merge_map, state, partition)
             if inherited:
                 add_columns(mp, inherited)
 
@@ -271,25 +274,18 @@ class _Search:
             extracted = extract_integer_solution(mp, res)
             if self.trace is not None:
                 self.trace.extractions.append((res, extracted))
-            chosen = [
-                (res.columns[i].mask, res.columns[i].class_rep)
-                for i in extracted.selection
-            ]
-            class_colors = assign_class_colors(chosen, partition)
-            self._offer(reconstruct(chosen, class_colors, state, self.root))
+            chosen = [res.columns[i].key for i in extracted.selection]
+            self._offer(reconstruct(chosen, partition, state, self.root))
             return []
 
         u, v = select_branching_pair(res)
-        if (
-            self.trace is not None
-            and state.depth == 0
-            and self.trace.root_branch_pair is None
-        ):
+        # the root is evaluated first, and when it does not branch no other node exists
+        if self.trace is not None and self.trace.root_branch_pair is None:
             self.trace.root_branch_pair = (u, v)
         real_cols = [c for c in mp.columns if not c.is_dummy]
         return [
-            (branch_same(state, u, v), real_cols, lp_total),
-            (branch_differ(state, u, v), real_cols, lp_total),
+            (branch_same(state, u, v), real_cols, state.merge_map, lp_total),
+            (branch_differ(state, u, v), real_cols, state.merge_map, lp_total),
         ]
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import product
 
-from .core import EmptyListError, Graph, Instance, build_instance, validate_coloring
+from .core import ColoringError, EmptyListError, Graph, Instance, build_instance, validate_coloring
 from .bnp import INFEASIBLE, OPTIMAL, TIME_LIMIT, SolveReport, solve
 from .instgen import GENERATOR_NAME, GenConfig, generate
 from .oracle import TooLargeError, oracle_solve
@@ -42,7 +43,8 @@ def parse_instance(path: str) -> tuple[Instance, list[str]]:
 
     Malformed files raise ParseError with the offending line number. A
     well-formed file declaring an empty list raises EmptyListError instead:
-    that is an infeasible instance, not a syntax problem.
+    that is an infeasible instance, not a syntax problem. The error carries
+    the file's comment lines as its comments attribute.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
@@ -132,9 +134,13 @@ def parse_instance(path: str) -> tuple[Instance, list[str]]:
             if j - 1 not in weights:
                 raise ParseError(lineno, f"list references undeclared color {j}")
         lists[v - 1] = [j - 1 for j in cols]
-    inst = build_instance(
-        Graph.from_edges(n, edges), weights.keys(), weights, [lists[v] for v in range(n)]
-    )
+    try:
+        inst = build_instance(
+            Graph.from_edges(n, edges), weights.keys(), weights, [lists[v] for v in range(n)]
+        )
+    except EmptyListError as exc:
+        exc.comments = comments
+        raise
     return inst, comments
 
 
@@ -222,8 +228,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     except EmptyListError as exc:
         # an empty list after normalization means no coloring exists at all
-        _emit_report(SolveReport(INFEASIBLE), args, [])
-        print(f"note: {exc}", file=sys.stderr)
+        _emit_report(SolveReport(INFEASIBLE), args, exc.comments)
+        print(f"note: {exc.one_based()}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
     report = solve(
@@ -268,9 +274,9 @@ def _emit_report(report: SolveReport, args: argparse.Namespace, comments: list[s
         fh.write("\n".join(record) + "\n")
 
 
-def read_solution(path: str) -> tuple[str, dict[int, int]]:
-    """Read a machine-readable record: its status and assignment."""
-    status = None
+def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
+    """Read a machine-readable record: its status, assignment and weight (None if absent)."""
+    status = weight = None
     assignment: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -280,21 +286,26 @@ def read_solution(path: str) -> tuple[str, dict[int, int]]:
             key, value = line.split("=", 1)
             if key == "status":
                 status = value
+            elif key == "weight":
+                weight = int(value)
             elif key.startswith("assign."):
                 assignment[int(key[len("assign.") :]) - 1] = int(value) - 1
     if status is None:
         raise ValueError(f"{path}: no status line")
-    return status, assignment
+    return status, assignment, weight
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         inst, _ = parse_instance(args.input)
-    except (OSError, ParseError, EmptyListError) as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except EmptyListError as exc:
+        print(f"error: {exc.one_based()}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
-        status, assignment = read_solution(args.solution)
+        status, assignment, stated = read_solution(args.solution)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -303,8 +314,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if status == OPTIMAL or (status == TIME_LIMIT and assignment):
         try:
             weight = validate_coloring(inst, assignment)
-        except Exception as exc:
-            print(f"FAIL: {exc}")
+        except ColoringError as exc:
+            print(f"FAIL: {exc.one_based()}")
+            return EXIT_INPUT_ERROR
+        if stated is not None and stated != weight:
+            print(f"FAIL: record states weight {stated} but the assignment weighs {weight}")
             return EXIT_INPUT_ERROR
         print(f"solution valid, weight {weight}")
 
@@ -343,42 +357,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     base_seed = _default_seed(args.seed)
 
-    rows = []
-    header = f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'time':>10} {'solved':>7}"
-    rows.append(header)
-    cell_idx = 0
-    for n in ns:
-        for p in ps:
-            for c in cs:
-                for q in qs:
-                    nodes_list: list[int] = []
-                    time_list: list[float] = []
-                    solved = 0
-                    for i in range(args.instances):
-                        cfg = GenConfig(
-                            n=n, p=p, c=c, q=q,
-                            seed=base_seed + 7919 * cell_idx + i,
-                            weight_range=weight_range,
-                        )
-                        inst = generate(cfg)
-                        report = solve(inst, time_limit=args.time_limit)
-                        if report.status in (OPTIMAL, INFEASIBLE):
-                            solved += 1
-                            nodes_list.append(report.nodes)
-                            time_list.append(report.wall_time)
-                    if solved:
-                        nodes_avg = f"{sum(nodes_list) / solved:.1f}"
-                        time_avg = f"{sum(time_list) / solved:.2f}"
-                        if solved < args.instances:
-                            time_avg += f"({solved})"
-                    else:
-                        nodes_avg = "--"
-                        time_avg = "--"
-                    rows.append(
-                        f"{n:>4} {p:>5} {c:>5} {q:>5} {nodes_avg:>10} {time_avg:>10} "
-                        f"{solved}/{args.instances:<5}"
-                    )
-                    cell_idx += 1
+    rows = [f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'time':>10} {'solved':>7}"]
+    for cell_idx, (n, p, c, q) in enumerate(product(ns, ps, cs, qs)):
+        settled: list[SolveReport] = []
+        for i in range(args.instances):
+            cfg = GenConfig(
+                n=n, p=p, c=c, q=q,
+                seed=base_seed + 7919 * cell_idx + i,
+                weight_range=weight_range,
+            )
+            report = solve(generate(cfg), time_limit=args.time_limit)
+            if report.status in (OPTIMAL, INFEASIBLE):
+                settled.append(report)
+        solved = len(settled)
+        nodes_avg = time_avg = "--"
+        if solved:
+            nodes_avg = f"{sum(r.nodes for r in settled) / solved:.1f}"
+            time_avg = f"{sum(r.wall_time for r in settled) / solved:.2f}"
+            if solved < args.instances:
+                time_avg += f"({solved})"
+        rows.append(
+            f"{n:>4} {p:>5} {c:>5} {q:>5} {nodes_avg:>10} {time_avg:>10} "
+            f"{solved}/{args.instances:<5}"
+        )
     table = "\n".join(rows)
     print(table)
     if args.out:

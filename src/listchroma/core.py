@@ -11,21 +11,33 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 EPS = 1e-6
 
 
-class EmptyListError(ValueError):
+class _IdsError(ValueError):
+    """A message template over vertex and color ids: str() is 0-based, one_based() 1-based."""
+
+    def __init__(self, template: str, **ids: int):
+        super().__init__(template.format(**ids))
+        self.template = template
+        self.ids = ids
+
+    def one_based(self) -> str:
+        return self.template.format(**{name: i + 1 for name, i in self.ids.items()})
+
+
+class EmptyListError(_IdsError):
     """Some vertex ended up with an empty color list (trivially infeasible)."""
 
     def __init__(self, vertex: int):
-        super().__init__(f"vertex {vertex} has an empty color list")
+        super().__init__("vertex {vertex} has an empty color list", vertex=vertex)
         self.vertex = vertex
 
 
-class ColoringError(ValueError):
-    """A candidate assignment violates list membership, properness or weight."""
+class ColoringError(_IdsError):
+    """A candidate assignment violates list membership or properness."""
 
 
 class ReconstructionBug(RuntimeError):
@@ -165,7 +177,6 @@ class ColorPartition:
 
     reps: tuple[int, ...]
     class_members: dict[int, tuple[int, ...]]
-    class_size: dict[int, int]
     vertices: dict[int, tuple[int, ...]]
     vertex_mask: dict[int, int]
     bounded: frozenset[int]
@@ -185,7 +196,6 @@ def partition_colors(inst: Instance) -> ColorPartition:
         groups.setdefault(key, []).append(j)
     reps = []
     members = {}
-    size = {}
     verts = {}
     vmask = {}
     rep_of = {}
@@ -194,7 +204,6 @@ def partition_colors(inst: Instance) -> ColorPartition:
         k = cols[0]
         reps.append(k)
         members[k] = tuple(cols)
-        size[k] = len(cols)
         vmask[k] = mask
         verts[k] = tuple(bits(mask))
         for j in cols:
@@ -205,7 +214,6 @@ def partition_colors(inst: Instance) -> ColorPartition:
     return ColorPartition(
         reps=tuple(reps),
         class_members=members,
-        class_size=size,
         vertices=verts,
         vertex_mask=vmask,
         bounded=frozenset(bounded),
@@ -215,23 +223,19 @@ def partition_colors(inst: Instance) -> ColorPartition:
 
 @dataclass(frozen=True)
 class NodeState:
-    """One subproblem of the search tree plus the data needed to undo it.
+    """A search node: its instance plus the maps that lift its colorings to the root.
 
     merge_map sends every still-live root vertex to its representative in the
     current instance. fixed holds (root vertex, color) pairs decided by
     singleton preprocessing; the weight of each fixed color is zeroed in the
     current instance so that LP bounds stay exact, and fixed_weight carries
-    the root weight of the distinct fixed colors. parent_map translates the
-    previous node's vertex ids into this node's (vertices absent from it were
-    merged away or fixed); it is what column inheritance consumes.
+    the root weight of the distinct fixed colors.
     """
 
     instance: Instance
     merge_map: dict[int, int]
     fixed: tuple[tuple[int, int], ...]
     fixed_weight: int
-    depth: int
-    parent_map: dict[int, int] | None = None
 
 
 def root_state(inst: Instance) -> NodeState:
@@ -240,15 +244,7 @@ def root_state(inst: Instance) -> NodeState:
         merge_map={v: v for v in range(inst.n)},
         fixed=(),
         fixed_weight=0,
-        depth=0,
-        parent_map=None,
     )
-
-
-def _compose(first: dict[int, int] | None, second: dict[int, int]) -> dict[int, int]:
-    if first is None:
-        return dict(second)
-    return {a: second[b] for a, b in first.items() if b in second}
 
 
 def _drop_vertex(masks: list[int], u: int) -> list[int]:
@@ -278,7 +274,6 @@ def preprocess_singletons(state: NodeState) -> NodeState | None:
     merge_map = dict(state.merge_map)
     fixed = list(state.fixed)
     fixed_weight = state.fixed_weight
-    pmap = {v: v for v in range(inst.n)}
 
     while True:
         u = next((v for v in range(len(lists)) if len(lists[v]) == 1), None)
@@ -298,21 +293,14 @@ def preprocess_singletons(state: NodeState) -> NodeState | None:
         merge_map = {
             r: cur - (cur > u) for r, cur in merge_map.items() if cur != u
         }
-        pmap = {a: b - (b > u) for a, b in pmap.items() if b != u}
 
-    n2 = len(lists)
-    graph = Graph(n2, tuple(adj))
+    graph = Graph(len(lists), tuple(adj))
     surviving = sorted({j for l in lists for j in l})
-    new_inst = build_instance(graph, surviving, weights, lists) if n2 else Instance(
-        graph, (), {}, ()
-    )
     return NodeState(
-        instance=new_inst,
+        instance=build_instance(graph, surviving, weights, lists),
         merge_map=merge_map,
         fixed=tuple(fixed),
         fixed_weight=fixed_weight,
-        depth=state.depth,
-        parent_map=_compose(state.parent_map, pmap),
     )
 
 
@@ -339,8 +327,6 @@ def branch_differ(state: NodeState, u: int, v: int) -> NodeState:
         merge_map=dict(state.merge_map),
         fixed=state.fixed,
         fixed_weight=state.fixed_weight,
-        depth=state.depth + 1,
-        parent_map={x: x for x in range(inst.n)},
     )
 
 
@@ -361,15 +347,11 @@ def branch_same(state: NodeState, u: int, v: int) -> NodeState:
     merge_map = {
         r: rename[u if cur == v else cur] for r, cur in state.merge_map.items()
     }
-    pmap = dict(rename)
-    pmap[v] = rename[u]
     return NodeState(
         instance=child,
         merge_map=merge_map,
         fixed=state.fixed,
         fixed_weight=state.fixed_weight,
-        depth=state.depth + 1,
-        parent_map=pmap,
     )
 
 
@@ -391,38 +373,16 @@ def validate_coloring(inst: Instance, assignment: Mapping[int, int]) -> int:
     for v in range(inst.n):
         j = assignment[v]
         if j not in inst.lists[v]:
-            raise ColoringError(f"color {j} not in the list of vertex {v}")
+            raise ColoringError("color {j} not in the list of vertex {v}", j=j, v=v)
     for u, v in inst.graph.edges():
         if assignment[u] == assignment[v]:
-            raise ColoringError(f"edge ({u},{v}) is monochromatic")
+            raise ColoringError("edge ({u},{v}) is monochromatic", u=u, v=v)
     return sum(inst.weights[j] for j in set(assignment.values()))
 
 
 def list_coloring(inst: Instance, assignment: Mapping[int, int]) -> ListColoring:
     weight = validate_coloring(inst, assignment)
     return ListColoring(tuple(sorted(assignment.items())), weight)
-
-
-def assign_class_colors(
-    chosen: Sequence[tuple[int, int]], partition: ColorPartition
-) -> list[int]:
-    """Give each chosen (mask, class rep) column a distinct concrete color.
-
-    Columns of the same class receive the class members in order; more
-    columns than |C^k| means the master violated a class bound.
-    """
-    counters: dict[int, int] = {}
-    out = []
-    for mask, rep in chosen:
-        members = partition.class_members[rep]
-        idx = counters.get(rep, 0)
-        if idx >= len(members):
-            raise ReconstructionBug(
-                f"class {rep} has {len(members)} colors but more columns were chosen"
-            )
-        out.append(members[idx])
-        counters[rep] = idx + 1
-    return out
 
 
 def lift_node_assignment(
@@ -448,17 +408,26 @@ def lift_node_assignment(
 
 def reconstruct(
     chosen: Sequence[tuple[int, int]],
-    class_colors: Sequence[int],
+    partition: ColorPartition,
     state: NodeState,
     root: Instance,
 ) -> ListColoring:
-    """Turn an integral column selection into a root coloring.
+    """Turn an integral selection of (mask, class rep) columns into a root coloring.
 
-    A vertex covered by several chosen stable sets takes the color of the
-    first covering column in selection order.
+    Each class hands out its colors to its columns in selection order; more
+    columns than |C^k| means the master violated a class bound. A vertex
+    covered by several chosen stable sets takes the color of the first
+    covering column.
     """
+    unused: dict[int, Iterator[int]] = {}
     node_assignment: dict[int, int] = {}
-    for (mask, _rep), color in zip(chosen, class_colors):
+    for mask, rep in chosen:
+        members = partition.class_members[rep]
+        color = next(unused.setdefault(rep, iter(members)), None)
+        if color is None:
+            raise ReconstructionBug(
+                f"class {rep} has {len(members)} colors but more columns were chosen"
+            )
         for v in bits(mask):
             node_assignment.setdefault(v, color)
     uncovered = [v for v in range(state.instance.n) if v not in node_assignment]

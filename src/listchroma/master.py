@@ -119,7 +119,7 @@ class MasterProblem:
         n = self.instance.n
         bounded = sorted(partition.bounded)
         self._class_row = {k: n + i for i, k in enumerate(bounded)}
-        caps = [float(partition.class_size[k]) for k in bounded]
+        caps = [float(len(partition.class_members[k])) for k in bounded]
         lp = self._lp = _highs._Highs()
         lp.setOptionValue("output_flag", False)
         lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
@@ -266,7 +266,7 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> ExtractResult:
         covered |= cols[i].mask
     fixed_cost = sum(cols[i].cost for i in keep)
     used = Counter(cols[i].class_rep for i in keep)
-    free = {k: part.class_size[k] - used[k] for k in part.reps}
+    free = {k: len(part.class_members[k]) - used[k] for k in part.reps}
     if any(c < 0 for c in free.values()):
         raise NumericalFailure("big columns exceed a class capacity")
     residual = [v for v in range(mp.instance.n) if not covered >> v & 1]

@@ -105,6 +105,20 @@ class TestSolveBasic:
         assert len(seen) == report.pricing_rounds > 0
         assert report.mwss_cache_hits == sum(seen) > 0
 
+    def test_root_branch_pair_is_the_first_pair(self, monkeypatch):
+        pairs = []
+        select_branching_pair = bnp.select_branching_pair
+
+        def recording(res):
+            pairs.append(select_branching_pair(res))
+            return pairs[-1]
+
+        monkeypatch.setattr(bnp, "select_branching_pair", recording)
+        trace = SolveTrace()
+        solve(generate(GenConfig(n=14, p=0.5, c=1.0, q=0.5, seed=4)), trace=trace)
+        assert len(pairs) > 1
+        assert trace.root_branch_pair == pairs[0]
+
     def test_assignment_module_can_be_disabled(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})
         with_asg = solve(inst, use_assignment=True)
@@ -157,30 +171,33 @@ class TestInheritColumns:
         child = preprocess_singletons(branch_differ(state, 0, 1))
         part = partition_colors(child.instance)
         cols = [Column(0b011, 0, 1), Column(0b101, 0, 1)]
-        kept = inherit_columns(cols, child, part)
+        kept = inherit_columns(cols, state.merge_map, child, part)
         assert [c.mask for c in kept] == [0b101]
 
     def test_same_rewrites_merged_vertex(self):
         # merge vertex 2 into 0; column {2,1} becomes {0,1}
         inst = make_instance(3, [], [[0, 1]] * 3)
-        child = preprocess_singletons(branch_same(root_state(inst), 0, 2))
+        state = root_state(inst)
+        child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
-        kept = inherit_columns([Column(0b110, 0, 1)], child, part)
+        kept = inherit_columns([Column(0b110, 0, 1)], state.merge_map, child, part)
         assert [c.mask for c in kept] == [0b11]
 
     def test_same_drops_newly_unstable(self):
         # 1 adjacent to 0: after merging 2 into 0, {2,1} hits the edge (0,1)
         inst = make_instance(3, [(0, 1)], [[0, 1]] * 3)
-        child = preprocess_singletons(branch_same(root_state(inst), 0, 2))
+        state = root_state(inst)
+        child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
-        assert inherit_columns([Column(0b110, 0, 1)], child, part) == []
+        assert inherit_columns([Column(0b110, 0, 1)], state.merge_map, child, part) == []
 
     def test_same_deduplicates_rewrites(self):
         inst = make_instance(3, [], [[0, 1]] * 3)
-        child = preprocess_singletons(branch_same(root_state(inst), 0, 2))
+        state = root_state(inst)
+        child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
         kept = inherit_columns(
-            [Column(0b110, 0, 1), Column(0b011, 0, 1)], child, part
+            [Column(0b110, 0, 1), Column(0b011, 0, 1)], state.merge_map, child, part
         )
         assert [c.mask for c in kept] == [0b11]
 
@@ -188,10 +205,26 @@ class TestInheritColumns:
         # color 1 is not shared by both endpoints: after SAME(0,2) the merged
         # list is {0}, so class-1 columns through the merged vertex die
         inst = make_instance(3, [], [[0, 1], [0, 1], [0]])
-        child = preprocess_singletons(branch_same(root_state(inst), 0, 2))
+        state = root_state(inst)
+        child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
-        kept = inherit_columns([Column(0b011, 1, 1)], child, part)
+        kept = inherit_columns([Column(0b011, 1, 1)], state.merge_map, child, part)
         assert kept == []
+
+    def test_fixing_after_same_renumbers_past_both(self):
+        # the parent is itself a SAME child (root 1 merged into 0), so its ids
+        # are not root ids; SAME(2,3) there leaves the merged vertex the list
+        # {0}, so preprocessing fixes it: columns through parent vertex 2 or 3
+        # die, and parent vertex 4 shifts down past both of them
+        inst = make_instance(6, [], [[0, 1, 2]] * 3 + [[0, 1], [0, 2], [0, 1, 2]])
+        parent = preprocess_singletons(branch_same(root_state(inst), 0, 1))
+        assert parent.merge_map == {0: 0, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+        child = preprocess_singletons(branch_same(parent, 2, 3))
+        assert child.fixed == ((3, 0), (4, 0))
+        part = partition_colors(child.instance)
+        cols = [Column(0b10100, 1, 1), Column(0b10010, 1, 1), Column(0b00011, 1, 1)]
+        kept = inherit_columns(cols, parent.merge_map, child, part)
+        assert [c.mask for c in kept] == [0b110, 0b011]
 
 
 class TestUpdateIncumbent:

@@ -135,9 +135,10 @@ class TestSolveCommand:
         code = main(["solve", path, "--out", out])
         assert code == EXIT_OK
         assert "weight: 3" in capsys.readouterr().out
-        status, assignment = read_solution(out)
+        status, assignment, weight = read_solution(out)
         assert status == "optimal"
         assert assignment == {0: 1}
+        assert weight == 3
 
     def test_infeasible_instance_exits_two(self, tmp_path):
         path = str(tmp_path / "k33.col")
@@ -152,9 +153,10 @@ class TestSolveCommand:
         out = str(tmp_path / "p.sol")
         code = main(["solve", path, "--time-limit", "0", "--out", out])
         assert code == EXIT_TIME_LIMIT
-        status, assignment = read_solution(out)
+        status, assignment, weight = read_solution(out)
         assert status == "time_limit"
         assert assignment == {}
+        assert weight is None
 
     def test_record_carries_mwss_nodes(self, tmp_path, capsys):
         from conftest import petersen
@@ -193,6 +195,11 @@ class TestSolveCommand:
             tmp_path, "empty.col", "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\nl 2 0\n"
         )
         assert main(["solve", path]) == EXIT_INFEASIBLE
+
+    def test_empty_list_note_names_the_file_vertex(self, tmp_path, capsys):
+        path = write(tmp_path, "empty.col", EMPTY_LIST)
+        assert main(["solve", path]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "note: vertex 2 has an empty color list\n"
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.col")]) == EXIT_INPUT_ERROR
@@ -304,7 +311,8 @@ class TestGoldenOutput:
                 "empty_list",
                 EXIT_INFEASIBLE,
                 ZERO_COUNTS_TEXT.format(status="infeasible"),
-                ZERO_COUNTS_RECORD.format(status="infeasible", input="e.col", time_limit="none"),
+                ZERO_COUNTS_RECORD.format(status="infeasible", input="e.col", time_limit="none")
+                + "echo.0=c empty\n",
             ),
             (
                 "time_limit_zero",
@@ -372,6 +380,40 @@ class TestCheckCommand:
         sol = write(tmp_path, "i.sol", "status=optimal\nassign.1=1\nassign.2=1\n")
         assert main(["check", path, sol]) == EXIT_INPUT_ERROR
         assert "edge" in capsys.readouterr().out
+
+    def test_edge_named_by_file_ids(self, tmp_path, capsys):
+        path = write(tmp_path, "i.col", "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\nl 2 1 1\n")
+        sol = write(tmp_path, "i.sol", "status=optimal\nassign.1=1\nassign.2=1\n")
+        assert main(["check", path, sol]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == "FAIL: edge (1,2) is monochromatic\n"
+
+    def test_off_list_color_named_by_file_ids(self, tmp_path, capsys):
+        path = write(tmp_path, "i.col", "p mwlcp 2 0 2\nw 1 1\nw 2 1\nl 1 2 1 2\nl 2 1 1\n")
+        sol = write(tmp_path, "i.sol", "status=optimal\nassign.1=1\nassign.2=2\n")
+        assert main(["check", path, sol]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == "FAIL: color 2 not in the list of vertex 2\n"
+
+    def test_empty_list_named_by_file_ids(self, tmp_path, capsys):
+        path = write(tmp_path, "e.col", EMPTY_LIST)
+        sol = write(tmp_path, "e.sol", "status=infeasible\n")
+        assert main(["check", path, sol]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: vertex 2 has an empty color list\n"
+
+    @pytest.mark.parametrize(
+        "stated, code, out",
+        [
+            ("weight=5\n", EXIT_OK, "solution valid, weight 5\nPASS\n"),
+            ("", EXIT_OK, "solution valid, weight 5\nPASS\n"),
+            ("weight=1\n", EXIT_INPUT_ERROR,
+             "FAIL: record states weight 1 but the assignment weighs 5\n"),
+        ],
+    )
+    def test_stated_weight_compared(self, tmp_path, capsys, stated, code, out):
+        # the only color weighs 5
+        path = write(tmp_path, "i.col", "p mwlcp 2 0 1\nw 1 5\nl 1 1 1\nl 2 1 1\n")
+        sol = write(tmp_path, "i.sol", f"status=optimal\n{stated}assign.1=1\nassign.2=1\n")
+        assert main(["check", path, sol]) == code
+        assert capsys.readouterr().out == out
 
     def test_oracle_flags_suboptimal_weight(self, tmp_path, capsys):
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 5})

@@ -5,7 +5,6 @@ from listchroma.core import (
     EmptyListError,
     Graph,
     ReconstructionBug,
-    assign_class_colors,
     branch_differ,
     branch_same,
     build_instance,
@@ -52,7 +51,6 @@ class TestPartitionColors:
         inst = make_instance(4, [(0, 1), (2, 3)], [[0, 1, 2, 3]] * 4)
         part = partition_colors(inst)
         assert part.reps == (0,)
-        assert part.class_size[0] == 4
         assert part.class_members[0] == (0, 1, 2, 3)
 
     def test_weights_split_classes(self):
@@ -64,8 +62,8 @@ class TestPartitionColors:
         inst = make_instance(2, [], [[0, 1, 2], [0, 1]])
         part = partition_colors(inst)
         assert part.reps == (0, 2)
-        assert part.class_size[0] == 2
-        assert part.class_size[2] == 1
+        assert len(part.class_members[0]) == 2
+        assert len(part.class_members[2]) == 1
         assert part.vertices[0] == (0, 1)
         assert part.vertices[2] == (0,)
 
@@ -100,7 +98,6 @@ class TestPreprocessSingletons:
         state = preprocess_singletons(root_state(inst))
         assert state.instance == inst
         assert state.fixed == ()
-        assert state.parent_map == {0: 0, 1: 1, 2: 2}
 
     def test_fixed_color_weight_zeroed_in_residual(self):
         # vertex 0 fixed to color 0; non-neighbor 1 keeps color 0 at weight 0
@@ -160,7 +157,6 @@ class TestBranching:
         child = branch_differ(root_state(inst), 0, 2)
         assert child.instance.graph.has_edge(0, 2)
         assert child.instance.lists == inst.lists
-        assert child.depth == 1
 
     def test_differ_then_conflict(self):
         inst = make_instance(2, [], [[0], [0]])
@@ -180,7 +176,6 @@ class TestBranching:
         assert ci.graph.has_edge(0, 1)
         assert ci.lists[0] == frozenset({1})
         assert child.merge_map == {0: 0, 1: 1, 2: 0}
-        assert child.parent_map == {0: 0, 1: 1, 2: 0}
 
     def test_same_on_isolated_twins(self):
         inst = make_instance(2, [], [[0, 1], [0, 1]])
@@ -287,20 +282,17 @@ class TestReconstruct:
         part = partition_colors(inst)
         state = root_state(inst)
         chosen = [(0b0101, 0), (0b1010, 0)]
-        colors = assign_class_colors(chosen, part)
-        assert colors == [0, 1]
-        sol = reconstruct(chosen, colors, state, inst)
+        sol = reconstruct(chosen, part, state, inst)
         assert sol.as_dict() == {0: 0, 1: 1, 2: 0, 3: 1}
         assert sol.weight == 2
 
     def test_overlap_goes_to_first_column(self):
         inst = make_instance(3, [], [[0, 1]] * 3)
         part = partition_colors(inst)
-        chosen = [(0b011, 0), (0b110, 0)]  # {a,b} then {b,c}
-        colors = assign_class_colors(chosen, part)
-        sol = reconstruct(chosen, colors, root_state(inst), inst)
-        assert sol.as_dict()[1] == colors[0]
-        assert sol.as_dict()[2] == colors[1]
+        chosen = [(0b011, 0), (0b110, 0)]  # {a,b} then {b,c}: colors 0 then 1
+        sol = reconstruct(chosen, part, root_state(inst), inst)
+        assert sol.as_dict()[1] == 0
+        assert sol.as_dict()[2] == 1
 
     def test_fully_preprocessed_instance(self):
         inst = make_instance(2, [(0, 1)], [[0], [1]], weights={0: 2, 1: 3})
@@ -314,13 +306,13 @@ class TestReconstruct:
         inst = make_instance(2, [], [[0], [0]])
         part = partition_colors(inst)
         with pytest.raises(ReconstructionBug):
-            assign_class_colors([(0b01, 0), (0b10, 0)], part)
+            reconstruct([(0b01, 0), (0b10, 0)], part, root_state(inst), inst)
 
     def test_uncovered_vertex_is_a_bug(self):
         inst = make_instance(2, [], [[0], [0]])
         part = partition_colors(inst)
         with pytest.raises(ReconstructionBug):
-            reconstruct([(0b01, 0)], [0], root_state(inst), inst)
+            reconstruct([(0b01, 0)], part, root_state(inst), inst)
 
     def test_improper_node_coloring_is_a_bug(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})
@@ -348,6 +340,22 @@ class TestValidateColoring:
         inst = make_instance(2, [], [[0], [0, 1]])
         with pytest.raises(ColoringError):
             validate_coloring(inst, {0: 1, 1: 1})
+
+    def test_messages_name_ids_zero_based_and_one_based(self):
+        inst = make_instance(2, [(0, 1)], [[0, 1], [1]])
+        with pytest.raises(ColoringError) as err:
+            validate_coloring(inst, {0: 1, 1: 1})
+        assert str(err.value) == "edge (0,1) is monochromatic"
+        assert err.value.one_based() == "edge (1,2) is monochromatic"
+        with pytest.raises(ColoringError) as err:
+            validate_coloring(inst, {0: 0, 1: 0})
+        assert str(err.value) == "color 0 not in the list of vertex 1"
+        assert err.value.one_based() == "color 1 not in the list of vertex 2"
+        empty = EmptyListError(1)
+        assert (str(empty), empty.one_based()) == (
+            "vertex 1 has an empty color list",
+            "vertex 2 has an empty color list",
+        )
 
     def test_list_coloring_freezes_weight(self):
         inst = make_instance(1, [], [[0]], weights={0: 7})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from listchroma.core import EPS, assign_class_colors, partition_colors, reconstruct, root_state
+from listchroma.core import EPS, partition_colors, reconstruct, root_state
 from listchroma.master import (
     Column,
     DualSolution,
@@ -46,7 +46,7 @@ def brute_force_selection_cost(mp, columns):
                 used[col.class_rep] = used.get(col.class_rep, 0) + 1
         if covered != (1 << n) - 1:
             continue
-        if any(used.get(k, 0) > part.class_size[k] for k in part.bounded):
+        if any(used.get(k, 0) > len(part.class_members[k]) for k in part.bounded):
             continue
         if best is None or cost < best:
             best = cost
@@ -76,8 +76,8 @@ def assert_duals_certify(mp, res):
             for col, x in zip(res.columns, res.values)
             if col.class_rep == k
         )
-        assert used <= mp.partition.class_size[k] + EPS
-        if used < mp.partition.class_size[k] - EPS:
+        assert used <= len(mp.partition.class_members[k]) + EPS
+        if used < len(mp.partition.class_members[k]) - EPS:
             assert res.duals.gamma_of(k) <= tol
 
 
@@ -92,7 +92,7 @@ def cold_linprog_objective(mp):
             a_ub[v, j] = -1.0
         if col.class_rep in class_row:
             a_ub[class_row[col.class_rep], j] = 1.0
-    b_ub = [-1.0] * n + [float(mp.partition.class_size[k]) for k in bounded]
+    b_ub = [-1.0] * n + [float(len(mp.partition.class_members[k])) for k in bounded]
     cost = [col.cost for col in mp.columns]
     ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     assert ref.status == 0
@@ -351,7 +351,7 @@ class TestExtractIntegerSolution:
             covered |= col.mask
             per_class[col.class_rep] = per_class.get(col.class_rep, 0) + 1
         assert covered == 0b11
-        assert all(per_class.get(k, 0) <= part.class_size[k] for k in part.bounded)
+        assert all(per_class.get(k, 0) <= len(part.class_members[k]) for k in part.bounded)
         # independent enumeration of every 0/1 selection
         assert brute_force_selection_cost(mp, mp.columns) == 5
 
@@ -388,7 +388,7 @@ def residual_linprog(mp, keep, residual, singles):
         if col.class_rep in part.bounded:
             a_ub[len(residual) + bounded.index(col.class_rep), j] = 1.0
     caps = [
-        part.class_size[k] - sum(mp.columns[i].class_rep == k for i in keep)
+        len(part.class_members[k]) - sum(mp.columns[i].class_rep == k for i in keep)
         for k in bounded
     ]
     cost = [mp.columns[i].cost for i in singles]
@@ -436,7 +436,7 @@ def test_extraction_matches_residual_linprog(data):
     at_one, covered, used = [], 0, {}
     for col in data.draw(st.permutations(big), label="big order"):
         k = col.class_rep
-        if col.mask & covered or used.get(k, 0) == part.class_size[k]:
+        if col.mask & covered or used.get(k, 0) == len(part.class_members[k]):
             continue
         if data.draw(st.booleans(), label="at one"):
             at_one.append(col)
@@ -480,10 +480,10 @@ def test_extraction_matches_residual_linprog(data):
         cover |= col.mask
     assert cover == (1 << n) - 1
     for k in part.reps:
-        assert sum(col.class_rep == k for col in chosen) <= part.class_size[k]
+        assert sum(col.class_rep == k for col in chosen) <= len(part.class_members[k])
     assert ext.objective == sum(col.cost for col in chosen)
     pairs = [(col.mask, col.class_rep) for col in chosen]
-    coloring = reconstruct(pairs, assign_class_colors(pairs, part), root_state(inst), inst)
+    coloring = reconstruct(pairs, part, root_state(inst), inst)
     assert coloring.weight <= ext.objective
 
 
