@@ -37,7 +37,6 @@ from .master import (
     LPResult,
     add_columns,
     extract_integer_solution,
-    has_fractional_big_column,
     init_with_dummies,
     node_lower_bound,
     solve_lp,
@@ -82,7 +81,8 @@ class SolveTrace:
 
     def __init__(self) -> None:
         self.pricing_certifications: list[CertifiedPricing] = []
-        self.extractions: list[tuple[LPResult, ExtractResult]] = []  # one per leaf
+        # one (node instance, LP optimum, read-off) per leaf
+        self.extractions: list[tuple[Instance, LPResult, ExtractResult]] = []
         self.root_branch_pair: tuple[int, int] | None = None
         self.bound_violations: list[tuple[float, float]] = []
 
@@ -98,13 +98,21 @@ def update_incumbent(current: ListColoring | None, candidate: ListColoring) -> L
     return current
 
 
-def select_branching_pair(res: LPResult) -> tuple[int, int]:
+def select_branching_pair(res: LPResult) -> tuple[int, int] | None:
     """Pick the non-adjacent pair (u, v) from the most fractional big column.
 
     u is the lowest vertex of that column S1; v comes from the first other
     positive column through u that leaves S1, falling back to S1 itself.
     Both choices keep u and v in a common stable set, hence non-adjacent with
     intersecting lists; branch_same and branch_differ raise otherwise.
+
+    None means no column of two or more vertices is fractional, and the node
+    is a leaf. The vertices its integral big columns leave uncovered form a
+    residual problem over singleton columns whose constraint matrix (one
+    cover row per vertex, one capacity row per class) is totally unimodular:
+    it is a transportation problem from vertices to classes. Its optimum is
+    therefore integral, and since the LP point is optimal it costs what the
+    point's singletons cost. extract_integer_solution finds it as a matching.
     """
     candidates = [
         (abs(x - 0.5), -col.size, i)
@@ -112,7 +120,7 @@ def select_branching_pair(res: LPResult) -> tuple[int, int]:
         if col.size >= 2 and abs(x - round(x)) > EPS
     ]
     if not candidates:
-        raise ValueError("no fractional column with at least two vertices")
+        return None
     _, _, i1 = min(candidates)
     s1 = res.columns[i1].mask
     u = (s1 & -s1).bit_length() - 1
@@ -148,7 +156,7 @@ def inherit_columns(
     vmap = {parent_merge_map[r]: cur for r, cur in state.merge_map.items()}
     inst = state.instance
     out: list[Column] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[Column] = set()
     for col in parent_cols:
         moved = {vmap.get(v) for v in bits(col.mask)}
         if None in moved:
@@ -161,11 +169,11 @@ def inherit_columns(
             continue
         if any(inst.graph.adj[v] & mask for v in bits(mask)):
             continue
-        key = (mask, rep)
-        if key in seen:
+        new = Column(mask, rep)
+        if new in seen:
             continue
-        seen.add(key)
-        out.append(Column(mask, rep, inst.weights[rep]))
+        seen.add(new)
+        out.append(new)
     return out
 
 
@@ -180,12 +188,10 @@ class _Search:
         self,
         root: Instance,
         deadline: Deadline,
-        use_assignment: bool,
         trace: SolveTrace | None,
     ):
         self.root = root
         self.deadline = deadline
-        self.use_assignment = use_assignment
         self.trace = trace
         # the incumbent and the counters; solve() settles status and wall time
         self.report = SolveReport(INFEASIBLE)
@@ -218,7 +224,7 @@ class _Search:
             return []
         partition = partition_colors(inst)
 
-        if self.use_assignment and asg.all_complete(partition, inst.graph):
+        if asg.all_complete(partition, inst.graph):
             node_coloring = asg.solve_assignment(state)
             if node_coloring is not None:
                 self._offer(lift_node_assignment(node_coloring, state, self.root))
@@ -270,15 +276,16 @@ class _Search:
         if report.weight is not None and bound + state.fixed_weight >= report.weight:
             return []
 
-        if not has_fractional_big_column(res):
+        pair = select_branching_pair(res)
+        if pair is None:
             extracted = extract_integer_solution(mp, res)
             if self.trace is not None:
-                self.trace.extractions.append((res, extracted))
-            chosen = [res.columns[i].key for i in extracted.selection]
+                self.trace.extractions.append((inst, res, extracted))
+            chosen = [res.columns[i] for i in extracted.selection]
             self._offer(reconstruct(chosen, partition, state, self.root))
             return []
 
-        u, v = select_branching_pair(res)
+        u, v = pair
         # the root is evaluated first, and when it does not branch no other node exists
         if self.trace is not None and self.trace.root_branch_pair is None:
             self.trace.root_branch_pair = (u, v)
@@ -292,12 +299,11 @@ class _Search:
 def solve(
     root: Instance,
     time_limit: float | None = None,
-    use_assignment: bool = True,
     trace: SolveTrace | None = None,
 ) -> SolveReport:
     """Solve an instance to proven optimality, infeasibility, or timeout."""
     start = time.perf_counter()
-    search = _Search(root, Deadline(time_limit), use_assignment, trace)
+    search = _Search(root, Deadline(time_limit), trace)
     report = search.report
     try:
         search.run()

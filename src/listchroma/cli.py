@@ -232,11 +232,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"note: {exc.one_based()}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    report = solve(
-        inst,
-        time_limit=args.time_limit,
-        use_assignment=not args.no_assignment,
-    )
+    report = solve(inst, time_limit=args.time_limit)
     _emit_report(report, args, comments)
     if report.status == OPTIMAL:
         return EXIT_OK
@@ -292,6 +288,8 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
                 assignment[int(key[len("assign.") :]) - 1] = int(value) - 1
     if status is None:
         raise ValueError(f"{path}: no status line")
+    if status not in (OPTIMAL, INFEASIBLE, TIME_LIMIT):
+        raise ValueError(f"{path}: unknown status {status!r}")
     return status, assignment, weight
 
 
@@ -346,26 +344,32 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # every config is checked before the first solve, so a bad flag costs no time
     try:
         ns = [int(x) for x in args.n.split(",")]
         ps = [float(x) for x in args.p.split(",")]
         cs = [float(x) for x in args.c.split(",")]
         qs = [float(x) for x in args.q.split(",")]
         weight_range = _parse_weights_flag(args.weights)
+        base_seed = _default_seed(args.seed)
+        cells = [
+            (cell, [
+                GenConfig(*cell, seed=base_seed + 7919 * cell_idx + i, weight_range=weight_range)
+                for i in range(args.instances)
+            ])
+            for cell_idx, cell in enumerate(product(ns, ps, cs, qs))
+        ]
+        for _, cfgs in cells:
+            for cfg in cfgs:
+                cfg.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    base_seed = _default_seed(args.seed)
 
     rows = [f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'time':>10} {'solved':>7}"]
-    for cell_idx, (n, p, c, q) in enumerate(product(ns, ps, cs, qs)):
+    for (n, p, c, q), cfgs in cells:
         settled: list[SolveReport] = []
-        for i in range(args.instances):
-            cfg = GenConfig(
-                n=n, p=p, c=c, q=q,
-                seed=base_seed + 7919 * cell_idx + i,
-                weight_range=weight_range,
-            )
+        for cfg in cfgs:
             report = solve(generate(cfg), time_limit=args.time_limit)
             if report.status in (OPTIMAL, INFEASIBLE):
                 settled.append(report)
@@ -411,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("input", help="instance path")
     s.add_argument("--time-limit", type=float, default=None, help="seconds")
     s.add_argument("--out", default=None, help="write the machine-readable record here")
-    s.add_argument("--no-assignment", action="store_true",
-                   help="disable the matching shortcut for all-complete nodes")
     s.set_defaults(func=cmd_solve)
 
     k = sub.add_parser("check", help="validate a solution record against an instance")

@@ -15,7 +15,13 @@ row duals, with the sign flipped on the <= class rows. Upper bounds x <= 1
 are intentionally absent; non-negative costs make them redundant at some
 optimum.
 
-An LP optimum without a fractional big column is a leaf of the search.
+A column is only its (stable set, class) pair. The master decides what it
+costs (MasterProblem.cost): the class weight w_k of the node's instance, or
+big-M for a dummy. So a column carried into a child node costs the child's
+weight of its class, which singleton fixing may have zeroed.
+
+An LP optimum without a fractional big column is a leaf of the search
+(bnp.select_branching_pair finds no pair in it).
 extract_integer_solution reads it off as an integral selection by keeping
 the big columns and matching the remaining vertices to singleton columns
 (assignment.min_cost_matching); no second LP is solved.
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
@@ -42,17 +49,16 @@ class NumericalFailure(RuntimeError):
     """The LP solver, or the read-off of a leaf, did not return a clean optimum."""
 
 
-@dataclass(frozen=True)
-class Column:
-    """A master variable: a stable set of G^k priced at w_k.
+class Column(NamedTuple):
+    """A master variable: a stable set of G^k and its class, nothing more.
 
-    Dummy columns (class_rep None) are the per-vertex big-M singletons that
-    keep the initial LP feasible.
+    The pair is the column's identity and carries no cost; the master that
+    holds it charges it (MasterProblem.cost). Dummy columns (class_rep None)
+    are the per-vertex big-M singletons that keep the initial LP feasible.
     """
 
     mask: int
     class_rep: int | None
-    cost: int
 
     @property
     def is_dummy(self) -> bool:
@@ -64,10 +70,6 @@ class Column:
 
     def vertices(self) -> list[int]:
         return bits(self.mask)
-
-    @property
-    def key(self) -> tuple[int, int | None]:
-        return (self.mask, self.class_rep)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class MasterProblem:
         self.partition = partition
         self.big_m = big_m
         self.columns: list[Column] = []
-        self._keys: set[tuple[int, int | None]] = set()
+        self._keys: set[Column] = set()
         n = self.instance.n
         bounded = sorted(partition.bounded)
         self._class_row = {k: n + i for i, k in enumerate(bounded)}
@@ -137,6 +139,10 @@ class MasterProblem:
             "adding LP rows",
         )
 
+    def cost(self, col: Column) -> int:
+        """What the LP charges col: big_m for a dummy, else its class weight."""
+        return self.big_m if col.class_rep is None else self.instance.weights[col.class_rep]
+
     def _append(self, cols: list[Column]) -> None:
         """Append columns x >= 0 with unit coefficients in their rows."""
         starts: list[int] = []
@@ -149,7 +155,7 @@ class MasterProblem:
         _check(
             self._lp.addCols(
                 len(cols),
-                np.array([col.cost for col in cols], dtype=float),
+                np.array([self.cost(col) for col in cols], dtype=float),
                 np.zeros(len(cols)),
                 np.full(len(cols), _INF),
                 len(index),
@@ -160,7 +166,7 @@ class MasterProblem:
             "adding LP columns",
         )
         self.columns.extend(cols)
-        self._keys.update(col.key for col in cols)
+        self._keys.update(cols)
 
 
 def init_with_dummies(state: NodeState, partition: ColorPartition) -> MasterProblem:
@@ -170,7 +176,7 @@ def init_with_dummies(state: NodeState, partition: ColorPartition) -> MasterProb
         raise ValueError("empty instance has no master problem")
     big_m = 1 + sum(inst.weights[j] for j in inst.colors)
     mp = MasterProblem(state, partition, big_m)
-    mp._append([Column(1 << v, None, big_m) for v in range(inst.n)])
+    mp._append([Column(1 << v, None) for v in range(inst.n)])
     return mp
 
 
@@ -178,7 +184,7 @@ def add_columns(mp: MasterProblem, cols: list[Column]) -> None:
     """Validate and append new columns; duplicates signal a pricer bug."""
     inst = mp.instance
     part = mp.partition
-    batch: set[tuple[int, int | None]] = set()
+    batch: set[Column] = set()
     for col in cols:
         if col.mask == 0:
             raise ValueError("empty column")
@@ -191,11 +197,9 @@ def add_columns(mp: MasterProblem, cols: list[Column]) -> None:
         for v in bits(col.mask):
             if inst.graph.adj[v] & col.mask:
                 raise ValueError("column is not a stable set")
-        if col.cost != inst.weights[col.class_rep]:
-            raise ValueError("column cost disagrees with its class weight")
-        if col.key in mp._keys or col.key in batch:
+        if col in mp._keys or col in batch:
             raise DuplicateColumnError(f"column {col.vertices()} class {col.class_rep}")
-        batch.add(col.key)
+        batch.add(col)
     mp._append(cols)
 
 
@@ -216,24 +220,6 @@ def solve_lp(mp: MasterProblem) -> LPResult:
         values=tuple(sol.col_value),
         columns=tuple(mp.columns),
         duals=DualSolution(pi, gamma),
-    )
-
-
-def has_fractional_big_column(res: LPResult) -> bool:
-    """Whether an optimal LP point must be branched on.
-
-    Only a column with at least two vertices at a fractional value forces a
-    branching step. Once every such column is integral, the vertices they
-    leave uncovered form a residual problem over singleton columns whose
-    constraint matrix (one cover row per vertex, one capacity row per class)
-    is totally unimodular: it is a transportation problem from vertices to
-    classes. Its optimum is therefore integral, and since the LP point is
-    optimal it costs what the point's singletons cost. extract_integer_solution
-    finds it as a matching.
-    """
-    return any(
-        col.size >= 2 and abs(x - round(x)) > EPS
-        for col, x in zip(res.columns, res.values)
     )
 
 
@@ -260,11 +246,12 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> ExtractResult:
     """
     cols = res.columns
     part = mp.partition
+    cost = mp.cost
     keep = [i for i, col in enumerate(cols) if col.size >= 2 and res.values[i] > 0.5]
     covered = 0
     for i in keep:
         covered |= cols[i].mask
-    fixed_cost = sum(cols[i].cost for i in keep)
+    fixed_cost = sum(cost(cols[i]) for i in keep)
     used = Counter(cols[i].class_rep for i in keep)
     free = {k: len(part.class_members[k]) - used[k] for k in part.reps}
     if any(c < 0 for c in free.values()):
@@ -281,7 +268,7 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> ExtractResult:
     slot_class = [k for k in sorted(serves) for _ in range(min(free[k], serves[k]))]
     options = [
         {
-            s: cols[singleton[k, 1 << v]].cost
+            s: cost(cols[singleton[k, 1 << v]])
             for s, k in enumerate(slot_class)
             if (k, 1 << v) in singleton
         }
@@ -296,7 +283,7 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> ExtractResult:
     for i in selection:
         if cols[i].is_dummy:
             raise NumericalFailure("dummy column survived integer extraction")
-    objective = fixed_cost + sum(cols[i].cost for i in chosen)
+    objective = fixed_cost + sum(cost(cols[i]) for i in chosen)
     if abs(objective - res.objective) > 1e-6 * max(1.0, abs(res.objective)):
         raise NumericalFailure(
             f"extraction changed the objective: {objective} vs {res.objective}"

@@ -144,7 +144,7 @@ def price_all(
             cache[vmask] = (mask, target)
         if mask:
             full = extend_to_maximal(mask, vmask, adj)
-            per_class[k] = Column(sum(1 << order[i] for i in bits(full)), k, inst.weights[k])
+            per_class[k] = Column(sum(1 << order[i] for i in bits(full)), k)
         else:
             per_class[k] = None
     return PricingOutcome(per_class, stats)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from listchroma import assignment as asg
 from listchroma.assignment import all_complete, solve_assignment
 from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveTrace, solve
 from listchroma.cli import main, write_instance
@@ -160,8 +161,11 @@ def test_criterion_4_pricing_certification(suite):
         assert checked > 1000
 
 
-def enumerate_residual_optimum(columns, residual_vertices, capacities):
-    """Exhaustive min-cost cover of the residual vertices by singleton columns."""
+def enumerate_residual_optimum(columns, residual_vertices, capacities, weights):
+    """Exhaustive min-cost cover of the residual vertices by singleton columns.
+
+    A column costs the weight of its class in the node instance, weights.
+    """
     per_vertex = {
         v: [c for c in columns if c.mask == 1 << v] for v in residual_vertices
     }
@@ -179,7 +183,7 @@ def enumerate_residual_optimum(columns, residual_vertices, capacities):
             if k in capacities and used.get(k, 0) >= capacities[k]:
                 continue
             used[k] = used.get(k, 0) + 1
-            rec(idx + 1, cost + col.cost, used)
+            rec(idx + 1, cost + weights[k], used)
             used[k] -= 1
 
     rec(0, 0, {})
@@ -191,13 +195,14 @@ def test_criterion_5_singleton_extraction(suite):
         # every leaf of the suite's search trees is read off by extraction
         extractions = 0
         for e in suite:
-            for res, ext in e.trace.extractions:
+            for node_inst, res, ext in e.trace.extractions:
                 extractions += 1
                 assert abs(ext.objective - res.objective) <= 1e-6
                 residual_best = enumerate_residual_optimum(
                     [res.columns[i] for i in ext.residual_columns],
                     list(ext.residual_vertices),
                     ext.capacities,
+                    node_inst.weights,
                 )
                 assert residual_best is not None
                 assert abs(ext.objective - ext.fixed_cost - residual_best) <= 1e-6
@@ -206,7 +211,7 @@ def test_criterion_5_singleton_extraction(suite):
         # direct exercise of the path on optimal degenerate LP points
         inst = make_instance(3, [], [[0, 2], [0], [1, 2]], weights={0: 1, 1: 2, 2: 2})
         mp = init_with_dummies(root_state(inst), partition_colors(inst))
-        add_columns(mp, [Column(0b011, 0, 1), Column(0b100, 1, 2), Column(0b100, 2, 2)])
+        add_columns(mp, [Column(0b011, 0), Column(0b100, 1), Column(0b100, 2)])
         res = LPResult(
             objective=3.0,
             values=(0.0, 0.0, 0.0, 1.0, 0.5, 0.5),
@@ -219,6 +224,7 @@ def test_criterion_5_singleton_extraction(suite):
             [res.columns[i] for i in ext.residual_columns],
             list(ext.residual_vertices),
             ext.capacities,
+            inst.weights,
         )
         assert abs(ext.objective - ext.fixed_cost - residual_best) <= 1e-6
 
@@ -226,7 +232,7 @@ def test_criterion_5_singleton_extraction(suite):
         mp2 = init_with_dummies(root_state(inst2), partition_colors(inst2))
         add_columns(
             mp2,
-            [Column(0b01, 0, 2), Column(0b10, 0, 2), Column(0b01, 1, 3), Column(0b10, 1, 3)],
+            [Column(0b01, 0), Column(0b10, 0), Column(0b01, 1), Column(0b10, 1)],
         )
         res2 = LPResult(
             objective=5.0,
@@ -238,7 +244,7 @@ def test_criterion_5_singleton_extraction(suite):
         assert abs(ext2.objective - 5.0) <= 1e-6
 
 
-def test_criterion_6_all_complete_cross_check():
+def test_criterion_6_all_complete_cross_check(monkeypatch):
     with criterion(6, "matching vs column generation vs oracle on all-complete"):
         for seed in range(100):
             inst = random_all_complete(seed)
@@ -246,8 +252,12 @@ def test_criterion_6_all_complete_cross_check():
             assert all_complete(part, inst.graph)
             expect = oracle_solve(inst)
             direct = solve_assignment(root_state(inst))
-            via_matching = solve(inst, use_assignment=True)
-            via_colgen = solve(inst, use_assignment=False)
+            via_matching = solve(inst)
+            # bnp reaches all_complete through the module: column generation
+            # then has to finish every all-complete node itself
+            with monkeypatch.context() as m:
+                m.setattr(asg, "all_complete", lambda *a: False)
+                via_colgen = solve(inst)
             if expect.feasible:
                 assert direct is not None
                 assert validate_coloring(inst, direct) == expect.optimum

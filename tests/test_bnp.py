@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from listchroma import bnp
+from listchroma import assignment as asg, bnp
 from listchroma.bnp import (
     INFEASIBLE,
     OPTIMAL,
@@ -23,7 +23,7 @@ from listchroma.core import (
     root_state,
 )
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import Column, DualSolution, LPResult
+from listchroma.master import Column, DualSolution, LPResult, add_columns, init_with_dummies, solve_lp
 from listchroma.oracle import oracle_solve
 
 from conftest import k33_mirrored, make_instance, petersen
@@ -119,16 +119,20 @@ class TestSolveBasic:
         assert len(pairs) > 1
         assert trace.root_branch_pair == pairs[0]
 
-    def test_assignment_module_can_be_disabled(self):
+    def test_assignment_module_can_be_disabled(self, monkeypatch):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})
-        with_asg = solve(inst, use_assignment=True)
-        without = solve(inst, use_assignment=False)
+        with_asg = solve(inst)
+        # bnp reaches all_complete through the module, so column generation
+        # then finishes the all-complete root
+        monkeypatch.setattr(asg, "all_complete", lambda *a: False)
+        without = solve(inst)
         assert with_asg.weight == without.weight == 8
+        assert without.columns_generated > 0
 
 
 def fake_lp(inst, columns, values):
     return LPResult(
-        objective=sum(c.cost * x for c, x in zip(columns, values)),
+        objective=sum(inst.weights[c.class_rep] * x for c, x in zip(columns, values)),
         values=tuple(values),
         columns=tuple(columns),
         duals=DualSolution(tuple([0.0] * inst.n), {}),
@@ -138,19 +142,19 @@ def fake_lp(inst, columns, values):
 class TestSelectBranchingPair:
     def test_two_overlapping_halves(self):
         inst = make_instance(3, [], [[0]] * 3)
-        cols = [Column(0b011, 0, 1), Column(0b101, 0, 1)]
+        cols = [Column(0b011, 0), Column(0b101, 0)]
         res = fake_lp(inst, cols, [0.5, 0.5])
         assert select_branching_pair(res) == (0, 2)
 
     def test_fallback_inside_s1(self):
         inst = make_instance(3, [], [[0]] * 3)
-        cols = [Column(0b011, 0, 1), Column(0b100, 0, 1)]
+        cols = [Column(0b011, 0), Column(0b100, 0)]
         res = fake_lp(inst, cols, [0.5, 1.0])
         assert select_branching_pair(res) == (0, 1)
 
     def test_most_fractional_wins(self):
         inst = make_instance(4, [], [[0]] * 4)
-        cols = [Column(0b0011, 0, 1), Column(0b1100, 0, 1), Column(0b0101, 0, 1)]
+        cols = [Column(0b0011, 0), Column(0b1100, 0), Column(0b0101, 0)]
         res = fake_lp(inst, cols, [0.9, 0.3, 0.4])
         u, v = select_branching_pair(res)
         # S1 is the 0.4 column {0,2}; first other positive column through 0
@@ -158,10 +162,9 @@ class TestSelectBranchingPair:
 
     def test_requires_fractional_big_column(self):
         inst = make_instance(2, [], [[0]] * 2)
-        cols = [Column(0b01, 0, 1), Column(0b10, 0, 1)]
+        cols = [Column(0b01, 0), Column(0b10, 0)]
         res = fake_lp(inst, cols, [1.0, 1.0])
-        with pytest.raises(ValueError):
-            select_branching_pair(res)
+        assert select_branching_pair(res) is None
 
 
 class TestInheritColumns:
@@ -170,7 +173,7 @@ class TestInheritColumns:
         state = root_state(inst)
         child = preprocess_singletons(branch_differ(state, 0, 1))
         part = partition_colors(child.instance)
-        cols = [Column(0b011, 0, 1), Column(0b101, 0, 1)]
+        cols = [Column(0b011, 0), Column(0b101, 0)]
         kept = inherit_columns(cols, state.merge_map, child, part)
         assert [c.mask for c in kept] == [0b101]
 
@@ -180,7 +183,7 @@ class TestInheritColumns:
         state = root_state(inst)
         child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
-        kept = inherit_columns([Column(0b110, 0, 1)], state.merge_map, child, part)
+        kept = inherit_columns([Column(0b110, 0)], state.merge_map, child, part)
         assert [c.mask for c in kept] == [0b11]
 
     def test_same_drops_newly_unstable(self):
@@ -189,7 +192,7 @@ class TestInheritColumns:
         state = root_state(inst)
         child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
-        assert inherit_columns([Column(0b110, 0, 1)], state.merge_map, child, part) == []
+        assert inherit_columns([Column(0b110, 0)], state.merge_map, child, part) == []
 
     def test_same_deduplicates_rewrites(self):
         inst = make_instance(3, [], [[0, 1]] * 3)
@@ -197,7 +200,7 @@ class TestInheritColumns:
         child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
         kept = inherit_columns(
-            [Column(0b110, 0, 1), Column(0b011, 0, 1)], state.merge_map, child, part
+            [Column(0b110, 0), Column(0b011, 0)], state.merge_map, child, part
         )
         assert [c.mask for c in kept] == [0b11]
 
@@ -208,7 +211,7 @@ class TestInheritColumns:
         state = root_state(inst)
         child = preprocess_singletons(branch_same(state, 0, 2))
         part = partition_colors(child.instance)
-        kept = inherit_columns([Column(0b011, 1, 1)], state.merge_map, child, part)
+        kept = inherit_columns([Column(0b011, 1)], state.merge_map, child, part)
         assert kept == []
 
     def test_fixing_after_same_renumbers_past_both(self):
@@ -222,9 +225,27 @@ class TestInheritColumns:
         child = preprocess_singletons(branch_same(parent, 2, 3))
         assert child.fixed == ((3, 0), (4, 0))
         part = partition_colors(child.instance)
-        cols = [Column(0b10100, 1, 1), Column(0b10010, 1, 1), Column(0b00011, 1, 1)]
+        cols = [Column(0b10100, 1), Column(0b10010, 1), Column(0b00011, 1)]
         kept = inherit_columns(cols, parent.merge_map, child, part)
         assert [c.mask for c in kept] == [0b110, 0b011]
+
+    def test_inherited_column_charged_child_weight(self):
+        # SAME(0,1) leaves the merged vertex the list {0}: preprocessing fixes
+        # color 0 there, so color 0 costs nothing more in the child, and the
+        # class-0 column {2,3} outside the fixed vertex survives
+        inst = make_instance(4, [], [[0, 1], [0, 2], [0, 1], [0, 1]], weights={0: 5, 1: 1, 2: 1})
+        state = root_state(inst)
+        child = preprocess_singletons(branch_same(state, 0, 1))
+        assert child.fixed == ((0, 0), (1, 0)) and child.instance.weights[0] == 0
+        part = partition_colors(child.instance)
+        kept = inherit_columns([Column(0b1100, 0)], state.merge_map, child, part)
+        assert kept == [Column(0b11, 0)]
+        mp = init_with_dummies(child, part)
+        add_columns(mp, kept)
+        assert mp.cost(kept[0]) == 0
+        res = solve_lp(mp)
+        assert res.values[-1] == pytest.approx(1.0)
+        assert res.objective == pytest.approx(0.0)
 
 
 class TestUpdateIncumbent:

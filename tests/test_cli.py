@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from listchroma import cli
 from listchroma.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -415,6 +416,16 @@ class TestCheckCommand:
         assert main(["check", path, sol]) == code
         assert capsys.readouterr().out == out
 
+    def test_unknown_status_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "i.col", "p mwlcp 2 0 1\nw 1 5\nl 1 1 1\nl 2 1 1\n")
+        sol = write(tmp_path, "i.sol", "status=banana\nassign.1=1\nassign.2=1\n")
+        with pytest.raises(ValueError, match="unknown status 'banana'"):
+            read_solution(sol)
+        assert main(["check", path, sol]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err == f"error: {sol}: unknown status 'banana'\n"
+
     def test_oracle_flags_suboptimal_weight(self, tmp_path, capsys):
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 5})
         path = str(tmp_path / "i.col")
@@ -436,6 +447,25 @@ class TestBenchCommand:
         text = capsys.readouterr().out
         assert "nodes" in text and "time" in text
         assert "3/3" in text
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "0"], "p must be in (0, 1]"),
+            (["--weights", "5:3"], "weight range must satisfy 0 <= lo <= hi"),
+            # the first cell is valid, and still nothing is solved
+            (["--p", "0.5,0"], "p must be in (0, 1]"),
+        ],
+    )
+    def test_invalid_config_exits_one_before_solving(self, monkeypatch, capsys, flags, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before every config was checked")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        assert main(["bench", "--n", "12", "--instances", "2", *flags]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_exhausted_budget_prints_dashes(self, capsys):
         code = main(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from listchroma.bnp import select_branching_pair
 from listchroma.core import EPS, partition_colors, reconstruct, root_state
 from listchroma.master import (
     Column,
@@ -14,7 +15,6 @@ from listchroma.master import (
     NumericalFailure,
     add_columns,
     extract_integer_solution,
-    has_fractional_big_column,
     init_with_dummies,
     node_lower_bound,
     solve_lp,
@@ -41,7 +41,7 @@ def brute_force_selection_cost(mp, columns):
             if not x:
                 continue
             covered |= col.mask
-            cost += col.cost
+            cost += mp.cost(col)
             if col.class_rep in part.bounded:
                 used[col.class_rep] = used.get(col.class_rep, 0) + 1
         if covered != (1 << n) - 1:
@@ -58,7 +58,7 @@ def assert_duals_certify(mp, res):
     tol = EPS * max(1.0, mp.big_m)
     for col, x in zip(res.columns, res.values):
         gamma = 0.0 if col.is_dummy else res.duals.gamma_of(col.class_rep)
-        reduced = sum(res.duals.pi[v] for v in col.vertices()) - (col.cost + gamma)
+        reduced = sum(res.duals.pi[v] for v in col.vertices()) - (mp.cost(col) + gamma)
         assert reduced <= tol
         if x > EPS:
             assert abs(reduced) <= tol
@@ -93,7 +93,7 @@ def cold_linprog_objective(mp):
         if col.class_rep in class_row:
             a_ub[class_row[col.class_rep], j] = 1.0
     b_ub = [-1.0] * n + [float(len(mp.partition.class_members[k])) for k in bounded]
-    cost = [col.cost for col in mp.columns]
+    cost = [mp.cost(col) for col in mp.columns]
     ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     assert ref.status == 0
     return ref.fun
@@ -107,7 +107,7 @@ class TestInitWithDummies:
         mp = master_for(inst)
         assert mp.big_m == 6
         assert len(mp.columns) == 3
-        assert all(c.is_dummy and c.cost == 6 for c in mp.columns)
+        assert all(c.is_dummy and mp.cost(c) == 6 for c in mp.columns)
         res = solve_lp(mp)
         assert res.objective == pytest.approx(18.0)
 
@@ -131,7 +131,7 @@ class TestSolveLP:
     def test_single_real_column_wins(self):
         inst = make_instance(2, [], [[0], [0]], weights={0: 1})
         mp = master_for(inst)
-        add_columns(mp, [Column(0b11, 0, 1)])
+        add_columns(mp, [Column(0b11, 0)])
         res = solve_lp(mp)
         expected = brute_force_selection_cost(mp, mp.columns)
         assert expected == 1
@@ -141,7 +141,7 @@ class TestSolveLP:
     def test_singleton_cover_of_triangle(self):
         inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0, 1, 2]] * 3, weights={0: 2, 1: 2, 2: 2})
         mp = master_for(inst)
-        add_columns(mp, [Column(1 << v, 0, 2) for v in range(3)])
+        add_columns(mp, [Column(1 << v, 0) for v in range(3)])
         res = solve_lp(mp)
         expected = brute_force_selection_cost(mp, mp.columns)
         assert expected == 6
@@ -153,10 +153,10 @@ class TestSolveLP:
         add_columns(
             mp,
             [
-                Column(0b0101, 0, 2),
-                Column(0b1010, 0, 2),
-                Column(0b0101, 1, 5),
-                Column(0b1001, 0, 2),
+                Column(0b0101, 0),
+                Column(0b1010, 0),
+                Column(0b0101, 1),
+                Column(0b1001, 0),
             ],
         )
         assert_duals_certify(mp, solve_lp(mp))
@@ -165,7 +165,7 @@ class TestSolveLP:
         inst = make_instance(3, [(0, 1), (1, 2)], [[0, 1]] * 3, weights={0: 1, 1: 2})
         mp = master_for(inst)
         prev = solve_lp(mp).objective
-        for col in [Column(0b101, 0, 1), Column(0b010, 0, 1), Column(0b101, 1, 2)]:
+        for col in [Column(0b101, 0), Column(0b010, 0), Column(0b101, 1)]:
             add_columns(mp, [col])
             cur = solve_lp(mp).objective
             assert cur <= prev + EPS
@@ -174,7 +174,7 @@ class TestSolveLP:
     def test_big_m_dominance(self):
         inst = make_instance(2, [(0, 1)], [[0, 1]] * 2, weights={0: 1, 1: 2})
         mp = master_for(inst)
-        add_columns(mp, [Column(0b01, 0, 1), Column(0b10, 0, 1), Column(0b01, 1, 2), Column(0b10, 1, 2)])
+        add_columns(mp, [Column(0b01, 0), Column(0b10, 0), Column(0b01, 1), Column(0b10, 1)])
         res = solve_lp(mp)
         assert res.objective < mp.big_m
         assert all(
@@ -184,7 +184,7 @@ class TestSolveLP:
     def test_deterministic_given_pool(self):
         inst = make_instance(3, [(0, 1)], [[0, 1]] * 3)
         mp = master_for(inst)
-        add_columns(mp, [Column(0b101, 0, 1), Column(0b010, 0, 1)])
+        add_columns(mp, [Column(0b101, 0), Column(0b010, 0)])
         a = solve_lp(mp)
         b = solve_lp(mp)
         assert a == b
@@ -219,7 +219,7 @@ def test_warm_resolves_match_cold_linprog(data):
     mp = master_for(inst)
     part = mp.partition
     pool = [
-        Column(mask, k, inst.weights[k])
+        Column(mask, k)
         for k in part.reps
         for mask in stable_sets(inst.graph.adj, part.vertex_mask[k])
         if mask
@@ -244,25 +244,25 @@ class TestAddColumns:
     def test_grows_pool(self):
         inst = make_instance(2, [], [[0], [0, 1]])
         mp = master_for(inst)
-        add_columns(mp, [Column(0b11, 0, 1)])
+        add_columns(mp, [Column(0b11, 0)])
         assert len(mp.columns) == 3
 
     def test_one_column_per_class(self):
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 2})
         mp = master_for(inst)
         part = partition_colors(inst)
-        cols = [Column(0b11, k, inst.weights[k]) for k in part.reps]
+        cols = [Column(0b11, k) for k in part.reps]
         add_columns(mp, cols)
         assert len(mp.columns) == 2 + len(part.reps)
 
     def test_duplicate_rejected(self):
         inst = make_instance(2, [], [[0], [0, 1]])
         mp = master_for(inst)
-        add_columns(mp, [Column(0b11, 0, 1)])
+        add_columns(mp, [Column(0b11, 0)])
         with pytest.raises(DuplicateColumnError):
-            add_columns(mp, [Column(0b11, 0, 1)])
+            add_columns(mp, [Column(0b11, 0)])
         with pytest.raises(DuplicateColumnError):
-            add_columns(mp, [Column(0b01, 0, 1), Column(0b01, 0, 1)])
+            add_columns(mp, [Column(0b01, 0), Column(0b01, 0)])
         # a rejected batch leaves the pool and its LP untouched
         assert len(mp.columns) == 3
         assert len(solve_lp(mp).values) == 3
@@ -271,7 +271,7 @@ class TestAddColumns:
         inst = make_instance(2, [(0, 1)], [[0], [0, 1]])
         mp = master_for(inst)
         with pytest.raises(ValueError):
-            add_columns(mp, [Column(0b11, 0, 1)])
+            add_columns(mp, [Column(0b11, 0)])
 
 
 def fake_result(columns, values, objective=0.0):
@@ -286,19 +286,19 @@ def fake_result(columns, values, objective=0.0):
 
 class TestCheckIntegrality:
     def test_integral(self):
-        cols = [Column(0b011, 0, 1), Column(0b100, 0, 1), Column(0b001, None, 9)]
+        cols = [Column(0b011, 0), Column(0b100, 0), Column(0b001, None)]
         res = fake_result(cols, [1.0, 1.0, 0.0])
-        assert not has_fractional_big_column(res)
+        assert select_branching_pair(res) is None
 
     def test_fractional_big_set(self):
-        cols = [Column(0b011, 0, 1), Column(0b101, 0, 1), Column(0b010, 0, 1)]
+        cols = [Column(0b011, 0), Column(0b101, 0), Column(0b010, 0)]
         res = fake_result(cols, [0.5, 0.5, 0.5])
-        assert has_fractional_big_column(res)
+        assert select_branching_pair(res) is not None
 
     def test_singleton_fractional_only(self):
-        cols = [Column(0b011, 0, 1), Column(0b100, 0, 1), Column(0b100, 1, 1)]
+        cols = [Column(0b011, 0), Column(0b100, 0), Column(0b100, 1)]
         res = fake_result(cols, [1.0, 0.5, 0.5])
-        assert not has_fractional_big_column(res)
+        assert select_branching_pair(res) is None
 
 
 class TestExtractIntegerSolution:
@@ -309,7 +309,7 @@ class TestExtractIntegerSolution:
             3, [], [[0, 2], [0], [1, 2]], weights={0: 1, 1: 2, 2: 2}
         )
         mp = master_for(inst)
-        add_columns(mp, [Column(0b011, 0, 1), Column(0b100, 1, 2), Column(0b100, 2, 2)])
+        add_columns(mp, [Column(0b011, 0), Column(0b100, 1), Column(0b100, 2)])
         res = LPResult(
             objective=3.0,
             values=(0.0, 0.0, 0.0, 1.0, 0.5, 0.5),
@@ -330,10 +330,10 @@ class TestExtractIntegerSolution:
         part = mp.partition
         assert part.bounded == frozenset({0, 1})
         cols = [
-            Column(0b01, 0, 2),
-            Column(0b10, 0, 2),
-            Column(0b01, 1, 3),
-            Column(0b10, 1, 3),
+            Column(0b01, 0),
+            Column(0b10, 0),
+            Column(0b01, 1),
+            Column(0b10, 1),
         ]
         add_columns(mp, cols)
         res = LPResult(
@@ -358,7 +358,7 @@ class TestExtractIntegerSolution:
     def test_empty_residual_keeps_big_columns(self):
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 1})
         mp = master_for(inst)
-        add_columns(mp, [Column(0b11, 0, 1)])
+        add_columns(mp, [Column(0b11, 0)])
         res = LPResult(
             objective=1.0,
             values=(0.0, 0.0, 1.0),
@@ -391,7 +391,7 @@ def residual_linprog(mp, keep, residual, singles):
         len(part.class_members[k]) - sum(mp.columns[i].class_rep == k for i in keep)
         for k in bounded
     ]
-    cost = [mp.columns[i].cost for i in singles]
+    cost = [mp.cost(mp.columns[i]) for i in singles]
     ref = linprog(cost, A_ub=a_ub, b_ub=[-1.0] * len(residual) + caps, bounds=(0, None), method="highs")
     if ref.status == 2:
         return None
@@ -428,7 +428,7 @@ def test_extraction_matches_residual_linprog(data):
 
     # big columns at one: pairwise disjoint and within their class caps
     big = [
-        Column(mask, k, inst.weights[k])
+        Column(mask, k)
         for k in part.reps
         for mask in stable_sets(inst.graph.adj, part.vertex_mask[k])
         if mask.bit_count() >= 2
@@ -442,7 +442,7 @@ def test_extraction_matches_residual_linprog(data):
             at_one.append(col)
             covered |= col.mask
             used[k] = used.get(k, 0) + 1
-    singles = [Column(1 << v, k, inst.weights[k]) for k in part.reps for v in part.vertices[k]]
+    singles = [Column(1 << v, k) for k in part.reps for v in part.vertices[k]]
     dropped = data.draw(st.lists(st.sampled_from(singles), unique=True, max_size=3), label="drop")
     add_columns(mp, at_one + [col for col in singles if col not in dropped])
 
@@ -452,7 +452,7 @@ def test_extraction_matches_residual_linprog(data):
     cand = [
         i for i, col in enumerate(cols) if col.size == 1 and not col.is_dummy and col.mask & ~covered
     ]
-    fixed = sum(col.cost for col in at_one)
+    fixed = sum(mp.cost(col) for col in at_one)
     values = [0.0] * len(cols)
     for i in keep:
         values[i] = 1.0
@@ -481,21 +481,20 @@ def test_extraction_matches_residual_linprog(data):
     assert cover == (1 << n) - 1
     for k in part.reps:
         assert sum(col.class_rep == k for col in chosen) <= len(part.class_members[k])
-    assert ext.objective == sum(col.cost for col in chosen)
-    pairs = [(col.mask, col.class_rep) for col in chosen]
-    coloring = reconstruct(pairs, part, root_state(inst), inst)
+    assert ext.objective == sum(mp.cost(col) for col in chosen)
+    coloring = reconstruct(chosen, part, root_state(inst), inst)
     assert coloring.weight <= ext.objective
 
 
 class TestNodeLowerBound:
     def test_rounds_up_within_eps(self):
-        res = fake_result([Column(0b1, 0, 1)], [1.0], objective=2.000001)
+        res = fake_result([Column(0b1, 0)], [1.0], objective=2.000001)
         assert node_lower_bound(res, big_m=100) == 2
 
     def test_fractional_rounds_up(self):
-        res = fake_result([Column(0b1, 0, 1)], [1.0], objective=2.5)
+        res = fake_result([Column(0b1, 0)], [1.0], objective=2.5)
         assert node_lower_bound(res, big_m=100) == 3
 
     def test_big_m_means_infeasible(self):
-        res = fake_result([Column(0b1, 0, 1)], [1.0], objective=100.0)
+        res = fake_result([Column(0b1, 0)], [1.0], objective=100.0)
         assert node_lower_bound(res, big_m=100) is None

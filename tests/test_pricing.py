@@ -45,7 +45,7 @@ class TestPriceAll:
         col = out.per_class[0]
         assert col is not None
         assert col.mask == 0b11
-        assert col.cost == 5
+        assert inst.weights[col.class_rep] == 5
 
     def test_shared_vertex_set_reuses_search(self):
         # four colors live on the same two isolated vertices, their weights
@@ -272,7 +272,7 @@ def per_class_price_all(inst, partition, duals):
                 cache[vmask] = (w, mask, t + EPS)
         if chosen is not None:
             full = per_class_extend_to_maximal(chosen, vmask, graph, pi)
-            per_class[k] = Column(full, k, inst.weights[k])
+            per_class[k] = Column(full, k)
         elif k not in per_class:
             per_class[k] = None
     return PricingOutcome(per_class, stats)
