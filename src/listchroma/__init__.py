@@ -11,7 +11,7 @@ from .core import (
     partition_colors,
     validate_coloring,
 )
-from .bnp import INFEASIBLE, OPTIMAL, TIME_LIMIT, SolveReport, SolveTrace, solve
+from .bnp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, TIME_LIMIT, SolveReport, SolveTrace, solve
 from .instgen import GenConfig, generate
 from .oracle import OracleResult, oracle_solve
 
@@ -23,6 +23,7 @@ __all__ = [
     "INFEASIBLE",
     "Instance",
     "ListColoring",
+    "NUMERICAL_FAILURE",
     "OPTIMAL",
     "OracleResult",
     "SolveReport",

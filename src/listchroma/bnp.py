@@ -35,6 +35,7 @@ from .master import (
     Column,
     ExtractResult,
     LPResult,
+    NumericalFailure,
     add_columns,
     extract_integer_solution,
     init_with_dummies,
@@ -46,6 +47,7 @@ from .pricing import price_all
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 TIME_LIMIT = "time_limit"
+NUMERICAL_FAILURE = "numerical_failure"
 
 
 @dataclass
@@ -301,7 +303,12 @@ def solve(
     time_limit: float | None = None,
     trace: SolveTrace | None = None,
 ) -> SolveReport:
-    """Solve an instance to proven optimality, infeasibility, or timeout."""
+    """Solve an instance to proven optimality, infeasibility, or timeout.
+
+    A timeout or a NumericalFailure of the LP or the leaf read-off ends the
+    search with status TIME_LIMIT or NUMERICAL_FAILURE; the report keeps the
+    incumbent found so far.
+    """
     start = time.perf_counter()
     search = _Search(root, Deadline(time_limit), trace)
     report = search.report
@@ -311,5 +318,7 @@ def solve(
             report.status = OPTIMAL
     except SearchTimeout:
         report.status = TIME_LIMIT
+    except NumericalFailure:
+        report.status = NUMERICAL_FAILURE
     report.wall_time = time.perf_counter() - start
     return report

@@ -20,7 +20,7 @@ import sys
 from itertools import product
 
 from .core import ColoringError, EmptyListError, Graph, Instance, build_instance, validate_coloring
-from .bnp import INFEASIBLE, OPTIMAL, TIME_LIMIT, SolveReport, solve
+from .bnp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, TIME_LIMIT, SolveReport, solve
 from .instgen import GENERATOR_NAME, GenConfig, generate
 from .oracle import TooLargeError, oracle_solve
 
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_TIME_LIMIT = 3
+EXIT_NUMERICAL_FAILURE = 4
 
 
 class ParseError(ValueError):
@@ -157,6 +158,10 @@ def write_instance(path: str, inst: Instance, comments: list[str] | None = None)
         fh.write("\n".join(lines) + "\n")
 
 
+# Statuses of a search that ended before settling its instance; the record
+# may hold an incumbent.
+UNSETTLED = (TIME_LIMIT, NUMERICAL_FAILURE)
+
 # The SolveReport fields a solve reports, in output order: (record key,
 # SolveReport attribute, text label). A field that is None, the weight of a
 # solve without a coloring, is left out of both outputs.
@@ -238,6 +243,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
     if report.status == INFEASIBLE:
         return EXIT_INFEASIBLE
+    if report.status == NUMERICAL_FAILURE:
+        return EXIT_NUMERICAL_FAILURE
     return EXIT_TIME_LIMIT
 
 
@@ -288,7 +295,7 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
                 assignment[int(key[len("assign.") :]) - 1] = int(value) - 1
     if status is None:
         raise ValueError(f"{path}: no status line")
-    if status not in (OPTIMAL, INFEASIBLE, TIME_LIMIT):
+    if status not in (OPTIMAL, INFEASIBLE, *UNSETTLED):
         raise ValueError(f"{path}: unknown status {status!r}")
     return status, assignment, weight
 
@@ -309,7 +316,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
 
     weight = None
-    if status == OPTIMAL or (status == TIME_LIMIT and assignment):
+    if status == OPTIMAL or (status in UNSETTLED and assignment):
         try:
             weight = validate_coloring(inst, assignment)
         except ColoringError as exc:
@@ -339,6 +346,20 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print(f"FAIL: weight {weight} but oracle optimum is {ores.optimum}")
                 return EXIT_INPUT_ERROR
             print("optimality confirmed by oracle")
+        elif not ores.feasible:  # an unsettled record, compared if it holds an incumbent
+            if weight is not None:
+                print(f"FAIL: record holds a coloring of weight {weight} but oracle says infeasible")
+                return EXIT_INPUT_ERROR
+            print("oracle says infeasible")
+        else:
+            print(f"oracle optimum {ores.optimum}")
+            if weight is not None and weight < ores.optimum:
+                print(f"FAIL: weight {weight} is below the oracle optimum")
+                return EXIT_INPUT_ERROR
+            if weight == ores.optimum:
+                print("incumbent is optimal")
+            elif weight is not None:
+                print(f"gap {weight - ores.optimum}")
     print("PASS")
     return EXIT_OK
 

@@ -2,10 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from listchroma import cli
+from listchroma import bnp, cli
 from listchroma.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
+    EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
     EXIT_TIME_LIMIT,
     ParseError,
@@ -17,6 +18,8 @@ from listchroma.cli import (
 from listchroma.bnp import solve
 from listchroma.core import Graph, build_instance
 from listchroma.instgen import GenConfig, generate
+from listchroma.master import NumericalFailure
+from listchroma.oracle import OracleResult
 
 from conftest import k33_mirrored, make_instance
 
@@ -185,6 +188,44 @@ class TestSolveCommand:
         assert f"mwss cache hits: {expected}" in capsys.readouterr().out
         with open(out, encoding="utf-8") as fh:
             assert f"mwss_cache_hits={expected}" in fh.read().splitlines()
+
+    @pytest.mark.parametrize("after_incumbent, weight", [(False, None), (True, 3)])
+    def test_numerical_failure_exits_four_with_the_incumbent(
+        self, tmp_path, monkeypatch, capsys, after_incumbent, weight
+    ):
+        from conftest import petersen
+
+        # Petersen: the SAME child of the root is a leaf of weight 3, and the
+        # DIFFER child solves its LP after that incumbent exists
+        offered = []
+        real_update, real_solve_lp = bnp.update_incumbent, bnp.solve_lp
+
+        def recording_update(current, candidate):
+            offered.append(candidate.weight)
+            return real_update(current, candidate)
+
+        def failing_solve_lp(mp):
+            if offered or not after_incumbent:
+                raise NumericalFailure("LP solve failed: injected")
+            return real_solve_lp(mp)
+
+        monkeypatch.setattr(bnp, "update_incumbent", recording_update)
+        monkeypatch.setattr(bnp, "solve_lp", failing_solve_lp)
+        path = str(tmp_path / "p.col")
+        write_instance(path, petersen())
+        out = str(tmp_path / "p.sol")
+        assert main(["solve", path, "--out", out]) == EXIT_NUMERICAL_FAILURE
+        assert offered == ([3] if after_incumbent else [])
+        assert "status: numerical_failure" in capsys.readouterr().out
+        status, assignment, stated = read_solution(out)
+        assert status == "numerical_failure"
+        assert stated == weight
+        assert len(assignment) == (10 if after_incumbent else 0)
+        if after_incumbent:
+            assert main(["check", path, out, "--oracle"]) == EXIT_OK
+            assert capsys.readouterr().out.endswith(
+                "oracle optimum 3\nincumbent is optimal\nPASS\n"
+            )
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "bad.col", "p mwlcp nope\n")
@@ -434,6 +475,48 @@ class TestCheckCommand:
         sol = write(tmp_path, "i.sol", "status=optimal\nassign.1=2\nassign.2=2\n")
         assert main(["check", path, sol]) == EXIT_OK
         assert main(["check", path, sol, "--oracle"]) == EXIT_INPUT_ERROR
+
+
+    # the only edge forces the two colors, which weigh 1 and 5
+    TWO_COLORS = "p mwlcp 2 1 2\ne 1 2\nw 1 1\nw 2 5\nl 1 2 1 2\nl 2 2 1 2\n"
+
+    @pytest.mark.parametrize(
+        "record, out",
+        [
+            ("", "oracle optimum 6\nPASS\n"),
+            ("assign.1=1\nassign.2=2\n",
+             "solution valid, weight 6\noracle optimum 6\nincumbent is optimal\nPASS\n"),
+        ],
+    )
+    def test_oracle_on_time_limit_record(self, tmp_path, capsys, record, out):
+        path = write(tmp_path, "i.col", self.TWO_COLORS)
+        sol = write(tmp_path, "i.sol", f"status=time_limit\n{record}")
+        assert main(["check", path, sol, "--oracle"]) == EXIT_OK
+        assert capsys.readouterr().out == out
+
+    def test_oracle_reports_gap_of_time_limit_incumbent(self, tmp_path, capsys):
+        # on an edgeless pair one cheap color suffices; the record uses both
+        path = write(tmp_path, "i.col", "p mwlcp 2 0 2\nw 1 1\nw 2 5\nl 1 2 1 2\nl 2 2 1 2\n")
+        sol = write(tmp_path, "i.sol", "status=time_limit\nassign.1=1\nassign.2=2\n")
+        assert main(["check", path, sol, "--oracle"]) == EXIT_OK
+        assert capsys.readouterr().out == "solution valid, weight 6\noracle optimum 1\ngap 5\nPASS\n"
+
+    @pytest.mark.parametrize(
+        "optimum, out",
+        [
+            (None, "FAIL: record holds a coloring of weight 6 but oracle says infeasible\n"),
+            (7, "oracle optimum 7\nFAIL: weight 6 is below the oracle optimum\n"),
+        ],
+    )
+    def test_oracle_contradicted_by_time_limit_incumbent(
+        self, tmp_path, monkeypatch, capsys, optimum, out
+    ):
+        # a valid coloring of weight 6 proves an optimum of at most 6
+        monkeypatch.setattr(cli, "oracle_solve", lambda inst, cap: OracleResult(optimum, None, 0))
+        path = write(tmp_path, "i.col", self.TWO_COLORS)
+        sol = write(tmp_path, "i.sol", "status=time_limit\nassign.1=1\nassign.2=2\n")
+        assert main(["check", path, sol, "--oracle"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == "solution valid, weight 6\n" + out
 
 
 class TestBenchCommand:

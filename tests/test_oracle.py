@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listchroma.core import EmptyListError
-from listchroma.oracle import TooLargeError, oracle_solve
+from listchroma.core import EmptyListError, validate_coloring
+from listchroma.oracle import TooLargeError, oracle_solve, placement_order
 
 from conftest import enumerate_optimum, k33_mirrored, make_instance
 
@@ -95,3 +95,68 @@ def test_pruned_matches_unpruned_enumeration(data):
         j: weights[j] for j in {c for l in lists for c in l}
     })
     assert oracle_solve(inst).optimum == enumerate_optimum(inst)
+
+
+def placement_pins():
+    """Six vertices whose placement order exercises the rule and each tie-break.
+
+    Edges 4-5, 5-1, 5-2, 2-3; vertex 0 is isolated. Vertex 4 goes first on
+    the only one-color list, though 5 has the higher degree. Vertex 5 is next
+    as the one neighbor of a placed vertex, though its list is the longest.
+    Vertices 1 and 2 then tie on one placed neighbor and two colors, and 2
+    wins on degree although 1 has the lower id. Vertices 1 and 3 tie on all
+    three, and the lower id 1 goes first. The unique optimum, of weight 3,
+    colors 4 with 0, 5 with 2, and 1 and 2 with 1.
+    """
+    return make_instance(
+        6,
+        [(4, 5), (5, 1), (5, 2), (2, 3)],
+        [[2, 4], [1, 3], [1, 3], [2, 4], [0], [0, 1, 2]],
+        weights={0: 1, 1: 1, 2: 1, 3: 5, 4: 5},
+    )
+
+
+def test_placement_order_follows_placed_neighbors_then_list_degree_id():
+    assert placement_order(placement_pins()) == [4, 5, 2, 1, 3, 0]
+
+
+def test_witness_is_mapped_back_to_vertex_ids():
+    res = oracle_solve(placement_pins())
+    assert res.optimum == 3
+    assert res.witness.as_dict() == {0: 2, 1: 1, 2: 1, 3: 2, 4: 0, 5: 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabelled_copy_has_the_same_optimum(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    ncolors = data.draw(st.integers(min_value=1, max_value=3))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if data.draw(st.booleans(), label=f"edge{u},{v}")
+    ]
+    lists = [
+        data.draw(
+            st.lists(st.integers(0, ncolors - 1), min_size=1, max_size=ncolors, unique=True),
+            label=f"list{v}",
+        )
+        for v in range(n)
+    ]
+    weights = {j: data.draw(st.integers(0, 6), label=f"w{j}") for j in range(ncolors)}
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    used = {j: weights[j] for l in lists for j in l}
+    inst = make_instance(n, edges, lists, weights=used)
+    moved_lists = [None] * n
+    for v in range(n):
+        moved_lists[perm[v]] = lists[v]
+    moved = make_instance(n, [(perm[u], perm[v]) for u, v in edges], moved_lists, weights=used)
+
+    optimum = enumerate_optimum(inst)
+    assert enumerate_optimum(moved) == optimum
+    for copy in (inst, moved):
+        res = oracle_solve(copy)
+        assert res.optimum == optimum
+        if optimum is not None:
+            assert validate_coloring(copy, res.witness.as_dict()) == optimum
