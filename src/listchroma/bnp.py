@@ -33,10 +33,12 @@ from .core import (
 )
 from .master import (
     Column,
+    DualSolution,
     ExtractResult,
     LPResult,
     NumericalFailure,
     add_columns,
+    column_fault,
     extract_integer_solution,
     init_with_dummies,
     node_lower_bound,
@@ -69,20 +71,13 @@ class SolveReport:
         return None if self.coloring is None else self.coloring.weight
 
 
-@dataclass(frozen=True)
-class CertifiedPricing:
-    """Snapshot of a node whose pricing proved LP optimality (all classes None)."""
-
-    adj: tuple[int, ...]
-    pi: tuple[float, ...]
-    classes: tuple[tuple[int, int, float], ...]  # (rep, vertex mask, threshold)
-
-
 class SolveTrace:
     """Optional audit collector for the verification suites."""
 
     def __init__(self) -> None:
-        self.pricing_certifications: list[CertifiedPricing] = []
+        # one (node instance, partition, duals) per node whose last pricing
+        # round found no column, which proves its LP optimum
+        self.pricing_certifications: list[tuple[Instance, ColorPartition, DualSolution]] = []
         # one (node instance, LP optimum, read-off) per leaf
         self.extractions: list[tuple[Instance, LPResult, ExtractResult]] = []
         self.root_branch_pair: tuple[int, int] | None = None
@@ -152,8 +147,8 @@ def inherit_columns(
     represent: SAME and fixing only merge or remove vertices, so every live
     root vertex of the child was live in the parent. A column dies when it
     contains a vertex eliminated by preprocessing, when its class color
-    vanished from the child, when merging made it unstable or pushed it
-    outside V_k, and duplicates created by the merge are kept once.
+    vanished from the child, or when merging broke master.column_fault;
+    duplicates created by the merge are kept once.
     """
     vmap = {parent_merge_map[r]: cur for r, cur in state.merge_map.items()}
     inst = state.instance
@@ -161,21 +156,15 @@ def inherit_columns(
     seen: set[Column] = set()
     for col in parent_cols:
         moved = {vmap.get(v) for v in bits(col.mask)}
-        if None in moved:
-            continue
-        mask = sum(1 << nv for nv in moved)  # distinct bits, so their OR
         rep = partition.rep_of.get(col.class_rep)
-        if rep is None:
+        if None in moved or rep is None:
             continue
-        if mask & ~partition.vertex_mask[rep]:
-            continue
-        if any(inst.graph.adj[v] & mask for v in bits(mask)):
-            continue
-        new = Column(mask, rep)
+        new = Column(sum(1 << nv for nv in moved), rep)  # distinct bits, so their OR
         if new in seen:
             continue
         seen.add(new)
-        out.append(new)
+        if column_fault(new, inst, partition) is None:
+            out.append(new)
     return out
 
 
@@ -232,11 +221,10 @@ class _Search:
                 self._offer(lift_node_assignment(node_coloring, state, self.root))
             return []
 
-        mp = init_with_dummies(state, partition)
-        if parent_cols:
-            inherited = inherit_columns(parent_cols, parent_merge_map, state, partition)
-            if inherited:
-                add_columns(mp, inherited)
+        inherited = (
+            inherit_columns(parent_cols, parent_merge_map, state, partition) if parent_cols else []
+        )
+        mp = init_with_dummies(state, partition, inherited)
 
         # One early-exit round per LP optimum: a round that finds no column has
         # shown max pi(S) <= w_k + gamma_k + EPS for every class, so the LP is
@@ -254,16 +242,7 @@ class _Search:
             add_columns(mp, cols)
             report.columns_generated += len(cols)
         if self.trace is not None:
-            self.trace.pricing_certifications.append(
-                CertifiedPricing(
-                    adj=inst.graph.adj,
-                    pi=res.duals.pi,
-                    classes=tuple(
-                        (k, partition.vertex_mask[k], inst.weights[k] + res.duals.gamma_of(k))
-                        for k in partition.reps
-                    ),
-                )
-            )
+            self.trace.pricing_certifications.append((inst, partition, res.duals))
 
         lp_total = res.objective + state.fixed_weight
         if (
@@ -305,9 +284,10 @@ def solve(
 ) -> SolveReport:
     """Solve an instance to proven optimality, infeasibility, or timeout.
 
-    A timeout or a NumericalFailure of the LP or the leaf read-off ends the
-    search with status TIME_LIMIT or NUMERICAL_FAILURE; the report keeps the
-    incumbent found so far.
+    A timeout, or a NumericalFailure of the LP, of pricing (a pooled column
+    priced again) or of the leaf read-off, ends the search with status
+    TIME_LIMIT or NUMERICAL_FAILURE; the report keeps the incumbent found so
+    far.
     """
     start = time.perf_counter()
     search = _Search(root, Deadline(time_limit), trace)

@@ -158,6 +158,14 @@ def write_instance(path: str, inst: Instance, comments: list[str] | None = None)
         fh.write("\n".join(lines) + "\n")
 
 
+# Every status a solve can end with, and the exit code of `solve` for it.
+STATUS_EXIT = {
+    OPTIMAL: EXIT_OK,
+    INFEASIBLE: EXIT_INFEASIBLE,
+    TIME_LIMIT: EXIT_TIME_LIMIT,
+    NUMERICAL_FAILURE: EXIT_NUMERICAL_FAILURE,
+}
+
 # Statuses of a search that ended before settling its instance; the record
 # may hold an incumbent.
 UNSETTLED = (TIME_LIMIT, NUMERICAL_FAILURE)
@@ -239,13 +247,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     report = solve(inst, time_limit=args.time_limit)
     _emit_report(report, args, comments)
-    if report.status == OPTIMAL:
-        return EXIT_OK
-    if report.status == INFEASIBLE:
-        return EXIT_INFEASIBLE
-    if report.status == NUMERICAL_FAILURE:
-        return EXIT_NUMERICAL_FAILURE
-    return EXIT_TIME_LIMIT
+    return STATUS_EXIT[report.status]
 
 
 def _emit_report(report: SolveReport, args: argparse.Namespace, comments: list[str]) -> None:
@@ -295,7 +297,7 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
                 assignment[int(key[len("assign.") :]) - 1] = int(value) - 1
     if status is None:
         raise ValueError(f"{path}: no status line")
-    if status not in (OPTIMAL, INFEASIBLE, *UNSETTLED):
+    if status not in STATUS_EXIT:
         raise ValueError(f"{path}: unknown status {status!r}")
     return status, assignment, weight
 
@@ -367,6 +369,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     # every config is checked before the first solve, so a bad flag costs no time
     try:
+        if args.instances < 1:
+            raise ValueError(f"--instances must be at least 1, got {args.instances}")
         ns = [int(x) for x in args.n.split(",")]
         ps = [float(x) for x in args.p.split(",")]
         cs = [float(x) for x in args.c.split(",")]

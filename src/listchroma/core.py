@@ -417,7 +417,7 @@ def reconstruct(
     Each class hands out its colors to its columns in selection order; more
     columns than |C^k| means the master violated a class bound. A vertex
     covered by several chosen stable sets takes the color of the first
-    covering column.
+    covering column; lift_node_assignment rejects one left uncovered.
     """
     unused: dict[int, Iterator[int]] = {}
     node_assignment: dict[int, int] = {}
@@ -430,7 +430,4 @@ def reconstruct(
             )
         for v in bits(mask):
             node_assignment.setdefault(v, color)
-    uncovered = [v for v in range(state.instance.n) if v not in node_assignment]
-    if uncovered:
-        raise ReconstructionBug(f"vertices {uncovered} not covered by the selection")
     return lift_node_assignment(node_assignment, state, root)

@@ -15,10 +15,11 @@ row duals, with the sign flipped on the <= class rows. Upper bounds x <= 1
 are intentionally absent; non-negative costs make them redundant at some
 optimum.
 
-A column is only its (stable set, class) pair. The master decides what it
-costs (MasterProblem.cost): the class weight w_k of the node's instance, or
-big-M for a dummy. So a column carried into a child node costs the child's
-weight of its class, which singleton fixing may have zeroed.
+A column is only its (stable set, class) pair. The master alone decides
+what is a column of a node (column_fault) and what it costs
+(MasterProblem.cost): the class weight w_k of the node's instance, or big-M
+for a dummy. So a column carried into a child node costs the child's weight
+of its class, which singleton fixing may have zeroed.
 
 An LP optimum without a fractional big column is a leaf of the search
 (bnp.select_branching_pair finds no pair in it).
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,15 +40,15 @@ import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
 from .assignment import min_cost_matching
-from .core import EPS, ColorPartition, NodeState, bits
-
-
-class DuplicateColumnError(ValueError):
-    """The pricer handed back a column already in the pool."""
+from .core import EPS, ColorPartition, Instance, NodeState, bits
 
 
 class NumericalFailure(RuntimeError):
-    """The LP solver, or the read-off of a leaf, did not return a clean optimum."""
+    """The LP solver, pricing or the read-off of a leaf gave an unclean result."""
+
+
+class DuplicateColumnError(NumericalFailure):
+    """Pricing returned a pooled column: float noise gave it a negative reduced cost."""
 
 
 class Column(NamedTuple):
@@ -169,34 +171,47 @@ class MasterProblem:
         self._keys.update(cols)
 
 
-def init_with_dummies(state: NodeState, partition: ColorPartition) -> MasterProblem:
-    """Master seeded with one big-M singleton column per vertex."""
+def column_fault(col: Column, inst: Instance, partition: ColorPartition) -> str | None:
+    """Why col is no column of the node (inst, partition); None when it is one."""
+    mask, k = col
+    if mask == 0:
+        return "empty column"
+    if k is None:
+        return "dummy columns are created only at initialization"
+    if k not in partition.class_members:
+        return f"column class {k} is not a representative"
+    if mask & ~partition.vertex_mask[k]:
+        return f"column leaves V_k of class {k}"
+    adj = inst.graph.adj
+    for v in bits(mask):
+        if adj[v] & mask:
+            return "column is not a stable set"
+    return None
+
+
+def init_with_dummies(
+    state: NodeState, partition: ColorPartition, inherited: Sequence[Column] = ()
+) -> MasterProblem:
+    """Master seeded with one big-M singleton column per vertex, then inherited.
+
+    inherited must be distinct and pass column_fault; it is not checked again.
+    """
     inst = state.instance
     if inst.n < 1:
         raise ValueError("empty instance has no master problem")
     big_m = 1 + sum(inst.weights[j] for j in inst.colors)
     mp = MasterProblem(state, partition, big_m)
-    mp._append([Column(1 << v, None) for v in range(inst.n)])
+    mp._append([Column(1 << v, None) for v in range(inst.n)] + list(inherited))
     return mp
 
 
 def add_columns(mp: MasterProblem, cols: list[Column]) -> None:
-    """Validate and append new columns; duplicates signal a pricer bug."""
-    inst = mp.instance
-    part = mp.partition
+    """Append priced columns; a fault raises ValueError, a pooled column DuplicateColumnError."""
     batch: set[Column] = set()
     for col in cols:
-        if col.mask == 0:
-            raise ValueError("empty column")
-        if col.is_dummy:
-            raise ValueError("dummy columns are created only at initialization")
-        if col.class_rep not in part.class_members:
-            raise ValueError(f"column class {col.class_rep} is not a representative")
-        if col.mask & ~part.vertex_mask[col.class_rep]:
-            raise ValueError(f"column leaves V_k of class {col.class_rep}")
-        for v in bits(col.mask):
-            if inst.graph.adj[v] & col.mask:
-                raise ValueError("column is not a stable set")
+        fault = column_fault(col, mp.instance, mp.partition)
+        if fault is not None:
+            raise ValueError(fault)
         if col in mp._keys or col in batch:
             raise DuplicateColumnError(f"column {col.vertices()} class {col.class_rep}")
         batch.add(col)

@@ -140,19 +140,25 @@ def test_criterion_3_gcp_specialization():
 
 def test_criterion_4_pricing_certification(suite):
     with criterion(4, "pricing certificates are exhaustive optima"):
+        # LP duality: column (S, k) has negative reduced cost iff
+        # pi(S) > w_k + gamma_k, where gamma_k is the dual of class k's
+        # capacity row (0 for a class without one) and S is a stable set of
+        # the vertices whose lists hold color k
         checked = 0
         for e in suite:
-            for cert in e.trace.pricing_certifications:
-                for _rep, vmask, threshold in cert.classes:
+            for inst, part, duals in e.trace.pricing_certifications:
+                for rep in part.reps:
+                    vmask = sum(1 << v for v, lst in enumerate(inst.lists) if rep in lst)
                     if vmask.bit_count() > 15:
                         continue
+                    threshold = inst.weights[rep] + duals.gamma.get(rep, 0.0)
                     best = 0.0
-                    for sub in stable_sets(cert.adj, vmask):
+                    for sub in stable_sets(inst.graph.adj, vmask):
                         w = 0.0
                         m = sub
                         while m:
                             v = (m & -m).bit_length() - 1
-                            w += cert.pi[v]
+                            w += duals.pi[v]
                             m &= m - 1
                         if w > best:
                             best = w

@@ -6,6 +6,7 @@ import pytest
 from listchroma import assignment as asg, bnp
 from listchroma.bnp import (
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     TIME_LIMIT,
     SolveTrace,
@@ -17,6 +18,7 @@ from listchroma.bnp import (
 from listchroma.core import (
     branch_differ,
     branch_same,
+    build_instance,
     list_coloring,
     partition_colors,
     preprocess_singletons,
@@ -128,6 +130,17 @@ class TestSolveBasic:
         without = solve(inst)
         assert with_asg.weight == without.weight == 8
         assert without.columns_generated > 0
+
+    @pytest.mark.parametrize("seed, incumbent", [(30, 150000000006), (24, None)])
+    def test_float_noise_duplicate_ends_in_numerical_failure(self, seed, incumbent):
+        # weights of 10^10 put reduced costs of pooled columns inside float
+        # noise, so pricing hands one back; the solve keeps its incumbent
+        # (for seed 30 the oracle optimum) instead of raising
+        base = generate(GenConfig(n=10, p=0.5, c=1.0, q=0.5, seed=seed, weight_range=(1, 9)))
+        weights = {j: base.weights[j] * 10**10 + j % 3 for j in base.colors}
+        report = solve(build_instance(base.graph, base.colors, weights, base.lists))
+        assert report.status == NUMERICAL_FAILURE
+        assert report.weight == incumbent
 
 
 def fake_lp(inst, columns, values):
@@ -248,6 +261,29 @@ class TestInheritColumns:
         assert res.objective == pytest.approx(0.0)
 
 
+    def test_child_master_is_dummies_then_inherited(self, monkeypatch):
+        kept_lists, seeded = [], []
+        inherit, init = bnp.inherit_columns, bnp.init_with_dummies
+
+        def recording_inherit(*args):
+            kept_lists.append(inherit(*args))
+            return kept_lists[-1]
+
+        def recording_init(state, partition, inherited=()):
+            mp = init(state, partition, inherited)
+            seeded.append((state.instance.n, list(mp.columns)))
+            return mp
+
+        monkeypatch.setattr(bnp, "inherit_columns", recording_inherit)
+        monkeypatch.setattr(bnp, "init_with_dummies", recording_init)
+        solve(generate(GenConfig(n=14, p=0.5, c=1.0, q=0.5, seed=4)))
+        (root_n, root_cols), *children = seeded
+        assert root_cols == [Column(1 << v, None) for v in range(root_n)]
+        assert len(children) == len(kept_lists) > 0 and any(kept_lists)
+        for (n, cols), kept in zip(children, kept_lists):
+            assert cols == [Column(1 << v, None) for v in range(n)] + kept
+
+
 class TestUpdateIncumbent:
     def setup_method(self):
         self.inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 5, 1: 3})
@@ -305,8 +341,6 @@ class TestExactness:
                     weight_range=(1, 4),
                 )
             )
-            from listchroma.core import build_instance
-
             next_id = max(base.colors) + 1
             weights = dict(base.weights)
             lists = [set(l) for l in base.lists]

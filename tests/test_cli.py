@@ -538,6 +538,8 @@ class TestBenchCommand:
             (["--weights", "5:3"], "weight range must satisfy 0 <= lo <= hi"),
             # the first cell is valid, and still nothing is solved
             (["--p", "0.5,0"], "p must be in (0, 1]"),
+            (["--instances", "0"], "--instances must be at least 1, got 0"),
+            (["--instances", "-2"], "--instances must be at least 1, got -2"),
         ],
     )
     def test_invalid_config_exits_one_before_solving(self, monkeypatch, capsys, flags, message):

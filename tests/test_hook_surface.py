@@ -1,0 +1,69 @@
+"""The benchmark's tracing hooks (perfbench/spans.py) still find what they wrap.
+
+spans.instrumented patches solver entry points by name and its hooks read
+attributes of their arguments and results. A refactor that renames one
+breaks traced benchmark runs only, so this test runs the unchanged module on
+two small solves and checks that every wrapped layer fired.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+from listchroma import bnp
+from listchroma.instgen import GenConfig, generate
+
+from conftest import random_all_complete
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_layer_fires():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    solve = spans.wrap_solve(tracer, bnp.solve)
+    # a grid instance of three nodes: inheritance, a leaf read-off, a cache hit
+    branching = generate(GenConfig(n=7, p=0.25, c=1.5, q=0.25, seed=20029))
+    with spans.instrumented(tracer):
+        tracer.request = "branching"
+        first = solve(branching)
+        tracer.request = "all_complete"
+        second = solve(random_all_complete(0))
+    assert first.status == second.status == bnp.OPTIMAL
+    assert first.nodes == 3
+
+    fired = Counter(span[0] for span in tracer.spans)
+    wrapped = {
+        "bnp.solve", "master.solve_lp", "master.add_columns", "master.extract",
+        "pricing.price_all", "pricing.mwss_search", "core.preprocess_singletons",
+        "core.partition_colors", "core.branch_same", "core.branch_differ",
+        "bnp.inherit_columns", "bnp.select_branching_pair", "bnp.update_incumbent",
+        "assignment.all_complete", "assignment.solve_assignment",
+    }
+    assert {name for name in wrapped if not fired[name]} == set()
+
+    counts = tracer.counts
+    assert counts["nodes"] == first.nodes + second.nodes
+    assert counts["pricing_rounds"] == first.pricing_rounds + second.pricing_rounds
+    assert counts["columns_generated"] == first.columns_generated + second.columns_generated
+    assert counts["mwss_nodes"] == first.mwss_nodes + second.mwss_nodes
+    assert counts["cache_hits"] == first.mwss_cache_hits + second.mwss_cache_hits == 1
+    assert counts["inherit_kept"] > 0 and counts["inherit_parent"] >= counts["inherit_kept"]
+    assert counts["classes_priced"] > 0 and counts["useful_rounds"] > 0
+    assert tracer.finals == {"branching": first.weight, "all_complete": second.weight}
+    assert {(request, weight) for request, _, weight in tracer.offers} >= {
+        ("branching", first.weight),
+        ("all_complete", second.weight),
+    }
+    metrics = spans.layer_metrics(tracer, 1.0)
+    assert metrics["bnp.nodes"] == counts["nodes"]
+    assert metrics["assignment.solve_assignment.calls"] > 0

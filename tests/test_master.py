@@ -14,6 +14,7 @@ from listchroma.master import (
     LPResult,
     NumericalFailure,
     add_columns,
+    column_fault,
     extract_integer_solution,
     init_with_dummies,
     node_lower_bound,
@@ -267,11 +268,28 @@ class TestAddColumns:
         assert len(mp.columns) == 3
         assert len(solve_lp(mp).values) == 3
 
-    def test_unstable_column_rejected(self):
-        inst = make_instance(2, [(0, 1)], [[0], [0, 1]])
+    # colors 0 and 1 form the class of representative 0 on V = {0, 1};
+    # color 2 lives on {1, 2}; vertices 0 and 1 are adjacent
+    @pytest.mark.parametrize(
+        "col, message",
+        [
+            (Column(0, 0), "empty column"),
+            (Column(0b001, None), "dummy columns are created only at initialization"),
+            (Column(0b001, 1), "column class 1 is not a representative"),
+            (Column(0b100, 0), "column leaves V_k of class 0"),
+            (Column(0b011, 0), "column is not a stable set"),
+        ],
+        ids=["empty", "dummy", "not_rep", "outside_vk", "unstable"],
+    )
+    def test_unstable_column_rejected(self, col, message):
+        inst = make_instance(3, [(0, 1)], [[0, 1], [0, 1, 2], [2]])
         mp = master_for(inst)
-        with pytest.raises(ValueError):
-            add_columns(mp, [Column(0b11, 0)])
+        assert partition_colors(inst).class_members == {0: (0, 1), 2: (2,)}
+        assert column_fault(col, inst, mp.partition) == message
+        with pytest.raises(ValueError, match=message):
+            add_columns(mp, [Column(0b001, 0), col])
+        # the valid column in front of it was not appended either
+        assert len(mp.columns) == 3
 
 
 def fake_result(columns, values, objective=0.0):
