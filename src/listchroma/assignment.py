@@ -5,9 +5,10 @@ to a minimum cost matching of the vertices into the concrete colors, which
 scipy's linear_sum_assignment solves.
 
 min_cost_matching is the one way a node is finished by matching: it also
-completes every integral leaf of the column generation (see
-master.extract_integer_solution), where the vertices left to the singleton
-columns are matched to the free colors of their classes.
+completes every integral leaf of the column generation
+(master.extract_integer_solution), matching the vertices its big columns
+leave uncovered to colors. Either way the node ends with a coloring of its
+own instance for core.lift_node_assignment.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ColorPartition, Graph, NodeState, bits
+from .core import ColorPartition, Graph, NodeState, NumericalFailure, bits
 
 
 def all_complete(partition: ColorPartition, graph: Graph) -> bool:
@@ -36,13 +37,14 @@ def min_cost_matching(options: list[dict[int, int]], width: int) -> list[int] | 
     Forbidden pairs cost more than any matching of allowed ones, so a minimum
     matching that still uses one proves that none exists. scipy solves the
     assignment in float64, which is exact while the costs of a matching,
-    big-M included, sum to less than 2**53; larger costs raise ValueError.
+    big-M included, sum to less than 2**53; larger costs raise
+    NumericalFailure.
     """
     if len(options) > width or not all(options):
         return None
     big = 1 + sum(max(row.values()) for row in options)
     if big * len(options) >= 2**53:
-        raise ValueError("matching costs too large for exact float64 arithmetic")
+        raise NumericalFailure("matching costs too large for exact float64 arithmetic")
     cost = np.full((len(options), width), big, dtype=np.int64)
     for r, row in enumerate(options):
         for s, c in row.items():

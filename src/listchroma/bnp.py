@@ -21,6 +21,7 @@ from .core import (
     Instance,
     ListColoring,
     NodeState,
+    NumericalFailure,
     SearchTimeout,
     bits,
     branch_differ,
@@ -28,15 +29,12 @@ from .core import (
     lift_node_assignment,
     partition_colors,
     preprocess_singletons,
-    reconstruct,
     root_state,
 )
 from .master import (
     Column,
     DualSolution,
-    ExtractResult,
     LPResult,
-    NumericalFailure,
     add_columns,
     column_fault,
     extract_integer_solution,
@@ -78,8 +76,8 @@ class SolveTrace:
         # one (node instance, partition, duals) per node whose last pricing
         # round found no column, which proves its LP optimum
         self.pricing_certifications: list[tuple[Instance, ColorPartition, DualSolution]] = []
-        # one (node instance, LP optimum, read-off) per leaf
-        self.extractions: list[tuple[Instance, LPResult, ExtractResult]] = []
+        # one (node instance, LP optimum, node coloring read off it) per LP leaf
+        self.extractions: list[tuple[Instance, LPResult, dict[int, int]]] = []
         self.root_branch_pair: tuple[int, int] | None = None
         self.bound_violations: list[tuple[float, float]] = []
 
@@ -105,11 +103,13 @@ def select_branching_pair(res: LPResult) -> tuple[int, int] | None:
 
     None means no column of two or more vertices is fractional, and the node
     is a leaf. The vertices its integral big columns leave uncovered form a
-    residual problem over singleton columns whose constraint matrix (one
-    cover row per vertex, one capacity row per class) is totally unimodular:
-    it is a transportation problem from vertices to classes. Its optimum is
-    therefore integral, and since the LP point is optimal it costs what the
-    point's singletons cost. extract_integer_solution finds it as a matching.
+    residual problem over the pool's singleton columns whose constraint
+    matrix (one cover row per vertex, one capacity row per class) is totally
+    unimodular: it is a transportation problem from vertices to classes. Its
+    optimum is therefore integral, and since the LP point is optimal it costs
+    what the point's singletons cost. extract_integer_solution finds it as a
+    matching that gives each vertex only colors of classes with a pool
+    singleton on it, which keeps it within that residual problem.
     """
     candidates = [
         (abs(x - 0.5), -col.size, i)
@@ -259,11 +259,10 @@ class _Search:
 
         pair = select_branching_pair(res)
         if pair is None:
-            extracted = extract_integer_solution(mp, res)
+            node_coloring = extract_integer_solution(mp, res)
             if self.trace is not None:
-                self.trace.extractions.append((inst, res, extracted))
-            chosen = [res.columns[i] for i in extracted.selection]
-            self._offer(reconstruct(chosen, partition, state, self.root))
+                self.trace.extractions.append((inst, res, node_coloring))
+            self._offer(lift_node_assignment(node_coloring, state, self.root))
             return []
 
         u, v = pair
@@ -285,9 +284,9 @@ def solve(
     """Solve an instance to proven optimality, infeasibility, or timeout.
 
     A timeout, or a NumericalFailure of the LP, of pricing (a pooled column
-    priced again) or of the leaf read-off, ends the search with status
-    TIME_LIMIT or NUMERICAL_FAILURE; the report keeps the incumbent found so
-    far.
+    priced again), of a matching or of the leaf read-off, or of weights
+    beyond exact float64 arithmetic, ends the search with status TIME_LIMIT
+    or NUMERICAL_FAILURE; the report keeps the incumbent found so far.
     """
     start = time.perf_counter()
     search = _Search(root, Deadline(time_limit), trace)

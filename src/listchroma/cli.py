@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from itertools import product
 
 from .core import ColoringError, EmptyListError, Graph, Instance, build_instance, validate_coloring
@@ -233,9 +234,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         inst, comments = parse_instance(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -305,7 +303,7 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         inst, _ = parse_instance(args.input)
-    except (OSError, ParseError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EmptyListError as exc:
@@ -313,7 +311,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     try:
         status, assignment, stated = read_solution(args.solution)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -391,29 +389,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    rows = [f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'time':>10} {'solved':>7}"]
-    for (n, p, c, q), cfgs in cells:
-        settled: list[SolveReport] = []
-        for cfg in cfgs:
-            report = solve(generate(cfg), time_limit=args.time_limit)
-            if report.status in (OPTIMAL, INFEASIBLE):
-                settled.append(report)
-        solved = len(settled)
-        nodes_avg = time_avg = "--"
-        if solved:
-            nodes_avg = f"{sum(r.nodes for r in settled) / solved:.1f}"
-            time_avg = f"{sum(r.wall_time for r in settled) / solved:.2f}"
-            if solved < args.instances:
-                time_avg += f"({solved})"
-        rows.append(
-            f"{n:>4} {p:>5} {c:>5} {q:>5} {nodes_avg:>10} {time_avg:>10} "
-            f"{solved}/{args.instances:<5}"
-        )
-    table = "\n".join(rows)
-    print(table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
+    # --out is opened before the first solve, so an unwritable path costs no time
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+        rows = [f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'time':>10} {'solved':>7}"]
+        for (n, p, c, q), cfgs in cells:
+            settled: list[SolveReport] = []
+            for cfg in cfgs:
+                report = solve(generate(cfg), time_limit=args.time_limit)
+                if report.status in (OPTIMAL, INFEASIBLE):
+                    settled.append(report)
+            solved = len(settled)
+            nodes_avg = time_avg = "--"
+            if solved:
+                nodes_avg = f"{sum(r.nodes for r in settled) / solved:.1f}"
+                time_avg = f"{sum(r.wall_time for r in settled) / solved:.2f}"
+                if solved < args.instances:
+                    time_avg += f"({solved})"
+            rows.append(
+                f"{n:>4} {p:>5} {c:>5} {q:>5} {nodes_avg:>10} {time_avg:>10} "
+                f"{solved}/{args.instances:<5}"
+            )
+        table = "\n".join(rows)
+        print(table)
+        if out is not None:
+            out.write(table + "\n")
     return EXIT_OK
 
 
@@ -472,7 +471,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 means infeasible here
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_INPUT_ERROR
-    return args.func(args)
+    # solve and bench: a NaN limit would never expire, and a negative one is no budget
+    time_limit = getattr(args, "time_limit", None)
+    if time_limit is not None and not time_limit >= 0:
+        print(f"error: --time-limit must be a number >= 0, got {time_limit}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an unreadable input or an unwritable --out, in any command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""Instance model, color partitioning, preprocessing and branching transformations.
+"""Instance model, color partitioning, preprocessing, branching, and the lift to the root.
 
 Vertices are dense integers 0..n-1 and adjacency is kept as one bitmask per
 vertex, so stability tests and vertex-set algebra are single int operations.
 Colors are opaque non-negative integers; they survive renumbering of vertices
-unchanged, which keeps solution reconstruction trivial.
+unchanged. So every leaf of the search, however it was finished, yields a
+coloring {node vertex: color} of its own instance, and lift_node_assignment
+maps it through the node's merge_map and fixed pairs to the root vertices,
+where list_coloring validates it once.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 EPS = 1e-6
 
@@ -42,6 +45,10 @@ class ColoringError(_IdsError):
 
 class ReconstructionBug(RuntimeError):
     """Internal error: the solver built a coloring that fails validation."""
+
+
+class NumericalFailure(RuntimeError):
+    """The LP, pricing, a matching or a leaf read-off failed, or weights exceed float64."""
 
 
 class SearchTimeout(Exception):
@@ -404,30 +411,3 @@ def lift_node_assignment(
         return list_coloring(root, result)
     except ColoringError as exc:
         raise ReconstructionBug(str(exc)) from exc
-
-
-def reconstruct(
-    chosen: Sequence[tuple[int, int]],
-    partition: ColorPartition,
-    state: NodeState,
-    root: Instance,
-) -> ListColoring:
-    """Turn an integral selection of (mask, class rep) columns into a root coloring.
-
-    Each class hands out its colors to its columns in selection order; more
-    columns than |C^k| means the master violated a class bound. A vertex
-    covered by several chosen stable sets takes the color of the first
-    covering column; lift_node_assignment rejects one left uncovered.
-    """
-    unused: dict[int, Iterator[int]] = {}
-    node_assignment: dict[int, int] = {}
-    for mask, rep in chosen:
-        members = partition.class_members[rep]
-        color = next(unused.setdefault(rep, iter(members)), None)
-        if color is None:
-            raise ReconstructionBug(
-                f"class {rep} has {len(members)} colors but more columns were chosen"
-            )
-        for v in bits(mask):
-            node_assignment.setdefault(v, color)
-    return lift_node_assignment(node_assignment, state, root)

@@ -23,15 +23,15 @@ of its class, which singleton fixing may have zeroed.
 
 An LP optimum without a fractional big column is a leaf of the search
 (bnp.select_branching_pair finds no pair in it).
-extract_integer_solution reads it off as an integral selection by keeping
-the big columns and matching the remaining vertices to singleton columns
-(assignment.min_cost_matching); no second LP is solved.
+extract_integer_solution reads a coloring of the node instance off it: each
+big column at one takes a concrete color of its class, and the vertices they
+leave uncovered are matched to the remaining colors of classes with a pool
+singleton on them (assignment.min_cost_matching); no second LP is solved.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,11 +40,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
 from .assignment import min_cost_matching
-from .core import EPS, ColorPartition, Instance, NodeState, bits
-
-
-class NumericalFailure(RuntimeError):
-    """The LP solver, pricing or the read-off of a leaf gave an unclean result."""
+from .core import EPS, ColorPartition, Instance, NodeState, NumericalFailure, bits
 
 
 class DuplicateColumnError(NumericalFailure):
@@ -195,11 +191,15 @@ def init_with_dummies(
     """Master seeded with one big-M singleton column per vertex, then inherited.
 
     inherited must be distinct and pass column_fault; it is not checked again.
+    From big-M = 2**53 on, node_lower_bound could no longer tell a coloring
+    from a dummy in float64, so such weights raise NumericalFailure.
     """
     inst = state.instance
     if inst.n < 1:
         raise ValueError("empty instance has no master problem")
     big_m = 1 + sum(inst.weights[j] for j in inst.colors)
+    if big_m >= 2**53:
+        raise NumericalFailure(f"big-M {big_m} is beyond exact float64 arithmetic")
     mp = MasterProblem(state, partition, big_m)
     mp._append([Column(1 << v, None) for v in range(inst.n)] + list(inherited))
     return mp
@@ -238,79 +238,48 @@ def solve_lp(mp: MasterProblem) -> LPResult:
     )
 
 
-@dataclass(frozen=True)
-class ExtractResult:
-    """An integral selection recovered from an LP point of a search leaf."""
+def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]:
+    """Read a coloring {node vertex: color} off an LP optimum without fractional big columns.
 
-    selection: tuple[int, ...]
-    objective: float
-    fixed_cost: int
-    residual_vertices: tuple[int, ...]
-    residual_columns: tuple[int, ...]
-    capacities: dict[int, int]
-
-
-def extract_integer_solution(mp: MasterProblem, res: LPResult) -> ExtractResult:
-    """Turn an LP optimum without fractional big columns into a selection.
-
-    Keeps the big columns at value one and matches every vertex they leave
-    uncovered to a free concrete color of a class that has a pool singleton
-    on that vertex, at minimum cost; class k has |C^k| colors minus its kept
-    big columns free. capacities holds that number for the bounded classes,
-    the caps of the residual LP the matching solves.
+    Each big column at value one takes the next unused color of its class,
+    in pool order; a vertex that several of them cover keeps the first
+    color. Every vertex they leave uncovered is matched, at minimum cost, to
+    one of the remaining colors whose class has a pool singleton on that
+    vertex. The coloring costs what the LP point costs, or NumericalFailure
+    is raised.
     """
-    cols = res.columns
     part = mp.partition
     cost = mp.cost
-    keep = [i for i, col in enumerate(cols) if col.size >= 2 and res.values[i] > 0.5]
-    covered = 0
-    for i in keep:
-        covered |= cols[i].mask
-    fixed_cost = sum(cost(cols[i]) for i in keep)
-    used = Counter(cols[i].class_rep for i in keep)
-    free = {k: len(part.class_members[k]) - used[k] for k in part.reps}
-    if any(c < 0 for c in free.values()):
-        raise NumericalFailure("big columns exceed a class capacity")
-    residual = [v for v in range(mp.instance.n) if not covered >> v & 1]
-    singleton = {
-        (col.class_rep, col.mask): i
-        for i, col in enumerate(cols)
-        if col.size == 1 and not col.is_dummy and col.mask & ~covered
-    }
-    # One slot per free color, but no class needs more slots than the
-    # residual vertices it has singletons on.
-    serves = Counter(k for k, _ in singleton)
-    slot_class = [k for k in sorted(serves) for _ in range(min(free[k], serves[k]))]
+    unused = {k: iter(part.class_members[k]) for k in part.reps}
+    coloring: dict[int, int] = {}
+    objective = 0
+    for col, x in zip(res.columns, res.values):
+        if col.size >= 2 and x > 0.5:
+            color = next(unused[col.class_rep], None)
+            if color is None:
+                raise NumericalFailure("big columns exceed a class capacity")
+            for v in col.vertices():
+                coloring.setdefault(v, color)
+            objective += cost(col)
+    residual = [v for v in range(mp.instance.n) if v not in coloring]
+    # keyed by (mask, class): a dummy's class None matches no free color
+    singles = {col: cost(col) for col in res.columns if col.size == 1}
+    free = [(k, j) for k in part.reps for j in unused[k]]
     options = [
-        {
-            s: cost(cols[singleton[k, 1 << v]])
-            for s, k in enumerate(slot_class)
-            if (k, 1 << v) in singleton
-        }
+        {s: singles[1 << v, k] for s, (k, _) in enumerate(free) if (1 << v, k) in singles}
         for v in residual
     ]
-    match = min_cost_matching(options, len(slot_class))
+    match = min_cost_matching(options, len(free))
     if match is None:
         raise NumericalFailure("no singleton matching covers the residual vertices")
-    chosen = [singleton[slot_class[s], 1 << v] for v, s in zip(residual, match)]
-
-    selection = tuple(sorted(keep + chosen))
-    for i in selection:
-        if cols[i].is_dummy:
-            raise NumericalFailure("dummy column survived integer extraction")
-    objective = fixed_cost + sum(cost(cols[i]) for i in chosen)
+    for v, row, s in zip(residual, options, match):
+        coloring[v] = free[s][1]
+        objective += row[s]
     if abs(objective - res.objective) > 1e-6 * max(1.0, abs(res.objective)):
         raise NumericalFailure(
             f"extraction changed the objective: {objective} vs {res.objective}"
         )
-    return ExtractResult(
-        selection=selection,
-        objective=objective,
-        fixed_cost=fixed_cost,
-        residual_vertices=tuple(residual),
-        residual_columns=tuple(sorted(singleton.values())),
-        capacities={k: free[k] for k in sorted(part.bounded)},
-    )
+    return coloring
 
 
 def node_lower_bound(res: LPResult, big_m: int) -> int | None:

@@ -196,22 +196,41 @@ def enumerate_residual_optimum(columns, residual_vertices, capacities, weights):
     return best[0]
 
 
+def assert_leaf_read_off(node_inst, res, coloring):
+    """The coloring read off a leaf's LP point weighs what the point costs.
+
+    The residual problem is derived from res alone: big columns at one, the
+    vertices they leave uncovered, the pool singletons on those vertices,
+    and each bounded class's capacity left over by the big columns.
+    """
+    assert abs(validate_coloring(node_inst, coloring) - res.objective) <= 1e-6
+    part = partition_colors(node_inst)
+    big = [col for col, x in zip(res.columns, res.values) if col.size >= 2 and x > 0.5]
+    covered = 0
+    for col in big:
+        covered |= col.mask
+    residual = [v for v in range(node_inst.n) if not covered >> v & 1]
+    singles = [
+        col for col in res.columns if col.size == 1 and not col.is_dummy and col.mask & ~covered
+    ]
+    capacities = {
+        k: len(part.class_members[k]) - sum(col.class_rep == k for col in big)
+        for k in part.bounded
+    }
+    fixed_cost = sum(node_inst.weights[col.class_rep] for col in big)
+    residual_best = enumerate_residual_optimum(singles, residual, capacities, node_inst.weights)
+    assert residual_best is not None
+    assert abs(res.objective - fixed_cost - residual_best) <= 1e-6
+
+
 def test_criterion_5_singleton_extraction(suite):
     with criterion(5, "integer extraction matches LP objective and enumeration"):
-        # every leaf of the suite's search trees is read off by extraction
+        # every LP leaf of the suite's search trees is read off by extraction
         extractions = 0
         for e in suite:
-            for node_inst, res, ext in e.trace.extractions:
+            for node_inst, res, coloring in e.trace.extractions:
                 extractions += 1
-                assert abs(ext.objective - res.objective) <= 1e-6
-                residual_best = enumerate_residual_optimum(
-                    [res.columns[i] for i in ext.residual_columns],
-                    list(ext.residual_vertices),
-                    ext.capacities,
-                    node_inst.weights,
-                )
-                assert residual_best is not None
-                assert abs(ext.objective - ext.fixed_cost - residual_best) <= 1e-6
+                assert_leaf_read_off(node_inst, res, coloring)
         assert extractions >= 100
 
         # direct exercise of the path on optimal degenerate LP points
@@ -224,15 +243,7 @@ def test_criterion_5_singleton_extraction(suite):
             columns=tuple(mp.columns),
             duals=DualSolution((1.0, 0.0, 2.0), {}),
         )
-        ext = extract_integer_solution(mp, res)
-        assert abs(ext.objective - res.objective) <= 1e-6
-        residual_best = enumerate_residual_optimum(
-            [res.columns[i] for i in ext.residual_columns],
-            list(ext.residual_vertices),
-            ext.capacities,
-            inst.weights,
-        )
-        assert abs(ext.objective - ext.fixed_cost - residual_best) <= 1e-6
+        assert_leaf_read_off(inst, res, extract_integer_solution(mp, res))
 
         inst2 = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 2, 1: 3})
         mp2 = init_with_dummies(root_state(inst2), partition_colors(inst2))
@@ -246,8 +257,7 @@ def test_criterion_5_singleton_extraction(suite):
             columns=tuple(mp2.columns),
             duals=DualSolution((2.5, 2.5), {0: 0.5}),
         )
-        ext2 = extract_integer_solution(mp2, res2)
-        assert abs(ext2.objective - 5.0) <= 1e-6
+        assert_leaf_read_off(inst2, res2, extract_integer_solution(mp2, res2))
 
 
 def test_criterion_6_all_complete_cross_check(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from listchroma.assignment import all_complete, min_cost_matching, solve_assignment
-from listchroma.core import partition_colors, root_state, validate_coloring
+from listchroma.core import NumericalFailure, partition_colors, root_state, validate_coloring
 from listchroma.oracle import oracle_solve
 
 from conftest import make_instance, random_all_complete
@@ -84,7 +84,7 @@ class TestMinCostMatching:
 
     def test_costs_beyond_float64_precision_rejected(self):
         # 2**60 and 2**60 + 1 are one float64, so the cheaper slot is not provable
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalFailure):
             min_cost_matching([{0: 2**60 + 1, 1: 2**60}], 2)
 
 

@@ -142,6 +142,31 @@ class TestSolveBasic:
         assert report.status == NUMERICAL_FAILURE
         assert report.weight == incumbent
 
+    @pytest.mark.parametrize(
+        "scale, status, weight",
+        [(10**15, OPTIMAL, 2 * 10**15 + 1), (10**16, NUMERICAL_FAILURE, None)],
+    )
+    def test_big_m_beyond_float64_ends_in_numerical_failure(self, scale, status, weight):
+        # big-M = 1 + the weight of all colors; from 2**53 on float64 cannot
+        # tell a coloring from a dummy, which once made this solve infeasible
+        inst = make_instance(3, [(0, 1)], [[0, 1]] * 3, weights={0: scale + 1, 1: scale})
+        assert oracle_solve(inst).optimum == 2 * scale + 1
+        report = solve(inst)
+        assert report.status == status
+        assert report.weight == weight
+
+    def test_matching_beyond_float64_ends_in_numerical_failure(self):
+        # K_10 is all-complete; its weights sum below 2**53, but the costs
+        # of a matching with its forbidden-pair penalty do not
+        n = 10
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        weights = {j: 10**14 * (j + 1) for j in range(n)}
+        inst = make_instance(n, edges, [range(n)] * n, weights=weights)
+        assert sum(weights.values()) < 2**53
+        report = solve(inst)
+        assert report.status == NUMERICAL_FAILURE
+        assert report.coloring is None
+
 
 def fake_lp(inst, columns, values):
     return LPResult(

@@ -16,9 +16,8 @@ from listchroma.cli import (
     write_instance,
 )
 from listchroma.bnp import solve
-from listchroma.core import Graph, build_instance
+from listchroma.core import Graph, NumericalFailure, build_instance
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import NumericalFailure
 from listchroma.oracle import OracleResult
 
 from conftest import k33_mirrored, make_instance
@@ -130,6 +129,14 @@ class TestGenerateCommand:
         a, _ = parse_instance(explicit)
         b, _ = parse_instance(fallback)
         assert a == b
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "g.col")
+        code = main(
+            ["generate", "--n", "8", "--p", "0.5", "--c", "1.0", "--q", "0.5", "--out", out]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 class TestSolveCommand:
@@ -245,6 +252,38 @@ class TestSolveCommand:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.col")]) == EXIT_INPUT_ERROR
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, "a.col", SINGLE_VERTEX)
+        out = str(tmp_path / "missing" / "a.sol")
+        assert main(["solve", path, "--out", out]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "weight: 3" in captured.out
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @pytest.mark.parametrize("limit, shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_invalid_time_limit_exits_one_before_solving(
+        self, tmp_path, monkeypatch, capsys, limit, shown
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with an invalid time limit")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        path = write(tmp_path, "a.col", SINGLE_VERTEX)
+        assert main(["solve", path, "--time-limit", limit]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --time-limit must be a number >= 0, got {shown}\n"
+        )
+
+    def test_weights_beyond_float64_exit_four(self, tmp_path, capsys):
+        # big-M = 2 * 10**16 + 2 is beyond 2**53 (see test_bnp for the bound)
+        path = str(tmp_path / "big.col")
+        weights = {0: 10**16 + 1, 1: 10**16}
+        write_instance(path, make_instance(3, [(0, 1)], [[0, 1]] * 3, weights=weights))
+        assert main(["solve", path]) == EXIT_NUMERICAL_FAILURE
+        assert capsys.readouterr().out.startswith("status: numerical_failure\n")
 
     def test_usage_errors_exit_one_not_two(self, capsys):
         assert main(["solve", "--bogus-flag", "x.col"]) == EXIT_INPUT_ERROR
@@ -540,17 +579,25 @@ class TestBenchCommand:
             (["--p", "0.5,0"], "p must be in (0, 1]"),
             (["--instances", "0"], "--instances must be at least 1, got 0"),
             (["--instances", "-2"], "--instances must be at least 1, got -2"),
+            (["--time-limit", "nan"], "--time-limit must be a number >= 0, got nan"),
+            (["--time-limit", "-1"], "--time-limit must be a number >= 0, got -1.0"),
+            # {tmp} is the test's own temporary directory
+            (["--out", "{tmp}/missing/bench.txt"],
+             "[Errno 2] No such file or directory: '{tmp}/missing/bench.txt'"),
         ],
     )
-    def test_invalid_config_exits_one_before_solving(self, monkeypatch, capsys, flags, message):
+    def test_invalid_config_exits_one_before_solving(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before every config was checked")
 
         monkeypatch.setattr(cli, "solve", no_solve)
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
         assert main(["bench", "--n", "12", "--instances", "2", *flags]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
 
     def test_exhausted_budget_prints_dashes(self, capsys):
         code = main(

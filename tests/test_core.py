@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from listchroma.core import (
     EmptyListError,
     Graph,
+    NumericalFailure,
     ReconstructionBug,
     branch_differ,
     branch_same,
@@ -12,11 +13,18 @@ from listchroma.core import (
     list_coloring,
     partition_colors,
     preprocess_singletons,
-    reconstruct,
     root_state,
     validate_coloring,
 )
 from listchroma.core import ColoringError
+from listchroma.master import (
+    Column,
+    DualSolution,
+    LPResult,
+    add_columns,
+    extract_integer_solution,
+    init_with_dummies,
+)
 from listchroma.oracle import oracle_solve
 
 from conftest import make_instance
@@ -276,23 +284,37 @@ def test_same_child_matches_edge_list_merge(data):
     assert child.instance == build_instance(reference, inst.colors, inst.weights, merged)
 
 
+def read_off_big_columns(inst, chosen):
+    """Root coloring read off an LP point with the (mask, class) columns chosen at one.
+
+    The pool is the root master's dummies followed by chosen, in that order.
+    """
+    state = root_state(inst)
+    mp = init_with_dummies(state, partition_colors(inst))
+    add_columns(mp, [Column(mask, k) for mask, k in chosen])
+    res = LPResult(
+        objective=float(sum(inst.weights[k] for _, k in chosen)),
+        values=(0.0,) * inst.n + (1.0,) * len(chosen),
+        columns=tuple(mp.columns),
+        duals=DualSolution((0.0,) * inst.n, {}),
+    )
+    return lift_node_assignment(extract_integer_solution(mp, res), state, inst)
+
+
 class TestReconstruct:
+    """A leaf's read-off (master.extract_integer_solution) lifted to a root coloring."""
+
     def test_direct_readback(self):
         inst = make_instance(4, [(0, 1), (2, 3)], [[0, 1]] * 4)
-        part = partition_colors(inst)
-        state = root_state(inst)
-        chosen = [(0b0101, 0), (0b1010, 0)]
-        sol = reconstruct(chosen, part, state, inst)
+        sol = read_off_big_columns(inst, [(0b0101, 0), (0b1010, 0)])
         assert sol.as_dict() == {0: 0, 1: 1, 2: 0, 3: 1}
         assert sol.weight == 2
 
     def test_overlap_goes_to_first_column(self):
         inst = make_instance(3, [], [[0, 1]] * 3)
-        part = partition_colors(inst)
-        chosen = [(0b011, 0), (0b110, 0)]  # {a,b} then {b,c}: colors 0 then 1
-        sol = reconstruct(chosen, part, root_state(inst), inst)
-        assert sol.as_dict()[1] == 0
-        assert sol.as_dict()[2] == 1
+        # {a,b} then {b,c}: colors 0 then 1, and b keeps the first
+        sol = read_off_big_columns(inst, [(0b011, 0), (0b110, 0)])
+        assert sol.as_dict() == {0: 0, 1: 0, 2: 1}
 
     def test_fully_preprocessed_instance(self):
         inst = make_instance(2, [(0, 1)], [[0], [1]], weights={0: 2, 1: 3})
@@ -303,16 +325,15 @@ class TestReconstruct:
         assert sol.weight == 5
 
     def test_class_capacity_enforced(self):
-        inst = make_instance(2, [], [[0], [0]])
-        part = partition_colors(inst)
-        with pytest.raises(ReconstructionBug):
-            reconstruct([(0b01, 0), (0b10, 0)], part, root_state(inst), inst)
+        # class 0 has one color but two big columns at one
+        inst = make_instance(4, [], [[0]] * 4)
+        with pytest.raises(NumericalFailure, match="big columns exceed a class capacity"):
+            read_off_big_columns(inst, [(0b0011, 0), (0b1100, 0)])
 
     def test_uncovered_vertex_is_a_bug(self):
         inst = make_instance(2, [], [[0], [0]])
-        part = partition_colors(inst)
-        with pytest.raises(ReconstructionBug):
-            reconstruct([(0b01, 0)], part, root_state(inst), inst)
+        with pytest.raises(ReconstructionBug, match="node vertex 1 left uncolored"):
+            lift_node_assignment({0: 0}, root_state(inst), inst)
 
     def test_improper_node_coloring_is_a_bug(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})

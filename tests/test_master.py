@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from listchroma.bnp import select_branching_pair
-from listchroma.core import EPS, partition_colors, reconstruct, root_state
+from listchroma.core import EPS, partition_colors, root_state, validate_coloring
 from listchroma.master import (
     Column,
     DualSolution,
@@ -334,9 +334,10 @@ class TestExtractIntegerSolution:
             columns=tuple(mp.columns),
             duals=DualSolution((1.0, 0.0, 2.0), {}),
         )
-        ext = extract_integer_solution(mp, res)
-        assert len(ext.selection) == 2
-        assert ext.objective == pytest.approx(3.0)
+        coloring = extract_integer_solution(mp, res)
+        assert coloring[0] == coloring[1] == 0
+        assert coloring[2] in (1, 2)
+        assert validate_coloring(inst, coloring) == 3
         assert brute_force_selection_cost(mp, mp.columns) == 3
 
     def test_class_capacity_respected(self):
@@ -345,8 +346,7 @@ class TestExtractIntegerSolution:
         # point 0.5 everywhere has the same value
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 2, 1: 3})
         mp = master_for(inst)
-        part = mp.partition
-        assert part.bounded == frozenset({0, 1})
+        assert mp.partition.bounded == frozenset({0, 1})
         cols = [
             Column(0b01, 0),
             Column(0b10, 0),
@@ -360,16 +360,9 @@ class TestExtractIntegerSolution:
             columns=tuple(mp.columns),
             duals=DualSolution((2.5, 2.5), {0: 0.5}),
         )
-        ext = extract_integer_solution(mp, res)
-        assert ext.objective == pytest.approx(5.0)
-        chosen = [res.columns[i] for i in ext.selection]
-        per_class = {}
-        covered = 0
-        for col in chosen:
-            covered |= col.mask
-            per_class[col.class_rep] = per_class.get(col.class_rep, 0) + 1
-        assert covered == 0b11
-        assert all(per_class.get(k, 0) <= len(part.class_members[k]) for k in part.bounded)
+        coloring = extract_integer_solution(mp, res)
+        assert sorted(coloring.values()) == [0, 1]
+        assert validate_coloring(inst, coloring) == 5
         # independent enumeration of every 0/1 selection
         assert brute_force_selection_cost(mp, mp.columns) == 5
 
@@ -383,9 +376,21 @@ class TestExtractIntegerSolution:
             columns=tuple(mp.columns),
             duals=DualSolution((1.0, 0.0), {}),
         )
-        ext = extract_integer_solution(mp, res)
-        assert ext.selection == (2,)
-        assert ext.residual_vertices == ()
+        assert extract_integer_solution(mp, res) == {0: 0, 1: 0}
+
+    def test_changed_objective_fails(self):
+        # the read-off costs 1, but the LP point claims 2
+        inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 1})
+        mp = master_for(inst)
+        add_columns(mp, [Column(0b11, 0)])
+        res = LPResult(
+            objective=2.0,
+            values=(0.0, 0.0, 1.0),
+            columns=tuple(mp.columns),
+            duals=DualSolution((1.0, 1.0), {}),
+        )
+        with pytest.raises(NumericalFailure, match="extraction changed the objective"):
+            extract_integer_solution(mp, res)
 
 
 def residual_linprog(mp, keep, residual, singles):
@@ -488,20 +493,12 @@ def test_extraction_matches_residual_linprog(data):
     for i, xi in zip(cand, x):
         values[i] = xi
     res = LPResult(fixed + objective, tuple(values), tuple(cols), DualSolution((0.0,) * n, {}))
-    ext = extract_integer_solution(mp, res)
-    assert ext.objective == pytest.approx(fixed + objective, abs=1e-9)
-    assert ext.fixed_cost == fixed
-    chosen = [cols[i] for i in ext.selection]
-    assert not any(col.is_dummy for col in chosen)
-    cover = 0
-    for col in chosen:
-        cover |= col.mask
-    assert cover == (1 << n) - 1
-    for k in part.reps:
-        assert sum(col.class_rep == k for col in chosen) <= len(part.class_members[k])
-    assert ext.objective == sum(mp.cost(col) for col in chosen)
-    coloring = reconstruct(chosen, part, root_state(inst), inst)
-    assert coloring.weight <= ext.objective
+    coloring = extract_integer_solution(mp, res)
+    assert validate_coloring(inst, coloring) == pytest.approx(fixed + objective, abs=1e-9)
+    for col in at_one:
+        assert {part.rep_of[coloring[v]] for v in col.vertices()} == {col.class_rep}
+    for v in residual:
+        assert Column(1 << v, part.rep_of[coloring[v]]) in cols
 
 
 class TestNodeLowerBound:
