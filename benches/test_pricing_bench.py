@@ -1,5 +1,7 @@
 """Microbenches at the root of a dense-pricing instance: one pricing round,
-its heaviest-first relabelling, and one master LP solve.
+its heaviest-first relabelling, and one master LP solve; and one pricing
+round at the root of a sparse n=70 instance, on the other side of
+pricing.SHARED_SEARCH_DENSITY.
 
 Run with `python -m pytest benches --benchmark-only`; the tier-1 suite
 (testpaths = tests) does not collect this directory.
@@ -10,14 +12,12 @@ import pytest
 from listchroma.core import partition_colors, preprocess_singletons, root_state
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import add_columns, init_with_dummies, solve_lp
-from listchroma.pricing import heaviest_first, price_all
+from listchroma.pricing import SHARED_SEARCH_DENSITY, heaviest_first, price_all
 
 
-@pytest.fixture(scope="module")
-def root():
+def reach_root(cfg):
     """The root node, its final columns and duals, reached by the solver's own pricing loop."""
-    inst = generate(GenConfig(n=60, p=0.75, c=1.5, q=0.5, seed=7000))
-    state = preprocess_singletons(root_state(inst))
+    state = preprocess_singletons(root_state(generate(cfg)))
     node = state.instance
     partition = partition_colors(node)
     mp = init_with_dummies(state, partition)
@@ -30,12 +30,39 @@ def root():
         add_columns(mp, cols)
 
 
-def test_price_all_at_root(benchmark, root):
-    state, partition, _, res = root
-    outcome = benchmark(price_all, state.instance, partition, res.duals)
+@pytest.fixture(scope="module")
+def root():
+    # node graph density about 0.75: all classes share one search
+    return reach_root(GenConfig(n=60, p=0.75, c=1.5, q=0.5, seed=7000))
+
+
+@pytest.fixture(scope="module")
+def sparse_root():
+    # node graph density about 0.25: each vertex set has its own search
+    return reach_root(GenConfig(n=70, p=0.25, c=1.0, q=0.5, seed=7000))
+
+
+def assert_priced_out(outcome, partition):
     # the duals are LP-optimal, so no class prices out
     assert outcome.columns() == []
     assert len(outcome.per_class) == len(partition.reps)
+
+
+def is_dense(node):
+    n = node.n
+    return 2 * node.graph.m >= SHARED_SEARCH_DENSITY * n * (n - 1)
+
+
+def test_price_all_at_root(benchmark, root):
+    state, partition, _, res = root
+    assert is_dense(state.instance)
+    assert_priced_out(benchmark(price_all, state.instance, partition, res.duals), partition)
+
+
+def test_price_all_at_sparse_root(benchmark, sparse_root):
+    state, partition, _, res = sparse_root
+    assert not is_dense(state.instance)
+    assert_priced_out(benchmark(price_all, state.instance, partition, res.duals), partition)
 
 
 def test_heaviest_first_at_root(benchmark, root):

@@ -60,8 +60,7 @@ class SolveReport:
     columns_generated: int = 0
     pricing_rounds: int = 0
     wall_time: float = 0.0
-    mwss_nodes: int = 0  # search nodes over every pricing round
-    mwss_cache_hits: int = 0  # classes settled by an earlier search of their vertex set
+    mwss_nodes: int = 0  # stable set search nodes over every pricing round
 
     @property
     def weight(self) -> int | None:
@@ -235,7 +234,6 @@ class _Search:
             outcome = price_all(inst, partition, res.duals, deadline=self.deadline)
             report.pricing_rounds += 1
             report.mwss_nodes += outcome.stats.nodes
-            report.mwss_cache_hits += outcome.stats.cache_hits
             cols = outcome.columns()
             if not cols:
                 break
@@ -287,6 +285,7 @@ def solve(
     priced again), of a matching or of the leaf read-off, or of weights
     beyond exact float64 arithmetic, ends the search with status TIME_LIMIT
     or NUMERICAL_FAILURE; the report keeps the incumbent found so far.
+    A time_limit that is NaN or negative raises ValueError before the search.
     """
     start = time.perf_counter()
     search = _Search(root, Deadline(time_limit), trace)

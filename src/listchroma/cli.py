@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from itertools import product
+from typing import TextIO
 
 from .core import ColoringError, EmptyListError, Graph, Instance, build_instance, validate_coloring
 from .bnp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, TIME_LIMIT, SolveReport, solve
@@ -181,7 +182,6 @@ REPORT_ROWS = (
     ("columns", "columns_generated", "columns generated"),
     ("pricing_rounds", "pricing_rounds", "pricing rounds"),
     ("mwss_nodes", "mwss_nodes", "mwss nodes"),
-    ("mwss_cache_hits", "mwss_cache_hits", "mwss cache hits"),
 )
 
 
@@ -239,17 +239,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     except EmptyListError as exc:
         # an empty list after normalization means no coloring exists at all
-        _emit_report(SolveReport(INFEASIBLE), args, exc.comments)
+        with _open_out(args.out) as out:
+            _emit_report(SolveReport(INFEASIBLE), args, exc.comments, out)
         print(f"note: {exc.one_based()}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    report = solve(inst, time_limit=args.time_limit)
-    _emit_report(report, args, comments)
+    # --out is opened before the solve, so an unwritable path costs no time
+    with _open_out(args.out) as out:
+        report = solve(inst, time_limit=args.time_limit)
+        _emit_report(report, args, comments, out)
     return STATUS_EXIT[report.status]
 
 
-def _emit_report(report: SolveReport, args: argparse.Namespace, comments: list[str]) -> None:
-    """Print the text form; write the key=value record to --out if given.
+def _open_out(path: str | None) -> AbstractContextManager[TextIO | None]:
+    """The --out file opened for writing, or None in a context when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext()
+
+
+def _emit_report(
+    report: SolveReport, args: argparse.Namespace, comments: list[str], out: TextIO | None
+) -> None:
+    """Print the text form; write the key=value record to out, the open --out file, if given.
 
     The coloring was validated when solve built it, so it is written as is.
     """
@@ -265,7 +275,7 @@ def _emit_report(report: SolveReport, args: argparse.Namespace, comments: list[s
         text.append("assignment:")
         text.extend(f"  vertex {v + 1} -> color {j + 1}" for v, j in assignment)
     print("\n".join(text))
-    if not args.out:
+    if out is None:
         return
     record = [f"{key}={value}" for key, _, value in rows]
     record.append(f"time_sec={report.wall_time:.4f}")
@@ -273,8 +283,7 @@ def _emit_report(report: SolveReport, args: argparse.Namespace, comments: list[s
     record.append(f"time_limit={'none' if args.time_limit is None else args.time_limit}")
     record.extend(f"assign.{v + 1}={j + 1}" for v, j in assignment)
     record.extend(f"echo.{i}={c}" for i, c in enumerate(comments))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(record) + "\n")
+    out.write("\n".join(record) + "\n")
 
 
 def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
@@ -390,7 +399,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
 
     # --out is opened before the first solve, so an unwritable path costs no time
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+    with _open_out(args.out) as out:
         rows = [f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'time':>10} {'solved':>7}"]
         for (n, p, c, q), cfgs in cells:
             settled: list[SolveReport] = []
@@ -471,7 +480,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 means infeasible here
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_INPUT_ERROR
-    # solve and bench: a NaN limit would never expire, and a negative one is no budget
+    # solve and bench: a NaN limit would never expire, and a negative one is no
+    # budget (core.Deadline refuses both too, for callers of the library)
     time_limit = getattr(args, "time_limit", None)
     if time_limit is not None and not time_limit >= 0:
         print(f"error: --time-limit must be a number >= 0, got {time_limit}", file=sys.stderr)

@@ -61,6 +61,9 @@ class Deadline:
     __slots__ = ("end",)
 
     def __init__(self, seconds: float | None):
+        """None means no limit. A NaN would never expire and a negative budget is none."""
+        if seconds is not None and not seconds >= 0:
+            raise ValueError(f"time limit must be a number >= 0, got {seconds}")
         self.end = None if seconds is None else time.perf_counter() + seconds
 
     def expired(self) -> bool:

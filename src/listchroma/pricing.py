@@ -1,11 +1,16 @@
-"""Column pricing: per-class search for a stable set heavier than a threshold.
+"""Column pricing: one search per group of classes for stable sets above their thresholds.
 
 A class k yields an entering column iff some stable set of G^k has pi-weight
 strictly above the threshold w_k + gamma_k. Each round numbers the node graph
-once, heaviest pi first, and every class searches its vertex set in that
-numbering, stopping at the first set above its threshold. Classes are
-visited by decreasing threshold so that a result computed for one vertex set
-can be reused by every later class living on the same vertices.
+once, heaviest pi first, and searches stable sets in that numbering, include
+first, stopping for each class at the first set above its threshold.
+
+Classes whose searches would repeat each other share one search: on a node
+graph of edge density at least SHARED_SEARCH_DENSITY all classes of the round
+form one group, on a sparser one the classes of each vertex set do. A shared
+search hands every class the set its own search would find, because both
+visit the stable sets of V_k in the same order and prune only subtrees that
+hold no set above the threshold of any class still open.
 """
 
 from __future__ import annotations
@@ -16,10 +21,17 @@ from dataclasses import dataclass
 from .core import EPS, ColorPartition, Deadline, Graph, Instance, bits
 from .master import Column, DualSolution
 
+# Edge density 2m / (n (n - 1)) of the node graph from which all classes of a
+# round share one search. Below it the union of the vertex sets bounds a class
+# too loosely, and only classes on one vertex set share a search.
+SHARED_SEARCH_DENSITY = 0.4
+
 
 @dataclass
 class PricingStats:
     nodes: int = 0
+    # classes priced by a search they shared with an earlier class of their
+    # group, the sum of (group size - 1); perfbench/spans.py reads it
     cache_hits: int = 0
 
 
@@ -50,52 +62,126 @@ def heaviest_first(
 
 def mwss_search(
     adj: Sequence[int],
-    vertex_mask: int,
+    vertex_masks: Sequence[int],
     weights: Sequence[float],
-    threshold: float,
+    thresholds: Sequence[float],
     stats: PricingStats | None = None,
     deadline: Deadline | None = None,
-) -> tuple[int, float]:
-    """Branch and bound for a stable set of G^k heavier than threshold.
+) -> list[int]:
+    """Branch and bound for stable sets heavier than the thresholds of a group of classes.
 
-    G^k is adj restricted to vertex_mask, numbered as heaviest_first does, so
-    branching in index order (include first) branches in decreasing weight.
-    A subtree is pruned when the current weight plus everything still
-    selectable cannot exceed threshold + EPS. Returns (mask, weight) of the
-    first set found above it, or (0, 0.0) when the search proves that no
-    stable set of G^k weighs more than threshold + EPS.
+    Class c lives on vertex_masks[c] of the graph adj, numbered as
+    heaviest_first does, so branching in index order (include first) branches
+    in decreasing weight; thresholds are in ascending order. Returns for each
+    class the mask of the first stable set of its vertices found above
+    threshold + EPS, or 0 when the search proves that none exists.
+
+    A search node carries open, the bitmask of the unsettled classes whose
+    vertex sets hold every chosen vertex; the lowest open class has the
+    tightest threshold. A node is pruned when the current weight plus
+    everything still selectable cannot exceed that threshold + EPS, and a
+    candidate in no open class is dropped when it comes up. A class that a
+    set beats takes it and is settled, in every node at once through alive.
+    Once a single class is open, its subtree is searched over its own
+    vertices only, which is the whole search for a group of one class.
     """
     if stats is None:
         stats = PricingStats()
-    target = threshold + EPS
+    nodes = stats.nodes
+    found = [0] * len(vertex_masks)
+    alive = (1 << len(vertex_masks)) - 1
+    if alive == 1:
+        union = vertex_masks[0]
+    else:
+        # what the search over several open classes needs; member[i] holds
+        # the classes whose vertex set holds i
+        targets = [t + EPS for t in thresholds]
+        member = [0] * len(weights)
+        union = 0
+        for c, vmask in enumerate(vertex_masks):
+            union |= vmask
+            cbit = 1 << c
+            while vmask:
+                low = vmask & -vmask
+                member[low.bit_length() - 1] |= cbit
+                vmask ^= low
+    rem = sum(w for i, w in enumerate(weights) if union >> i & 1)
     # Each entry is a search node (candidates, weight, mask, weight still
-    # selectable). The include branch is followed in place and the exclude
-    # branch pushed, so nodes are visited in the depth-first, include-first
-    # order.
-    rem = sum(w for i, w in enumerate(weights) if vertex_mask >> i & 1)
-    stack = [(vertex_mask, 0.0, 0, rem)] if vertex_mask else []
+    # selectable, open classes). The include branch is followed in place and
+    # the exclude branch pushed, so nodes are visited in the depth-first,
+    # include-first order.
+    stack = [(union, 0.0, 0, rem, alive)] if union else []
     while stack:
-        cand, cur_w, cur_mask, rem = stack.pop()
-        while True:
-            stats.nodes += 1
-            if deadline is not None and stats.nodes % 1000 == 0:
+        cand, cur_w, cur_mask, rem, open_ = stack.pop()
+        open_ &= alive
+        while open_:
+            low = open_ & -open_
+            if open_ == low:
+                # One open class: search its vertices alone, as a group of one would.
+                k = low.bit_length() - 1
+                target = thresholds[k] + EPS
+                if cand & ~vertex_masks[k]:
+                    cand &= vertex_masks[k]
+                    rem = sum(weights[i] for i in bits(cand))
+                sub = [(cand, cur_w, cur_mask, rem)]
+                while sub:
+                    cand, cur_w, cur_mask, rem = sub.pop()
+                    while True:
+                        nodes += 1
+                        if deadline is not None and nodes % 1000 == 0:
+                            deadline.check()
+                        if cur_w + rem <= target or not cand:
+                            break
+                        i = (cand & -cand).bit_length() - 1
+                        bit = 1 << i
+                        w2 = cur_w + weights[i]
+                        if w2 > target:
+                            found[k] = cur_mask | bit
+                            alive ^= low
+                            sub.clear()
+                            break
+                        sub.append((cand ^ bit, cur_w, cur_mask, rem - weights[i]))
+                        removed = cand & (adj[i] | bit)
+                        rm = removed
+                        while rm:
+                            lowrm = rm & -rm
+                            rem -= weights[lowrm.bit_length() - 1]
+                            rm ^= lowrm
+                        cand, cur_w, cur_mask = cand & ~removed, w2, cur_mask | bit
+                break
+            nodes += 1
+            if deadline is not None and nodes % 1000 == 0:
                 deadline.check()
-            if cur_w + rem <= target or not cand:
+            if cur_w + rem <= targets[low.bit_length() - 1] or not cand:
                 break
             i = (cand & -cand).bit_length() - 1
             bit = 1 << i
-            w2 = cur_w + weights[i]
-            if w2 > target:
-                return cur_mask | bit, w2
-            stack.append((cand ^ bit, cur_w, cur_mask, rem - weights[i]))
+            inc = open_ & member[i]
+            if inc:
+                w2 = cur_w + weights[i]
+                while inc:
+                    c = inc & -inc
+                    if w2 <= targets[c.bit_length() - 1]:
+                        break
+                    found[c.bit_length() - 1] = cur_mask | bit
+                    alive ^= c
+                    inc ^= c
+            if not inc:
+                # no open class can take i, or every one that could is settled
+                cand ^= bit
+                rem -= weights[i]
+                open_ &= alive
+                continue
+            stack.append((cand ^ bit, cur_w, cur_mask, rem - weights[i], open_))
             removed = cand & (adj[i] | bit)
             rm = removed
             while rm:
-                low = rm & -rm
-                rem -= weights[low.bit_length() - 1]
-                rm ^= low
-            cand, cur_w, cur_mask = cand & ~removed, w2, cur_mask | bit
-    return 0, 0.0
+                lowrm = rm & -rm
+                rem -= weights[lowrm.bit_length() - 1]
+                rm ^= lowrm
+            cand, cur_w, cur_mask, open_ = cand & ~removed, w2, cur_mask | bit, inc
+    stats.nodes = nodes
+    return found
 
 
 def extend_to_maximal(mask: int, vertex_mask: int, adj: Sequence[int]) -> int:
@@ -120,31 +206,34 @@ def price_all(
     """Search every class for a column with positive reduced cost.
 
     Returns at most one column per class, each extended to a maximal stable
-    set. Classes sharing a vertex set reuse the first search outcome: a set
-    beating the larger threshold beats every smaller one, and a search that
-    found nothing settles an equal threshold.
+    set. The classes are searched in groups, one mwss_search call per group:
+    all of them together on a node graph of edge density at least
+    SHARED_SEARCH_DENSITY, else those of each vertex set together.
     """
     stats = PricingStats()
     order, bit, weights, adj = heaviest_first(inst.graph, duals.pi)
     thresholds = {k: inst.weights[k] + duals.gamma_of(k) for k in partition.reps}
-    classes = sorted(partition.reps, key=lambda k: (-thresholds[k], k))
-    # vertex_mask -> (set found or 0, threshold + EPS of that search), masks renumbered
-    cache: dict[int, tuple[int, float]] = {}
+    classes = sorted(partition.reps, key=lambda k: (thresholds[k], k))
+    # distinct bits, so their sum is their OR
+    vmask = {k: sum(map(bit.__getitem__, partition.vertices[k])) for k in classes}
+    n = inst.n
+    if 2 * inst.graph.m >= SHARED_SEARCH_DENSITY * n * (n - 1):
+        groups = [classes]
+    else:
+        by_set: dict[int, list[int]] = {}
+        for k in classes:
+            by_set.setdefault(vmask[k], []).append(k)
+        groups = list(by_set.values())
     per_class: dict[int, Column | None] = {}
-    for k in classes:
-        target = thresholds[k] + EPS
-        vmask = sum(map(bit.__getitem__, partition.vertices[k]))  # distinct bits, so their OR
-        entry = cache.get(vmask)
-        # thresholds only fall, so a found set always beats this one too
-        if entry is not None and (entry[0] or entry[1] <= target):
-            mask = entry[0]
-            stats.cache_hits += 1
-        else:
-            mask, _ = mwss_search(adj, vmask, weights, thresholds[k], stats, deadline)
-            cache[vmask] = (mask, target)
-        if mask:
-            full = extend_to_maximal(mask, vmask, adj)
-            per_class[k] = Column(sum(1 << order[i] for i in bits(full)), k)
-        else:
-            per_class[k] = None
+    for group in groups:
+        stats.cache_hits += len(group) - 1
+        found = mwss_search(
+            adj, [vmask[k] for k in group], weights, [thresholds[k] for k in group], stats, deadline
+        )
+        for k, mask in zip(group, found):
+            if mask:
+                full = extend_to_maximal(mask, vmask[k], adj)
+                per_class[k] = Column(sum(1 << order[i] for i in bits(full)), k)
+            else:
+                per_class[k] = None
     return PricingOutcome(per_class, stats)

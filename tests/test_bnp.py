@@ -27,6 +27,7 @@ from listchroma.core import (
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import Column, DualSolution, LPResult, add_columns, init_with_dummies, solve_lp
 from listchroma.oracle import oracle_solve
+from listchroma.pricing import SHARED_SEARCH_DENSITY
 
 from conftest import k33_mirrored, make_instance, petersen
 
@@ -90,22 +91,38 @@ class TestSolveBasic:
         assert len(seen) == report.pricing_rounds > 0
         assert report.mwss_nodes == sum(seen) > 0
 
-    def test_mwss_cache_hits_sums_every_pricing_round(self, monkeypatch):
-        seen = []
+    def test_cache_hits_count_classes_that_share_a_search(self, monkeypatch):
+        rounds = []
         price_all = bnp.price_all
 
-        def counting(*args, **kwargs):
-            outcome = price_all(*args, **kwargs)
-            seen.append(outcome.stats.cache_hits)
+        def counting(inst, partition, *args, **kwargs):
+            outcome = price_all(inst, partition, *args, **kwargs)
+            n, classes = inst.n, len(partition.reps)
+            if 2 * inst.graph.m >= SHARED_SEARCH_DENSITY * n * (n - 1):
+                searches = 1
+            else:
+                searches = len(set(partition.vertex_mask.values()))
+            rounds.append((outcome.stats.cache_hits, classes - searches))
             return outcome
 
         monkeypatch.setattr(bnp, "price_all", counting)
         # q=0.9, weights 1-10: colors with equal lists but different weights are
-        # separate classes on one vertex set, so later classes reuse searches
+        # separate classes on one vertex set, so even a sparse node graph has
+        # classes that share a search
         report = solve(generate(GenConfig(n=12, p=0.5, c=1.0, q=0.9, seed=1, weight_range=(1, 10))))
         assert report.status == OPTIMAL
-        assert len(seen) == report.pricing_rounds > 0
-        assert report.mwss_cache_hits == sum(seen) > 0
+        assert len(rounds) == report.pricing_rounds > 0
+        assert all(got == expected for got, expected in rounds)
+        assert sum(got for got, _ in rounds) > 0
+
+    @pytest.mark.parametrize("time_limit", [float("nan"), -1.0])
+    def test_invalid_time_limit_raises_before_searching(self, time_limit, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched with an invalid time limit")
+
+        monkeypatch.setattr(bnp, "root_state", no_search)
+        with pytest.raises(ValueError, match="time limit must be a number >= 0"):
+            solve(petersen(), time_limit=time_limit)
 
     def test_root_branch_pair_is_the_first_pair(self, monkeypatch):
         pairs = []

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from listchroma.core import (
+    Deadline,
     EmptyListError,
     Graph,
     NumericalFailure,
     ReconstructionBug,
+    SearchTimeout,
     branch_differ,
     branch_same,
     build_instance,
@@ -28,6 +30,23 @@ from listchroma.master import (
 from listchroma.oracle import oracle_solve
 
 from conftest import make_instance
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("seconds", [float("nan"), -1.0, float("-inf")])
+    def test_nan_or_negative_limit_rejected(self, seconds):
+        with pytest.raises(ValueError, match="time limit must be a number >= 0"):
+            Deadline(seconds)
+
+    def test_zero_limit_is_valid_and_expired(self):
+        deadline = Deadline(0)
+        assert deadline.expired()
+        with pytest.raises(SearchTimeout):
+            deadline.check()
+
+    def test_no_limit_never_expires(self):
+        assert not Deadline(None).expired()
+        assert not Deadline(float("inf")).expired()
 
 
 class TestBuildInstance:

@@ -2,11 +2,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from listchroma.core import EPS, Graph, bits, partition_colors
+from listchroma.core import EPS, Deadline, Graph, SearchTimeout, bits, partition_colors
 from listchroma.master import Column, DualSolution
 from listchroma.pricing import (
+    SHARED_SEARCH_DENSITY,
     PricingOutcome,
     PricingStats,
     extend_to_maximal,
@@ -23,12 +24,18 @@ def duals_for(inst, pi, gamma=None):
 
 
 def search(graph, vertex_mask, pi, threshold, stats=None):
-    """mwss_search in the original vertex ids: renumber as price_all does, search, map back."""
+    """A one-class mwss_search in the original vertex ids: renumber as price_all
+    does, search, map back. Returns (mask, weight), (0, 0) when nothing is found."""
     order, bit, weights, adj = heaviest_first(graph, [pi.get(v, 0.0) for v in range(graph.n)])
-    mask, weight = mwss_search(
-        adj, sum(bit[v] for v in bits(vertex_mask)), weights, threshold, stats
-    )
+    [mask] = mwss_search(adj, [sum(bit[v] for v in bits(vertex_mask))], weights, [threshold], stats)
+    # summed in index order, as the search adds the set up
+    weight = sum(weights[i] for i in bits(mask))
     return sum(1 << order[i] for i in bits(mask)), weight
+
+
+def is_dense(graph):
+    """Whether price_all searches all classes of this node graph together."""
+    return 2 * graph.m >= SHARED_SEARCH_DENSITY * graph.n * (graph.n - 1)
 
 
 class TestPriceAll:
@@ -55,11 +62,25 @@ class TestPriceAll:
         duals = duals_for(inst, [1, 3], {1: 2.0})
         assert max_stable_weight(inst.graph.adj, 0b11, [1, 3]) == 4
         out = price_all(inst, part, duals)
-        assert out.per_class[0] is None          # 4 <= 5, searched
-        assert out.per_class[1] is None          # equal threshold: the proof is reused
-        assert out.per_class[2].mask == 0b11     # 4 > 2, searched
-        assert out.per_class[3].mask == 0b11     # the set found for 2 beats 1 too
-        assert out.stats.cache_hits == 2
+        assert out.per_class[0] is None          # 4 <= 5
+        assert out.per_class[1] is None          # 4 <= 5
+        assert out.per_class[2].mask == 0b11     # {1} weighs 3 > 2, grown to maximal
+        assert out.per_class[3].mask == 0b11     # {1} weighs 3 > 1 too
+        # an edgeless graph is sparse, so the classes of each vertex set share
+        # a search: here all four, in one
+        assert not is_dense(inst.graph)
+        assert out.stats.cache_hits == 3
+
+    @pytest.mark.parametrize("edges, searches", [(4, 1), (3, 2)])
+    def test_density_cut_decides_the_groups(self, edges, searches):
+        # five vertices: four edges are a density of exactly 0.4, where one
+        # search serves both classes; three edges (0.3) give each vertex set
+        # its own search
+        path = [(0, 1), (1, 2), (2, 3), (3, 4)][:edges]
+        inst = make_instance(5, path, [[0], [0], [0, 1], [1], [1]])
+        part = partition_colors(inst)
+        out = price_all(inst, part, duals_for(inst, [1.0] * 5))
+        assert out.stats.cache_hits == len(part.reps) - searches == 2 - searches
 
     def test_early_exit_mode_same_outcome(self):
         # the first set above the threshold decides each class as the exact
@@ -83,18 +104,16 @@ class TestMwssSearch:
     def test_clique_takes_single_heaviest(self):
         inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0]] * 3)
         # equal weights: the given numbering is already heaviest first
-        mask, weight = mwss_search(inst.graph.adj, 0b111, [1.0, 1.0, 1.0], 0.5)
-        assert weight == pytest.approx(1.0)
+        [mask] = mwss_search(inst.graph.adj, [0b111], [1.0, 1.0, 1.0], [0.5])
         assert mask.bit_count() == 1
-        assert mwss_search(inst.graph.adj, 0b111, [1.0, 1.0, 1.0], 1.0) == (0, 0.0)
+        assert mwss_search(inst.graph.adj, [0b111], [1.0, 1.0, 1.0], [1.0]) == [0]
 
     def test_c5_independence_number(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
         g = Graph.from_edges(5, edges)
-        mask, weight = mwss_search(g.adj, 0b11111, [1.0] * 5, 1.5)
-        assert weight == pytest.approx(2.0)
+        [mask] = mwss_search(g.adj, [0b11111], [1.0] * 5, [1.5])
         assert mask.bit_count() == 2 and all(not g.adj[v] & mask for v in bits(mask))
-        assert mwss_search(g.adj, 0b11111, [1.0] * 5, 2.0) == (0, 0.0)
+        assert mwss_search(g.adj, [0b11111], [1.0] * 5, [2.0]) == [0]
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.Generator(np.random.PCG64(11))
@@ -123,7 +142,7 @@ class TestMwssSearch:
             assert all(not g.adj[v] & mask for v in bits(mask))
             assert weight == pytest.approx(sum(pi[v] for v in bits(mask)))
             assert weight == pytest.approx(expect, abs=1e-9)
-            assert search(g, vmask, pi, expect) == (0, 0.0)
+            assert search(g, vmask, pi, expect) == (0, 0)
 
     def test_early_exit_returns_sound_violator(self):
         rng = np.random.Generator(np.random.PCG64(23))
@@ -278,21 +297,32 @@ def per_class_price_all(inst, partition, duals):
     return PricingOutcome(per_class, stats)
 
 
-def draw_priced_instance(data, pi_values):
-    """An instance with 1-8 classes, twins among them, and duals with tied pi and random gamma."""
-    n = data.draw(st.integers(1, 9))
+def draw_priced_instance(data, pi_values, max_n=9, dense=None, twins=True):
+    """An instance with 1-8 classes and duals with tied pi and random gamma.
+
+    dense picks the side of SHARED_SEARCH_DENSITY the graph lies on (None:
+    either); twins lets classes share a vertex set, else no two do.
+    """
+    n = data.draw(st.integers(2 if dense is False else 1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if data.draw(st.booleans())]
+    if dense is None:
+        edges = [e for e in pairs if data.draw(st.booleans())]
+    else:
+        # edge probability 0.7 or 0.2, then keep only graphs on the asked side
+        edges = [e for e in pairs if data.draw(st.integers(0, 9)) < (7 if dense else 2)]
     members = [data.draw(st.integers(1, (1 << n) - 1)) for _ in range(data.draw(st.integers(1, 4)))]
     for v in range(n):
         if not any(m >> v & 1 for m in members):
             members[0] |= 1 << v  # no vertex without a color
-    # a twin shares its color's vertex set; a different weight makes it a separate class
-    members += [m for m in members if data.draw(st.booleans())]
+    if twins:
+        # a twin shares its color's vertex set; a different weight makes it a separate class
+        members += [m for m in members if data.draw(st.booleans())]
     weights = {j: data.draw(st.sampled_from([1, 2, 3, 5])) for j in range(len(members))}
     lists = [[j for j, m in enumerate(members) if m >> v & 1] for v in range(n)]
     inst = make_instance(n, edges, lists, weights=weights)
     part = partition_colors(inst)
+    assume(dense is None or is_dense(inst.graph) == dense)
+    assume(twins or len(set(part.vertex_mask.values())) == len(part.reps))
     # few distinct values, so ties in pi decide the order too
     pi = [data.draw(st.sampled_from(pi_values)) for _ in range(n)]
     gamma = {k: data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.25])) for k in part.reps}
@@ -303,22 +333,37 @@ def draw_priced_instance(data, pi_values):
 @given(st.data())
 def test_price_all_matches_per_class_reference(data):
     # One heaviest-first numbering per round must reproduce every class's
-    # own sort: the same columns, search nodes and cache decisions.
+    # own sort. The reference reuses a set found for a class on the same
+    # vertex set with a higher threshold, where a shared search finds the
+    # class's own first set; both find a column for the same classes.
     inst, part, duals = draw_priced_instance(data, [0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
     got = price_all(inst, part, duals)
     ref = per_class_price_all(inst, part, duals)
-    assert got.per_class == ref.per_class
-    assert (got.stats.nodes, got.stats.cache_hits) == (ref.stats.nodes, ref.stats.cache_hits)
+    assert got.per_class.keys() == ref.per_class.keys()
+    masks = list(part.vertex_mask.values())
+    for k, col in got.per_class.items():
+        assert (col is None) == (ref.per_class[k] is None)
+        if masks.count(part.vertex_mask[k]) == 1:
+            assert col == ref.per_class[k]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_fruitless_round_certifies_every_class(data):
-    # The solver ends column generation at the first round without a column,
-    # so a class left without one must have no stable set above its
-    # threshold, cache hits included; a column must beat its threshold.
-    inst, part, duals = draw_priced_instance(data, [0.0, 0.1, 1 / 3, 0.5, 1.0, 1.5, 2.5])
-    out = price_all(inst, part, duals)
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_price_all_matches_reference_without_shared_vertex_sets(dense, data):
+    # With no two classes on one vertex set, the shared search of a dense
+    # node graph and the one search per class of a sparse one both give
+    # every class the column of its own search.
+    inst, part, duals = draw_priced_instance(
+        data, [0.0, 0.25, 0.5, 1.0, 1.5, 2.0], dense=dense, twins=False
+    )
+    got = price_all(inst, part, duals)
+    assert got.per_class == per_class_price_all(inst, part, duals).per_class
+    assert got.stats.cache_hits == (len(part.reps) - 1 if dense else 0)
+
+
+def assert_certified(inst, part, duals, out):
+    """A class without a column has no stable set above its threshold; a column beats it."""
     for k in part.reps:
         threshold = inst.weights[k] + duals.gamma_of(k)
         col = out.per_class[k]
@@ -331,6 +376,67 @@ def test_fruitless_round_certifies_every_class(data):
             assert sum(duals.pi[v] for v in col.vertices()) > threshold + EPS
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fruitless_round_certifies_every_class(data):
+    # The solver ends column generation at the first round without a column,
+    # so a class left without one must have no stable set above its
+    # threshold, classes that shared a search included; a column must beat
+    # its threshold.
+    inst, part, duals = draw_priced_instance(data, [0.0, 0.1, 1 / 3, 0.5, 1.0, 1.5, 2.5])
+    assert_certified(inst, part, duals, price_all(inst, part, duals))
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shared_search_certifies_every_class(dense, data):
+    # The same brute-force check on up to 10 vertices, on each side of the
+    # density cut, with classes on equal vertex sets.
+    inst, part, duals = draw_priced_instance(
+        data, [0.0, 0.1, 1 / 3, 0.5, 1.0, 1.5, 2.5], max_n=10, dense=dense
+    )
+    assert_certified(inst, part, duals, price_all(inst, part, duals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_search_matches_one_class_searches(data):
+    # A shared search hands each class the set its own search finds, for
+    # any vertex sets, equal ones included, and any thresholds.
+    n = data.draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    adj = Graph.from_edges(n, [e for e in pairs if data.draw(st.booleans())]).adj
+    weights = sorted(
+        (data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])) for _ in range(n)),
+        reverse=True,
+    )
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    masks += [m for m in masks if data.draw(st.booleans())]
+    thresholds = sorted(data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.75, 2.5, 4.0])) for _ in masks)
+    got = mwss_search(adj, masks, weights, thresholds)
+    assert got == [mwss_search(adj, [m], weights, [t])[0] for m, t in zip(masks, thresholds)]
+
+
+@pytest.mark.parametrize("classes", [1, 3], ids=["one_class_loop", "shared_loop"])
+def test_expired_deadline_stops_the_search(classes):
+    # Ten disjoint triangles of unit weight: no stable set weighs more than
+    # 10, and the bound proves that only after thousands of nodes. Classes on
+    # one vertex set never settle here, so three stay open throughout and
+    # only the loop over several open classes runs; one class runs only the
+    # one-class loop.
+    n = 30
+    edges = [(3 * t + a, 3 * t + b) for t in range(10) for a, b in ((0, 1), (0, 2), (1, 2))]
+    adj = Graph.from_edges(n, edges).adj
+    full = (1 << n) - 1
+    args = (adj, [full] * classes, [1.0] * n, [10.0] * classes)
+    stats = PricingStats()
+    assert mwss_search(*args, stats) == [0] * classes
+    assert stats.nodes > 1000
+    with pytest.raises(SearchTimeout):
+        mwss_search(*args, PricingStats(), Deadline(0))
+
+
 @pytest.mark.parametrize("found", [True, False])
 def test_deep_search_within_default_recursion_limit(found):
     n = 1500
@@ -339,17 +445,15 @@ def test_deep_search_within_default_recursion_limit(found):
     if found:
         # edgeless; only the whole vertex set beats the threshold, so the
         # include path is n deep
-        mask, weight = mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n - 0.5, stats)
-        assert mask == (1 << n) - 1
-        assert weight == n
-        assert mwss_search([0] * n, (1 << n) - 1, [1.0] * n, n) == (0, 0.0)
+        assert mwss_search([0] * n, [(1 << n) - 1], [1.0] * n, [n - 0.5], stats) == [(1 << n) - 1]
+        assert mwss_search([0] * n, [(1 << n) - 1], [1.0] * n, [n]) == [0]
     else:
         # one edge between the last two vertices: the bound stays n until the
         # include path reaches it n - 1 deep, where the set weighs only the
         # threshold n - 1, so the search proves there is nothing above it
         adj = [0] * n
         adj[n - 2], adj[n - 1] = 1 << (n - 1), 1 << (n - 2)
-        assert mwss_search(adj, (1 << n) - 1, [1.0] * n, n - 1, stats) == (0, 0.0)
+        assert mwss_search(adj, [(1 << n) - 1], [1.0] * n, [n - 1], stats) == [0]
     assert stats.nodes >= n - 1
 
 
