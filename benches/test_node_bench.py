@@ -19,10 +19,5 @@ def test_preprocess_singletons_cascade(benchmark):
 def test_min_cost_matching_vertices_to_colors(benchmark):
     # each vertex of a dense-pricing instance to a distinct color of its list
     inst = generate(GenConfig(n=60, p=0.75, c=1.5, q=0.5, seed=7000))
-    colors = list(inst.colors)
-    options = [
-        {s: inst.weights[j] for s, j in enumerate(colors) if j in inst.lists[v]}
-        for v in range(inst.n)
-    ]
-    match = benchmark(min_cost_matching, options, len(colors))
+    match = benchmark(min_cost_matching, inst.lists, inst.colors, inst.weights)
     assert len(set(match)) == inst.n

@@ -5,13 +5,15 @@ to a minimum cost matching of the vertices into the concrete colors, which
 scipy's linear_sum_assignment solves.
 
 min_cost_matching is the one way a node is finished by matching: it also
-completes every integral leaf of the column generation
-(master.extract_integer_solution), matching the vertices its big columns
-leave uncovered to colors. Either way the node ends with a coloring of its
-own instance for core.lift_node_assignment.
+colors every integral leaf of the column generation
+(master.extract_integer_solution), matching its big columns and the
+vertices they leave uncovered to colors in one assignment. Either way the
+node ends with a coloring of its own instance for core.lift_node_assignment.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,29 +31,32 @@ def all_complete(partition: ColorPartition, graph: Graph) -> bool:
     return True
 
 
-def min_cost_matching(options: list[dict[int, int]], width: int) -> list[int] | None:
-    """Cheapest way to give every row its own slot out of range(width).
+def min_cost_matching(
+    rows: Sequence[Collection[int]], colors: Sequence[int], weights: Mapping[int, int]
+) -> list[int] | None:
+    """Cheapest way to give every row its own color out of colors.
 
-    options[r] maps the slots row r may take to their integer costs. Returns
-    the slot of each row, or None when no matching covers every row.
-    Forbidden pairs cost more than any matching of allowed ones, so a minimum
-    matching that still uses one proves that none exists. scipy solves the
-    assignment in float64, which is exact while the costs of a matching,
-    big-M included, sum to less than 2**53; larger costs raise
+    rows[r] holds the colors row r may take, and taking color j costs
+    weights[j]. Returns the color of each row, or None when no matching
+    covers every row. Forbidden pairs cost more than any matching of allowed
+    ones, so a minimum matching that still uses one proves that none exists.
+    scipy solves the assignment in float64, which is exact while the costs
+    of a matching, big-M included, sum to less than 2**53; larger costs raise
     NumericalFailure.
     """
-    if len(options) > width or not all(options):
+    if len(rows) > len(colors) or not all(rows):
         return None
-    big = 1 + sum(max(row.values()) for row in options)
-    if big * len(options) >= 2**53:
+    big = 1 + sum(max(weights[j] for j in row) for row in rows)
+    if big * len(rows) >= 2**53:
         raise NumericalFailure("matching costs too large for exact float64 arithmetic")
-    cost = np.full((len(options), width), big, dtype=np.int64)
-    for r, row in enumerate(options):
-        for s, c in row.items():
-            cost[r, s] = c
+    slot = {j: s for s, j in enumerate(colors)}
+    cost = np.full((len(rows), len(colors)), big, dtype=np.int64)
+    for r, row in enumerate(rows):
+        for j in row:
+            cost[r, slot[j]] = weights[j]
     _, cols = linear_sum_assignment(cost)
-    match = cols.tolist()
-    if any(s not in row for s, row in zip(match, options)):
+    match = [colors[s] for s in cols.tolist()]
+    if any(j not in row for j, row in zip(match, rows)):
         return None
     return match
 
@@ -59,12 +64,5 @@ def min_cost_matching(options: list[dict[int, int]], width: int) -> list[int] | 
 def solve_assignment(state: NodeState) -> dict[int, int] | None:
     """Color an all-complete node optimally; None when it has no coloring."""
     inst = state.instance
-    colors = list(inst.colors)
-    options = [
-        {s: inst.weights[j] for s, j in enumerate(colors) if j in inst.lists[vtx]}
-        for vtx in range(inst.n)
-    ]
-    match = min_cost_matching(options, len(colors))
-    if match is None:
-        return None
-    return {vtx: colors[s] for vtx, s in enumerate(match)}
+    match = min_cost_matching(inst.lists, inst.colors, inst.weights)
+    return None if match is None else dict(enumerate(match))

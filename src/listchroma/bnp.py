@@ -101,14 +101,8 @@ def select_branching_pair(res: LPResult) -> tuple[int, int] | None:
     intersecting lists; branch_same and branch_differ raise otherwise.
 
     None means no column of two or more vertices is fractional, and the node
-    is a leaf. The vertices its integral big columns leave uncovered form a
-    residual problem over the pool's singleton columns whose constraint
-    matrix (one cover row per vertex, one capacity row per class) is totally
-    unimodular: it is a transportation problem from vertices to classes. Its
-    optimum is therefore integral, and since the LP point is optimal it costs
-    what the point's singletons cost. extract_integer_solution finds it as a
-    matching that gives each vertex only colors of classes with a pool
-    singleton on it, which keeps it within that residual problem.
+    is a leaf; extract_integer_solution reads its coloring off and says why
+    that coloring costs what the LP point costs.
     """
     candidates = [
         (abs(x - 0.5), -col.size, i)

@@ -291,17 +291,25 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
     status = weight = None
     assignment: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or "=" not in line:
                 continue
             key, value = line.split("=", 1)
             if key == "status":
                 status = value
-            elif key == "weight":
-                weight = int(value)
-            elif key.startswith("assign."):
-                assignment[int(key[len("assign.") :]) - 1] = int(value) - 1
+            elif key == "weight" or key.startswith("assign."):
+                try:
+                    number = int(value)
+                    vertex = 1 if key == "weight" else int(key[len("assign.") :])
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: {line!r} is not key=integer") from None
+                if vertex < 1:
+                    raise ValueError(f"{path}: line {lineno}: vertex id {vertex} is below 1")
+                if key == "weight":
+                    weight = number
+                else:
+                    assignment[vertex - 1] = number - 1
     if status is None:
         raise ValueError(f"{path}: no status line")
     if status not in STATUS_EXIT:

@@ -22,11 +22,9 @@ for a dummy. So a column carried into a child node costs the child's weight
 of its class, which singleton fixing may have zeroed.
 
 An LP optimum without a fractional big column is a leaf of the search
-(bnp.select_branching_pair finds no pair in it).
-extract_integer_solution reads a coloring of the node instance off it: each
-big column at one takes a concrete color of its class, and the vertices they
-leave uncovered are matched to the remaining colors of classes with a pool
-singleton on them (assignment.min_cost_matching); no second LP is solved.
+(bnp.select_branching_pair finds no pair in it); extract_integer_solution
+reads a coloring of the node instance off it, with no second LP, and says
+why that coloring costs what the point costs.
 """
 
 from __future__ import annotations
@@ -241,44 +239,32 @@ def solve_lp(mp: MasterProblem) -> LPResult:
 def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]:
     """Read a coloring {node vertex: color} off an LP optimum without fractional big columns.
 
-    Each big column at value one takes the next unused color of its class,
-    in pool order; a vertex that several of them cover keeps the first
-    color. Every vertex they leave uncovered is matched, at minimum cost, to
-    one of the remaining colors whose class has a pool singleton on that
-    vertex. The coloring costs what the LP point costs, or NumericalFailure
-    is raised.
+    One min_cost_matching into the node's colors. Its rows are the columns of
+    two or more vertices above 0.5, in pool order, each taking a color of its
+    class, then the vertices they leave uncovered, each taking a color of its
+    list. A big column colors those of its vertices no earlier one colored.
+
+    The point is optimal over all columns, since extraction runs only after a
+    pricing round found none, so no list-color completion of its big columns
+    is cheaper. One costs the same: covering the uncovered vertices by
+    singletons under the class capacities is a transportation problem from
+    vertices to classes, integral at its LP optimum. A matching that finds no
+    coloring or misses the point's cost raises NumericalFailure.
     """
-    part = mp.partition
-    cost = mp.cost
-    unused = {k: iter(part.class_members[k]) for k in part.reps}
-    coloring: dict[int, int] = {}
-    objective = 0
-    for col, x in zip(res.columns, res.values):
-        if col.size >= 2 and x > 0.5:
-            color = next(unused[col.class_rep], None)
-            if color is None:
-                raise NumericalFailure("big columns exceed a class capacity")
-            for v in col.vertices():
-                coloring.setdefault(v, color)
-            objective += cost(col)
-    residual = [v for v in range(mp.instance.n) if v not in coloring]
-    # keyed by (mask, class): a dummy's class None matches no free color
-    singles = {col: cost(col) for col in res.columns if col.size == 1}
-    free = [(k, j) for k in part.reps for j in unused[k]]
-    options = [
-        {s: singles[1 << v, k] for s, (k, _) in enumerate(free) if (1 << v, k) in singles}
-        for v in residual
-    ]
-    match = min_cost_matching(options, len(free))
+    inst = mp.instance
+    big = [col for col, x in zip(res.columns, res.values) if col.size >= 2 and x > 0.5]
+    residual = [v for v in range(inst.n) if not any(col.mask >> v & 1 for col in big)]
+    rows = [mp.partition.class_members[col.class_rep] for col in big]
+    match = min_cost_matching(rows + [inst.lists[v] for v in residual], inst.colors, inst.weights)
     if match is None:
-        raise NumericalFailure("no singleton matching covers the residual vertices")
-    for v, row, s in zip(residual, options, match):
-        coloring[v] = free[s][1]
-        objective += row[s]
-    if abs(objective - res.objective) > 1e-6 * max(1.0, abs(res.objective)):
-        raise NumericalFailure(
-            f"extraction changed the objective: {objective} vs {res.objective}"
-        )
+        raise NumericalFailure("no matching colors the leaf's big columns and uncovered vertices")
+    coloring = dict(zip(residual, match[len(big) :]))
+    for col, color in zip(big, match):
+        for v in col.vertices():
+            coloring.setdefault(v, color)
+    objective = sum(inst.weights[j] for j in match)
+    if abs(objective - res.objective) > EPS * max(1.0, abs(res.objective)):
+        raise NumericalFailure(f"extraction changed the objective: {objective} vs {res.objective}")
     return coloring
 
 

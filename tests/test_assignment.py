@@ -10,14 +10,14 @@ from listchroma.oracle import oracle_solve
 from conftest import make_instance, random_all_complete
 
 
-def brute_force_matching(cost):
-    n = len(cost)
-    m = len(cost[0]) if cost else 0
+def brute_force_matching(rows, colors, weights):
+    """Least weight of giving every row its own allowed color; None if impossible."""
     best = None
-    for perm in itertools.permutations(range(m), n):
-        total = sum(cost[i][perm[i]] for i in range(n))
-        if best is None or total < best:
-            best = total
+    for perm in itertools.permutations(colors, len(rows)):
+        if all(j in row for j, row in zip(perm, rows)):
+            total = sum(weights[j] for j in perm)
+            if best is None or total < best:
+                best = total
     return best
 
 
@@ -37,55 +37,69 @@ class TestAllComplete:
         assert not all_complete(partition_colors(inst), inst.graph)
 
 
-def random_options(rng, n, m):
-    """A full n x m cost matrix as min_cost_matching options."""
-    return [{s: int(rng.integers(0, 20)) for s in range(m)} for _ in range(n)]
+def random_rows(rng, n, m):
+    """n rows, each a random non-empty subset of the colors 0..m-1, and their weights."""
+    rows = []
+    for _ in range(n):
+        row = [j for j in range(m) if rng.random() < 0.6]
+        rows.append(row or [int(rng.integers(0, m))])
+    weights = {j: int(rng.integers(0, 20)) for j in range(m)}
+    return rows, list(range(m)), weights
+
+
+def assert_matches_brute_force(rows, colors, weights):
+    match = min_cost_matching(rows, colors, weights)
+    best = brute_force_matching(rows, colors, weights)
+    if best is None:
+        assert match is None
+        return
+    assert len(set(match)) == len(rows)
+    assert all(j in row for j, row in zip(match, rows))
+    assert sum(weights[j] for j in match) == best
 
 
 class TestMinCostMatching:
     def test_identity_matrix(self):
-        assert min_cost_matching([{0: 0, 1: 9}, {0: 9, 1: 0}], 2) == [0, 1]
+        assert min_cost_matching([[0], [1]], [0, 1], {0: 0, 1: 9}) == [0, 1]
 
     def test_matches_permutation_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(2))
         for _ in range(80):
             n = int(rng.integers(1, 7))
-            options = random_options(rng, n, n)
-            match = min_cost_matching(options, n)
-            assert sorted(match) == list(range(n))  # a permutation
-            cost = [[row[s] for s in range(n)] for row in options]
-            assert sum(row[s] for row, s in zip(options, match)) == brute_force_matching(cost)
+            assert_matches_brute_force(*random_rows(rng, n, n))
 
     def test_rectangular_matches_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(80):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(n, 8))
-            options = random_options(rng, n, m)
-            match = min_cost_matching(options, m)
-            assert len(set(match)) == n and all(0 <= s < m for s in match)
-            cost = [[row[s] for s in range(m)] for row in options]
-            assert sum(row[s] for row, s in zip(options, match)) == brute_force_matching(cost)
+            assert_matches_brute_force(*random_rows(rng, n, m))
 
     def test_cheapest_slots_taken(self):
-        assert min_cost_matching([{0: 5, 2: 1}, {0: 1, 2: 1}], 3) == [2, 0]
+        weights = {0: 5, 1: 1, 2: 1}
+        assert min_cost_matching([[0, 2], [0, 1, 2]], [0, 1, 2], weights) == [2, 1]
 
     def test_no_rows(self):
-        assert min_cost_matching([], 0) == []
+        assert min_cost_matching([], [], {}) == []
 
     def test_row_without_option_is_unmatched(self):
-        assert min_cost_matching([{0: 1}, {}], 2) is None
+        assert min_cost_matching([[0], []], [0, 1], {0: 1, 1: 1}) is None
 
     def test_more_rows_than_slots_is_unmatched(self):
-        assert min_cost_matching([{0: 1}, {0: 1}], 1) is None
+        assert min_cost_matching([[0], [0]], [0], {0: 1}) is None
 
     def test_rows_competing_for_one_slot_are_unmatched(self):
-        assert min_cost_matching([{0: 1}, {0: 2}, {1: 0, 2: 0}], 3) is None
+        weights = {0: 1, 1: 0, 2: 0}
+        assert min_cost_matching([[0], [0], [1, 2]], [0, 1, 2], weights) is None
 
     def test_costs_beyond_float64_precision_rejected(self):
-        # 2**60 and 2**60 + 1 are one float64, so the cheaper slot is not provable
+        # 2**60 and 2**60 + 1 are one float64, so the cheaper color is not provable
         with pytest.raises(NumericalFailure):
-            min_cost_matching([{0: 2**60 + 1, 1: 2**60}], 2)
+            min_cost_matching([[0, 1]], [0, 1], {0: 2**60 + 1, 1: 2**60})
+
+    def test_heavy_color_no_row_may_take_is_harmless(self):
+        # the float64 guard counts only the colors each row may take
+        assert min_cost_matching([[0]], [0, 1], {0: 1, 1: 2**60}) == [0]
 
 
 class TestSolveAssignment:

@@ -491,6 +491,26 @@ class TestCheckCommand:
         assert "PASS" not in captured.out
         assert captured.err == f"error: {sol}: unknown status 'banana'\n"
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("assign.1=x\n", "line 2: 'assign.1=x' is not key=integer"),
+            ("assign.y=1\n", "line 2: 'assign.y=1' is not key=integer"),
+            ("weight=5.5\nassign.1=1\n", "line 2: 'weight=5.5' is not key=integer"),
+            ("assign.1=1\nassign.0=1\n", "line 3: vertex id 0 is below 1"),
+            ("assign.-2=1\n", "line 2: vertex id -2 is below 1"),
+        ],
+    )
+    def test_malformed_record_named_by_file_and_line(self, tmp_path, capsys, record, message):
+        path = write(tmp_path, "i.col", "p mwlcp 1 0 1\nw 1 5\nl 1 1 1\n")
+        sol = write(tmp_path, "i.sol", f"status=optimal\n{record}")
+        with pytest.raises(ValueError, match=message):
+            read_solution(sol)
+        assert main(["check", path, sol]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {sol}: {message}\n"
+
     def test_oracle_flags_suboptimal_weight(self, tmp_path, capsys):
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 5})
         path = str(tmp_path / "i.col")

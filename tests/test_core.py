@@ -346,7 +346,7 @@ class TestReconstruct:
     def test_class_capacity_enforced(self):
         # class 0 has one color but two big columns at one
         inst = make_instance(4, [], [[0]] * 4)
-        with pytest.raises(NumericalFailure, match="big columns exceed a class capacity"):
+        with pytest.raises(NumericalFailure, match="no matching colors the leaf"):
             read_off_big_columns(inst, [(0b0011, 0), (0b1100, 0)])
 
     def test_uncovered_vertex_is_a_bug(self):

@@ -393,28 +393,26 @@ class TestExtractIntegerSolution:
             extract_integer_solution(mp, res)
 
 
-def residual_linprog(mp, keep, residual, singles):
-    """The residual LP a leaf read-off solves, cold by linprog (the reference).
+def residual_linprog(mp, at_one, residual, singles):
+    """The residual LP of a leaf read-off, cold by linprog (the reference).
 
     Covers every vertex of `residual` by the singleton columns `singles` at
     minimum cost, each bounded class capped at |C^k| minus its columns in
-    `keep`. Returns (objective, values), or None when it is infeasible.
+    `at_one`. Returns (objective, values), or None when it is infeasible.
     """
     if not singles:
         return None if residual else (0.0, [])
     part = mp.partition
     bounded = sorted(part.bounded)
     a_ub = np.zeros((len(residual) + len(bounded), len(singles)))
-    for j, i in enumerate(singles):
-        col = mp.columns[i]
+    for j, col in enumerate(singles):
         a_ub[residual.index(col.vertices()[0]), j] = -1.0
         if col.class_rep in part.bounded:
             a_ub[len(residual) + bounded.index(col.class_rep), j] = 1.0
     caps = [
-        len(part.class_members[k]) - sum(mp.columns[i].class_rep == k for i in keep)
-        for k in bounded
+        len(part.class_members[k]) - sum(col.class_rep == k for col in at_one) for k in bounded
     ]
-    cost = [mp.cost(mp.columns[i]) for i in singles]
+    cost = [mp.cost(col) for col in singles]
     ref = linprog(cost, A_ub=a_ub, b_ub=[-1.0] * len(residual) + caps, bounds=(0, None), method="highs")
     if ref.status == 2:
         return None
@@ -470,35 +468,57 @@ def test_extraction_matches_residual_linprog(data):
     add_columns(mp, at_one + [col for col in singles if col not in dropped])
 
     cols = mp.columns
-    keep = [cols.index(col) for col in at_one]
     residual = [v for v in range(n) if not covered >> v & 1]
     cand = [
         i for i, col in enumerate(cols) if col.size == 1 and not col.is_dummy and col.mask & ~covered
     ]
     fixed = sum(mp.cost(col) for col in at_one)
     values = [0.0] * len(cols)
-    for i in keep:
-        values[i] = 1.0
-    ref = residual_linprog(mp, keep, residual, cand)
+    for col in at_one:
+        values[cols.index(col)] = 1.0
+    # the point is optimal over the pool only; the read-off matches over every list color
+    ref = residual_linprog(mp, at_one, residual, [cols[i] for i in cand])
+    best = residual_linprog(mp, at_one, residual, [col for col in singles if col.mask & ~covered])
     if ref is None:
         # only the big-M dummies cover what the singletons cannot
         for v in residual:
             values[v] = 1.0
-        res = LPResult(fixed + mp.big_m * len(residual), tuple(values), tuple(cols),
-                       DualSolution((0.0,) * n, {}))
-        with pytest.raises(NumericalFailure, match="no singleton matching"):
+        objective = mp.big_m * len(residual)
+    else:
+        objective, x = ref
+        for i, xi in zip(cand, x):
+            values[i] = xi
+    res = LPResult(fixed + objective, tuple(values), tuple(cols), DualSolution((0.0,) * n, {}))
+    if best is None:
+        # no list coloring completes the point
+        with pytest.raises(NumericalFailure, match="no matching colors"):
             extract_integer_solution(mp, res)
         return
-    objective, x = ref
-    for i, xi in zip(cand, x):
-        values[i] = xi
-    res = LPResult(fixed + objective, tuple(values), tuple(cols), DualSolution((0.0,) * n, {}))
+    if best[0] < objective - 1e-9:
+        # a color outside the pool beats the point
+        with pytest.raises(NumericalFailure, match="extraction changed the objective"):
+            extract_integer_solution(mp, res)
+        return
     coloring = extract_integer_solution(mp, res)
     assert validate_coloring(inst, coloring) == pytest.approx(fixed + objective, abs=1e-9)
     for col in at_one:
         assert {part.rep_of[coloring[v]] for v in col.vertices()} == {col.class_rep}
-    for v in residual:
-        assert Column(1 << v, part.rep_of[coloring[v]]) in cols
+
+
+def test_color_without_pool_singleton_beats_point():
+    # vertex 2 sits on the pool singleton of color 2 (weight 4), but color 1
+    # (weight 2) is on its list too: the point is optimal over the pool only
+    inst = make_instance(3, [], [[0], [0], [1, 2]], weights={0: 1, 1: 2, 2: 4})
+    mp = master_for(inst)
+    add_columns(mp, [Column(0b011, 0), Column(0b100, 2)])
+    res = LPResult(
+        objective=5.0,
+        values=(0.0, 0.0, 0.0, 1.0, 1.0),
+        columns=tuple(mp.columns),
+        duals=DualSolution((1.0, 0.0, 4.0), {}),
+    )
+    with pytest.raises(NumericalFailure, match="extraction changed the objective"):
+        extract_integer_solution(mp, res)
 
 
 class TestNodeLowerBound:
