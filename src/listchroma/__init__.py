@@ -11,7 +11,7 @@ from .core import (
     partition_colors,
     validate_coloring,
 )
-from .bnp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, TIME_LIMIT, SolveReport, SolveTrace, solve
+from .bnp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, TIME_LIMIT, SolveReport, solve
 from .instgen import GenConfig, generate
 from .oracle import OracleResult, oracle_solve
 
@@ -27,7 +27,6 @@ __all__ = [
     "OPTIMAL",
     "OracleResult",
     "SolveReport",
-    "SolveTrace",
     "TIME_LIMIT",
     "build_instance",
     "generate",

@@ -33,7 +33,6 @@ from .core import (
 )
 from .master import (
     Column,
-    DualSolution,
     LPResult,
     add_columns,
     column_fault,
@@ -66,19 +65,6 @@ class SolveReport:
     def weight(self) -> int | None:
         """The incumbent's weight, None without a coloring."""
         return None if self.coloring is None else self.coloring.weight
-
-
-class SolveTrace:
-    """Optional audit collector for the verification suites."""
-
-    def __init__(self) -> None:
-        # one (node instance, partition, duals) per node whose last pricing
-        # round found no column, which proves its LP optimum
-        self.pricing_certifications: list[tuple[Instance, ColorPartition, DualSolution]] = []
-        # one (node instance, LP optimum, node coloring read off it) per LP leaf
-        self.extractions: list[tuple[Instance, LPResult, dict[int, int]]] = []
-        self.root_branch_pair: tuple[int, int] | None = None
-        self.bound_violations: list[tuple[float, float]] = []
 
 
 def update_incumbent(current: ListColoring | None, candidate: ListColoring) -> ListColoring:
@@ -161,27 +147,20 @@ def inherit_columns(
     return out
 
 
-# An open node: its state before preprocessing, then the parent's columns,
-# the parent's merge_map that maps their vertices to the root, and the
-# parent's LP bound (None at the root).
-_Node = tuple[NodeState, list[Column], dict[int, int], float | None]
+# An open node: its state before preprocessing, then the parent's columns
+# and the parent's merge_map that maps their vertices to the root.
+_Node = tuple[NodeState, list[Column], dict[int, int]]
 
 
 class _Search:
-    def __init__(
-        self,
-        root: Instance,
-        deadline: Deadline,
-        trace: SolveTrace | None,
-    ):
+    def __init__(self, root: Instance, deadline: Deadline):
         self.root = root
         self.deadline = deadline
-        self.trace = trace
         # the incumbent and the counters; solve() settles status and wall time
         self.report = SolveReport(INFEASIBLE)
 
     def run(self) -> None:
-        stack: list[_Node] = [(root_state(self.root), [], {}, None)]
+        stack: list[_Node] = [(root_state(self.root), [], {})]
         while stack:
             stack.extend(reversed(self._evaluate(*stack.pop())))
 
@@ -193,7 +172,6 @@ class _Search:
         pre_state: NodeState,
         parent_cols: list[Column],
         parent_merge_map: dict[int, int],
-        parent_lp: float | None,
     ) -> list[_Node]:
         """Solve one node; return its children, SAME first, or [] at a leaf."""
         self.deadline.check()
@@ -233,16 +211,7 @@ class _Search:
                 break
             add_columns(mp, cols)
             report.columns_generated += len(cols)
-        if self.trace is not None:
-            self.trace.pricing_certifications.append((inst, partition, res.duals))
 
-        lp_total = res.objective + state.fixed_weight
-        if (
-            self.trace is not None
-            and parent_lp is not None
-            and lp_total < parent_lp - EPS * max(1.0, abs(parent_lp))
-        ):
-            self.trace.bound_violations.append((parent_lp, lp_total))
         bound = node_lower_bound(res, mp.big_m)
         if bound is None:
             return []  # a dummy is still active: this subproblem has no coloring
@@ -252,27 +221,18 @@ class _Search:
         pair = select_branching_pair(res)
         if pair is None:
             node_coloring = extract_integer_solution(mp, res)
-            if self.trace is not None:
-                self.trace.extractions.append((inst, res, node_coloring))
             self._offer(lift_node_assignment(node_coloring, state, self.root))
             return []
 
         u, v = pair
-        # the root is evaluated first, and when it does not branch no other node exists
-        if self.trace is not None and self.trace.root_branch_pair is None:
-            self.trace.root_branch_pair = (u, v)
         real_cols = [c for c in mp.columns if not c.is_dummy]
         return [
-            (branch_same(state, u, v), real_cols, state.merge_map, lp_total),
-            (branch_differ(state, u, v), real_cols, state.merge_map, lp_total),
+            (branch_same(state, u, v), real_cols, state.merge_map),
+            (branch_differ(state, u, v), real_cols, state.merge_map),
         ]
 
 
-def solve(
-    root: Instance,
-    time_limit: float | None = None,
-    trace: SolveTrace | None = None,
-) -> SolveReport:
+def solve(root: Instance, time_limit: float | None = None) -> SolveReport:
     """Solve an instance to proven optimality, infeasibility, or timeout.
 
     A timeout, or a NumericalFailure of the LP, of pricing (a pooled column
@@ -282,7 +242,7 @@ def solve(
     A time_limit that is NaN or negative raises ValueError before the search.
     """
     start = time.perf_counter()
-    search = _Search(root, Deadline(time_limit), trace)
+    search = _Search(root, Deadline(time_limit))
     report = search.report
     try:
         search.run()

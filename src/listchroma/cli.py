@@ -290,15 +290,14 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
     """Read a machine-readable record: its status, assignment and weight (None if absent)."""
     status = weight = None
     assignment: dict[int, int] = {}
+    seen: set[str] = set()  # status, weight and assign.<v>, v normalized
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or "=" not in line:
                 continue
             key, value = line.split("=", 1)
-            if key == "status":
-                status = value
-            elif key == "weight" or key.startswith("assign."):
+            if key == "weight" or key.startswith("assign."):
                 try:
                     number = int(value)
                     vertex = 1 if key == "weight" else int(key[len("assign.") :])
@@ -306,10 +305,19 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
                     raise ValueError(f"{path}: line {lineno}: {line!r} is not key=integer") from None
                 if vertex < 1:
                     raise ValueError(f"{path}: line {lineno}: vertex id {vertex} is below 1")
-                if key == "weight":
-                    weight = number
-                else:
-                    assignment[vertex - 1] = number - 1
+                if key != "weight":
+                    key = f"assign.{vertex}"
+            elif key != "status":
+                continue
+            if key in seen:
+                raise ValueError(f"{path}: line {lineno}: second {key} line")
+            seen.add(key)
+            if key == "status":
+                status = value
+            elif key == "weight":
+                weight = number
+            else:
+                assignment[vertex - 1] = number - 1
     if status is None:
         raise ValueError(f"{path}: no status line")
     if status not in STATUS_EXIT:

@@ -130,5 +130,6 @@ def oracle_solve(inst: Instance, cap: int = 14) -> OracleResult:
     if best_weight is None:
         return OracleResult(None, None, explored)
     witness = list_coloring(inst, {v: best_assignment[i] for i, v in enumerate(order)})
-    assert witness.weight == best_weight
+    if witness.weight != best_weight:
+        raise RuntimeError(f"oracle witness weighs {witness.weight}, its search found {best_weight}")
     return OracleResult(best_weight, witness, explored)

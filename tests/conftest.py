@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 
-from listchroma.core import Graph, Instance, build_instance
+from listchroma import bnp
+from listchroma.core import EPS, Graph, Instance, build_instance
 
 
 def make_instance(n, edges, lists, weights=None) -> Instance:
@@ -119,3 +123,91 @@ def random_all_complete(seed: int) -> Instance:
     colors = sorted({j for lst in lists for j in lst})
     weights = {j: int(rng.integers(1, 8)) for j in colors}
     return build_instance(g, colors, weights, [sorted(l) for l in lists])
+
+
+@dataclass
+class SolveEvents:
+    """What recorded_events saw of the solves run inside it."""
+
+    # one (node instance, partition, duals) per node whose last pricing
+    # round found no column, which proves its LP optimum
+    certifications: list = field(default_factory=list)
+    # one (node instance, LP optimum, node coloring read off it) per LP leaf
+    extractions: list = field(default_factory=list)
+    # the first pair select_branching_pair returned: the root's
+    root_pair: tuple[int, int] | None = None
+    # one (parent LP bound, child LP bound) per branched child whose LP was
+    # proven, both bounds including the node's fixed weight
+    bound_pairs: list = field(default_factory=list)
+
+    def bound_regressions(self) -> list[tuple[float, float]]:
+        return [
+            (parent, child)
+            for parent, child in self.bound_pairs
+            if child < parent - EPS * max(1.0, abs(parent))
+        ]
+
+
+@contextmanager
+def recorded_events():
+    """Observe solves by wrapping bnp's layer names, as perfbench/spans.py does.
+
+    The search is depth first and evaluates one node at a time, so the node
+    being evaluated is the one last passed to preprocess_singletons, and its
+    LP optimum is the last solve_lp result before a round without a column.
+    A branched child is keyed by its identity until it is evaluated; the
+    entry holds the child, so the identity cannot be reused meanwhile.
+    """
+    events = SolveEvents()
+    node: dict = {}  # the node being evaluated: state, parent bound, LP, bound
+    children: dict[int, tuple] = {}  # id(child pre-state) -> (child, parent bound)
+    preprocess, solve_lp, price_all = bnp.preprocess_singletons, bnp.solve_lp, bnp.price_all
+    extract, select = bnp.extract_integer_solution, bnp.select_branching_pair
+
+    def preprocessing(pre_state):
+        _, parent_bound = children.pop(id(pre_state), (None, None))
+        node.clear()
+        node.update(state=preprocess(pre_state), parent_bound=parent_bound)
+        return node["state"]
+
+    def solving(mp):
+        node["res"] = solve_lp(mp)
+        return node["res"]
+
+    def pricing(inst, partition, duals, **kwargs):
+        outcome = price_all(inst, partition, duals, **kwargs)
+        if not outcome.columns():
+            events.certifications.append((inst, partition, duals))
+            node["bound"] = node["res"].objective + node["state"].fixed_weight
+            if node["parent_bound"] is not None:
+                events.bound_pairs.append((node["parent_bound"], node["bound"]))
+        return outcome
+
+    def extracting(mp, res):
+        coloring = extract(mp, res)
+        events.extractions.append((mp.instance, res, coloring))
+        return coloring
+
+    def selecting(res):
+        pair = select(res)
+        if events.root_pair is None:
+            events.root_pair = pair
+        return pair
+
+    def branching(branch):
+        def wrapped(state, u, v):
+            child = branch(state, u, v)
+            children[id(child)] = (child, node["bound"])
+            return child
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bnp, "preprocess_singletons", preprocessing)
+        m.setattr(bnp, "solve_lp", solving)
+        m.setattr(bnp, "price_all", pricing)
+        m.setattr(bnp, "extract_integer_solution", extracting)
+        m.setattr(bnp, "select_branching_pair", selecting)
+        m.setattr(bnp, "branch_same", branching(bnp.branch_same))
+        m.setattr(bnp, "branch_differ", branching(bnp.branch_differ))
+        yield events

@@ -2,7 +2,7 @@
 
 The shared fixture solves a 324-instance random grid (n in 6..12, p and q in
 {0.25, 0.5, 0.75}, c in {0.5, 1.0, 1.5}, unit and uniform(1,10) weights) with
-audit traces, alongside the brute-force oracle on every instance.
+its audit events recorded, alongside the brute-force oracle on every instance.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from listchroma import assignment as asg
 from listchroma.assignment import all_complete, solve_assignment
-from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveTrace, solve
+from listchroma.bnp import INFEASIBLE, OPTIMAL, solve
 from listchroma.cli import main, write_instance
 from listchroma.core import (
     EPS,
@@ -30,7 +30,15 @@ from listchroma.instgen import GenConfig, generate
 from listchroma.master import Column, DualSolution, LPResult, add_columns, extract_integer_solution, init_with_dummies
 from listchroma.oracle import oracle_solve
 
-from conftest import k33_mirrored, make_instance, petersen, random_all_complete, stable_sets
+from conftest import (
+    SolveEvents,
+    k33_mirrored,
+    make_instance,
+    max_stable_weight,
+    petersen,
+    random_all_complete,
+    recorded_events,
+)
 
 
 @contextmanager
@@ -70,7 +78,7 @@ class SuiteEntry:
     cfg: GenConfig
     inst: object
     report: object
-    trace: SolveTrace
+    events: SolveEvents
     oracle: object
 
 
@@ -79,9 +87,9 @@ def suite() -> list[SuiteEntry]:
     entries = []
     for cfg in grid_configs():
         inst = generate(cfg)
-        trace = SolveTrace()
-        report = solve(inst, trace=trace)
-        entries.append(SuiteEntry(cfg, inst, report, trace, oracle_solve(inst)))
+        with recorded_events() as events:
+            report = solve(inst)
+        entries.append(SuiteEntry(cfg, inst, report, events, oracle_solve(inst)))
     return entries
 
 
@@ -146,23 +154,13 @@ def test_criterion_4_pricing_certification(suite):
         # the vertices whose lists hold color k
         checked = 0
         for e in suite:
-            for inst, part, duals in e.trace.pricing_certifications:
+            for inst, part, duals in e.events.certifications:
                 for rep in part.reps:
                     vmask = sum(1 << v for v, lst in enumerate(inst.lists) if rep in lst)
                     if vmask.bit_count() > 15:
                         continue
                     threshold = inst.weights[rep] + duals.gamma.get(rep, 0.0)
-                    best = 0.0
-                    for sub in stable_sets(inst.graph.adj, vmask):
-                        w = 0.0
-                        m = sub
-                        while m:
-                            v = (m & -m).bit_length() - 1
-                            w += duals.pi[v]
-                            m &= m - 1
-                        if w > best:
-                            best = w
-                    assert best <= threshold + EPS
+                    assert max_stable_weight(inst.graph.adj, vmask, duals.pi) <= threshold + EPS
                     checked += 1
         assert checked > 1000
 
@@ -228,7 +226,7 @@ def test_criterion_5_singleton_extraction(suite):
         # every LP leaf of the suite's search trees is read off by extraction
         extractions = 0
         for e in suite:
-            for node_inst, res, coloring in e.trace.extractions:
+            for node_inst, res, coloring in e.events.extractions:
                 extractions += 1
                 assert_leaf_read_off(node_inst, res, coloring)
         assert extractions >= 100
@@ -319,16 +317,16 @@ def test_criterion_9_branching_partitions_optimum(suite):
     with criterion(9, "min over SAME/DIFFER children equals the parent optimum"):
         cases = []
         for e in suite:
-            if e.inst.n <= 8 and e.trace.root_branch_pair is not None:
-                cases.append((e.inst, e.trace.root_branch_pair))
+            if e.inst.n <= 8 and e.events.root_pair is not None:
+                cases.append((e.inst, e.events.root_pair))
         extra_seed = 90000
         while len(cases) < 10 and extra_seed < 90600:
             cfg = GenConfig(n=6 + extra_seed % 3, p=0.5, c=1.0, q=0.75, seed=extra_seed)
             inst = generate(cfg)
-            trace = SolveTrace()
-            solve(inst, trace=trace)
-            if trace.root_branch_pair is not None:
-                cases.append((inst, trace.root_branch_pair))
+            with recorded_events() as events:
+                solve(inst)
+            if events.root_pair is not None:
+                cases.append((inst, events.root_pair))
             extra_seed += 1
         assert len(cases) >= 10
         for inst, (u, v) in cases:

@@ -9,7 +9,6 @@ from listchroma.bnp import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     TIME_LIMIT,
-    SolveTrace,
     inherit_columns,
     select_branching_pair,
     solve,
@@ -29,7 +28,7 @@ from listchroma.master import Column, DualSolution, LPResult, add_columns, init_
 from listchroma.oracle import oracle_solve
 from listchroma.pricing import SHARED_SEARCH_DENSITY
 
-from conftest import k33_mirrored, make_instance, petersen
+from conftest import k33_mirrored, make_instance, petersen, recorded_events
 
 
 class TestSolveBasic:
@@ -123,20 +122,6 @@ class TestSolveBasic:
         monkeypatch.setattr(bnp, "root_state", no_search)
         with pytest.raises(ValueError, match="time limit must be a number >= 0"):
             solve(petersen(), time_limit=time_limit)
-
-    def test_root_branch_pair_is_the_first_pair(self, monkeypatch):
-        pairs = []
-        select_branching_pair = bnp.select_branching_pair
-
-        def recording(res):
-            pairs.append(select_branching_pair(res))
-            return pairs[-1]
-
-        monkeypatch.setattr(bnp, "select_branching_pair", recording)
-        trace = SolveTrace()
-        solve(generate(GenConfig(n=14, p=0.5, c=1.0, q=0.5, seed=4)), trace=trace)
-        assert len(pairs) > 1
-        assert trace.root_branch_pair == pairs[0]
 
     def test_assignment_module_can_be_disabled(self, monkeypatch):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})
@@ -418,12 +403,14 @@ class TestExactness:
         assert a.coloring == b.coloring
 
     def test_child_bounds_never_regress(self):
+        compared = 0
         for seed in range(25):
             cfg = GenConfig(n=9, p=0.5, c=1.0, q=0.5, seed=3000 + seed)
-            inst = generate(cfg)
-            trace = SolveTrace()
-            solve(inst, trace=trace)
-            assert trace.bound_violations == []
+            with recorded_events() as events:
+                solve(generate(cfg))
+            compared += len(events.bound_pairs)
+            assert events.bound_regressions() == []
+        assert compared > 0
 
     def test_incumbent_coloring_is_valid(self):
         rng = np.random.Generator(np.random.PCG64(99))

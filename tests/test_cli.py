@@ -499,6 +499,9 @@ class TestCheckCommand:
             ("weight=5.5\nassign.1=1\n", "line 2: 'weight=5.5' is not key=integer"),
             ("assign.1=1\nassign.0=1\n", "line 3: vertex id 0 is below 1"),
             ("assign.-2=1\n", "line 2: vertex id -2 is below 1"),
+            ("status=infeasible\n", "line 2: second status line"),
+            ("weight=5\nweight=6\n", "line 3: second weight line"),
+            ("assign.1=1\nassign.01=1\n", "line 3: second assign.1 line"),
         ],
     )
     def test_malformed_record_named_by_file_and_line(self, tmp_path, capsys, record, message):

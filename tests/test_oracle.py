@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from listchroma import oracle
 from listchroma.core import EmptyListError, validate_coloring
 from listchroma.oracle import TooLargeError, oracle_solve, placement_order
 
@@ -13,6 +16,20 @@ def test_triangle_needs_three_colors():
     res = oracle_solve(inst)
     assert res.optimum == 3
     assert res.witness is not None and res.witness.weight == 3
+
+
+def test_witness_weight_mismatch_raises(monkeypatch):
+    # the check must survive python -O, so it is a raise, not an assert
+    list_coloring = oracle.list_coloring
+
+    def heavier(inst, assignment):
+        coloring = list_coloring(inst, assignment)
+        return dataclasses.replace(coloring, weight=coloring.weight + 1)
+
+    monkeypatch.setattr(oracle, "list_coloring", heavier)
+    inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0, 1, 2]] * 3)
+    with pytest.raises(RuntimeError, match="oracle witness weighs 4, its search found 3"):
+        oracle_solve(inst)
 
 
 def test_k33_mirrored_is_infeasible():
