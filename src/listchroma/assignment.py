@@ -5,10 +5,11 @@ to a minimum cost matching of the vertices into the concrete colors, which
 scipy's linear_sum_assignment solves.
 
 min_cost_matching is the one way a node is finished by matching: it also
-colors every integral leaf of the column generation
-(master.extract_integer_solution), matching its big columns and the
-vertices they leave uncovered to colors in one assignment. Either way the
-node ends with a coloring of its own instance for core.lift_node_assignment.
+colors every integral leaf of the column generation and the end of every
+dive (master.extract_integer_solution, master.dive), matching the big
+columns and the vertices they leave uncovered to colors in one assignment.
+Either way the node ends with a coloring of its own instance for
+core.lift_node_assignment.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ nodes wait on an explicit stack, not in Python frames, so the depth of the
 tree is bounded by memory alone. SAME children are explored first since they
 shrink the graph toward the all-complete leaves that the matching module
 finishes off.
+
+A node that is about to branch first dives (master.dive) from its LP
+optimum over its own column pool and offers the coloring it reads off; if
+that incumbent reaches the node's bound, the node is not branched. Most of
+a tree without the dive was spent finding the optimum, not proving it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .master import (
     LPResult,
     add_columns,
     column_fault,
+    dive,
     extract_integer_solution,
     init_with_dummies,
     node_lower_bound,
@@ -60,6 +66,7 @@ class SolveReport:
     pricing_rounds: int = 0
     wall_time: float = 0.0
     mwss_nodes: int = 0  # stable set search nodes over every pricing round
+    incumbent_node: int | None = None  # the node at which the coloring was found
 
     @property
     def weight(self) -> int | None:
@@ -165,7 +172,10 @@ class _Search:
             stack.extend(reversed(self._evaluate(*stack.pop())))
 
     def _offer(self, candidate: ListColoring) -> None:
-        self.report.coloring = update_incumbent(self.report.coloring, candidate)
+        report = self.report
+        best = update_incumbent(report.coloring, candidate)
+        if best is not report.coloring:
+            report.coloring, report.incumbent_node = best, report.nodes
 
     def _evaluate(
         self,
@@ -224,6 +234,13 @@ class _Search:
             self._offer(lift_node_assignment(node_coloring, state, self.root))
             return []
 
+        cutoff = None if report.weight is None else report.weight - state.fixed_weight
+        node_coloring = dive(mp, res, cutoff)
+        if node_coloring is not None:
+            self._offer(lift_node_assignment(node_coloring, state, self.root))
+            if bound + state.fixed_weight >= report.weight:
+                return []
+
         u, v = pair
         real_cols = [c for c in mp.columns if not c.is_dummy]
         return [
@@ -235,10 +252,11 @@ class _Search:
 def solve(root: Instance, time_limit: float | None = None) -> SolveReport:
     """Solve an instance to proven optimality, infeasibility, or timeout.
 
-    A timeout, or a NumericalFailure of the LP, of pricing (a pooled column
-    priced again), of a matching or of the leaf read-off, or of weights
-    beyond exact float64 arithmetic, ends the search with status TIME_LIMIT
-    or NUMERICAL_FAILURE; the report keeps the incumbent found so far.
+    A timeout, or a NumericalFailure of the LP (a dive's included), of
+    pricing (a pooled column priced again), of a matching or of the leaf
+    read-off, or of weights beyond exact float64 arithmetic, ends the search
+    with status TIME_LIMIT or NUMERICAL_FAILURE; the report keeps the
+    incumbent found so far and the node it was found at.
     A time_limit that is NaN or negative raises ValueError before the search.
     """
     start = time.perf_counter()

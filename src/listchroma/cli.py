@@ -179,6 +179,7 @@ REPORT_ROWS = (
     ("status", "status", "status"),
     ("weight", "weight", "weight"),
     ("nodes", "nodes", "nodes explored"),
+    ("incumbent_node", "incumbent_node", "incumbent found at node"),
     ("columns", "columns_generated", "columns generated"),
     ("pricing_rounds", "pricing_rounds", "pricing rounds"),
     ("mwss_nodes", "mwss_nodes", "mwss nodes"),

@@ -25,6 +25,12 @@ An LP optimum without a fractional big column is a leaf of the search
 (bnp.select_branching_pair finds no pair in it); extract_integer_solution
 reads a coloring of the node instance off it, with no second LP, and says
 why that coloring costs what the point costs.
+
+Every lower bound is 0 until a node branches. Right before it does, dive
+raises the lower bound of one column at a time to 1 and re-solves, until no
+big column is fractional, and reads a coloring off the same way. The
+model's bounds then stay changed, which is harmless: the node's model is
+dropped once it branches, and its children inherit only the column pool.
 """
 
 from __future__ import annotations
@@ -236,20 +242,13 @@ def solve_lp(mp: MasterProblem) -> LPResult:
     )
 
 
-def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]:
-    """Read a coloring {node vertex: color} off an LP optimum without fractional big columns.
+def _read_off(mp: MasterProblem, res: LPResult) -> tuple[dict[int, int], int] | None:
+    """A coloring {node vertex: color} read off res and its weight; None when no matching exists.
 
     One min_cost_matching into the node's colors. Its rows are the columns of
     two or more vertices above 0.5, in pool order, each taking a color of its
     class, then the vertices they leave uncovered, each taking a color of its
     list. A big column colors those of its vertices no earlier one colored.
-
-    The point is optimal over all columns, since extraction runs only after a
-    pricing round found none, so no list-color completion of its big columns
-    is cheaper. One costs the same: covering the uncovered vertices by
-    singletons under the class capacities is a transportation problem from
-    vertices to classes, integral at its LP optimum. A matching that finds no
-    coloring or misses the point's cost raises NumericalFailure.
     """
     inst = mp.instance
     big = [col for col, x in zip(res.columns, res.values) if col.size >= 2 and x > 0.5]
@@ -257,15 +256,68 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]
     rows = [mp.partition.class_members[col.class_rep] for col in big]
     match = min_cost_matching(rows + [inst.lists[v] for v in residual], inst.colors, inst.weights)
     if match is None:
-        raise NumericalFailure("no matching colors the leaf's big columns and uncovered vertices")
+        return None
     coloring = dict(zip(residual, match[len(big) :]))
     for col, color in zip(big, match):
         for v in col.vertices():
             coloring.setdefault(v, color)
-    objective = sum(inst.weights[j] for j in match)
+    return coloring, sum(inst.weights[j] for j in match)
+
+
+def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]:
+    """Read a coloring {node vertex: color} off an LP optimum without fractional big columns.
+
+    The read-off is _read_off's single matching. The point is optimal over
+    all columns, since extraction runs only after a pricing round found none,
+    so no list-color completion of its big columns is cheaper. One costs the
+    same: covering the uncovered vertices by singletons under the class
+    capacities is a transportation problem from vertices to classes,
+    integral at its LP optimum. A matching that finds no coloring or misses
+    the point's cost raises NumericalFailure.
+    """
+    read = _read_off(mp, res)
+    if read is None:
+        raise NumericalFailure("no matching colors the leaf's big columns and uncovered vertices")
+    coloring, objective = read
     if abs(objective - res.objective) > EPS * max(1.0, abs(res.objective)):
         raise NumericalFailure(f"extraction changed the objective: {objective} vs {res.objective}")
     return coloring
+
+
+def dive(mp: MasterProblem, res: LPResult, cutoff: int | None) -> dict[int, int] | None:
+    """Dive from the LP optimum res over the node's pool; a node coloring, or None.
+
+    Each step fixes the fractional column of two or more vertices with the
+    largest x (ties: larger, then earlier in the pool) by raising its lower
+    bound to 1, and re-solves warm. No column is priced, so mp.columns stays
+    as it is; only the model's bounds change. The dive gives up once
+    ceil(obj - EPS) reaches cutoff (None: no cutoff) or a dummy stays
+    positive. With no fractional big column left it reads a coloring off
+    like extract_integer_solution, without the cost check: the pool may lack
+    singletons that the matching uses, so the coloring can be cheaper than
+    the point.
+    """
+    while True:
+        if cutoff is not None and math.ceil(res.objective - EPS) >= cutoff:
+            return None
+        if any(col.is_dummy and x > EPS for col, x in zip(res.columns, res.values)):
+            return None
+        # below 1 only: a column at 1 or above is fixed already, and raising
+        # its lower bound again would not move the point
+        candidates = [
+            (x, col.size, -i)
+            for i, (col, x) in enumerate(zip(res.columns, res.values))
+            if col.size >= 2 and EPS < x < 1 - EPS
+        ]
+        if not candidates:
+            read = _read_off(mp, res)
+            return None if read is None else read[0]
+        i = -max(candidates)[2]
+        _check(
+            mp._lp.changeColsBounds(1, np.array([i], dtype=np.int32), np.ones(1), np.full(1, _INF)),
+            "fixing a dive column",
+        )
+        res = solve_lp(mp)
 
 
 def node_lower_bound(res: LPResult, big_m: int) -> int | None:

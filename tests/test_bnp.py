@@ -303,12 +303,45 @@ class TestInheritColumns:
 
         monkeypatch.setattr(bnp, "inherit_columns", recording_inherit)
         monkeypatch.setattr(bnp, "init_with_dummies", recording_init)
-        solve(generate(GenConfig(n=14, p=0.5, c=1.0, q=0.5, seed=4)))
+        solve(generate(GenConfig(n=14, p=0.5, c=1.0, q=0.5, seed=6)))
         (root_n, root_cols), *children = seeded
         assert root_cols == [Column(1 << v, None) for v in range(root_n)]
         assert len(children) == len(kept_lists) > 0 and any(kept_lists)
         for (n, cols), kept in zip(children, kept_lists):
             assert cols == [Column(1 << v, None) for v in range(n)] + kept
+
+
+class TestDive:
+    def test_optimum_arrives_at_the_root(self):
+        # c7 seed 7001: without the dive its optimum first appeared at node
+        # 24 of a 37-node tree
+        report = solve(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=7001)))
+        assert (report.status, report.weight, report.incumbent_node) == (OPTIMAL, 10, 1)
+        assert report.nodes < 37
+
+    def test_incumbent_node_is_where_the_coloring_was_offered(self, monkeypatch):
+        nodes, offers = [], []
+        preprocess, update = bnp.preprocess_singletons, bnp.update_incumbent
+
+        def counting(pre_state):
+            nodes.append(pre_state)
+            return preprocess(pre_state)
+
+        def recording(current, candidate):
+            offers.append((len(nodes), candidate))
+            return update(current, candidate)
+
+        monkeypatch.setattr(bnp, "preprocess_singletons", counting)
+        monkeypatch.setattr(bnp, "update_incumbent", recording)
+        # the root's dive offers weight 4, its SAME child the optimum 3
+        report = solve(generate(GenConfig(n=10, p=0.5, c=1.0, q=0.5, seed=69)))
+        assert [(node, c.weight) for node, c in offers] == [(1, 4), (2, 3)]
+        assert (report.weight, report.incumbent_node) == (3, 2)
+        assert offers[-1][1] is report.coloring
+
+    def test_no_incumbent_no_node(self):
+        report = solve(k33_mirrored())
+        assert report.coloring is None and report.incumbent_node is None
 
 
 class TestUpdateIncumbent:
@@ -405,7 +438,7 @@ class TestExactness:
     def test_child_bounds_never_regress(self):
         compared = 0
         for seed in range(25):
-            cfg = GenConfig(n=9, p=0.5, c=1.0, q=0.5, seed=3000 + seed)
+            cfg = GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=3000 + seed, weight_range=(1, 10))
             with recorded_events() as events:
                 solve(generate(cfg))
             compared += len(events.bound_pairs)

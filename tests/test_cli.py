@@ -182,14 +182,27 @@ class TestSolveCommand:
         with open(out, encoding="utf-8") as fh:
             assert f"mwss_nodes={expected}" in fh.read().splitlines()
 
+    def test_record_carries_the_incumbent_node(self, tmp_path, capsys):
+        # the root's dive offers weight 4; the optimum 3 is a leaf at node 2
+        inst = generate(GenConfig(n=10, p=0.5, c=1.0, q=0.5, seed=69))
+        path = str(tmp_path / "i.col")
+        write_instance(path, inst)
+        out = str(tmp_path / "i.sol")
+        assert main(["solve", path, "--out", out]) == EXIT_OK
+        assert "incumbent found at node: 2" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fh:
+            record = dict(line.split("=", 1) for line in fh.read().splitlines())
+        assert (record["weight"], record["incumbent_node"]) == ("3", "2")
+        assert int(record["incumbent_node"]) == solve(inst).incumbent_node
+
     @pytest.mark.parametrize("after_incumbent, weight", [(False, None), (True, 3)])
     def test_numerical_failure_exits_four_with_the_incumbent(
         self, tmp_path, monkeypatch, capsys, after_incumbent, weight
     ):
-        from conftest import petersen
-
-        # Petersen: the SAME child of the root is a leaf of weight 3, and the
-        # DIFFER child solves its LP after that incumbent exists
+        # the root's dive offers weight 4, the SAME child of the root is a
+        # leaf of the optimum 3, and the DIFFER child solves its LP after that
+        # incumbent exists
+        inst = generate(GenConfig(n=10, p=0.5, c=1.0, q=0.5, seed=69))
         offered = []
         real_update, real_solve_lp = bnp.update_incumbent, bnp.solve_lp
 
@@ -198,17 +211,17 @@ class TestSolveCommand:
             return real_update(current, candidate)
 
         def failing_solve_lp(mp):
-            if offered or not after_incumbent:
+            if 3 in offered or not after_incumbent:
                 raise NumericalFailure("LP solve failed: injected")
             return real_solve_lp(mp)
 
         monkeypatch.setattr(bnp, "update_incumbent", recording_update)
         monkeypatch.setattr(bnp, "solve_lp", failing_solve_lp)
-        path = str(tmp_path / "p.col")
-        write_instance(path, petersen())
-        out = str(tmp_path / "p.sol")
+        path = str(tmp_path / "i.col")
+        write_instance(path, inst)
+        out = str(tmp_path / "i.sol")
         assert main(["solve", path, "--out", out]) == EXIT_NUMERICAL_FAILURE
-        assert offered == ([3] if after_incumbent else [])
+        assert offered == ([4, 3] if after_incumbent else [])
         assert "status: numerical_failure" in capsys.readouterr().out
         status, assignment, stated = read_solution(out)
         assert status == "numerical_failure"
@@ -286,40 +299,42 @@ EMPTY_LIST = "c empty\np mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\nl 2 0\n"
 
 PETERSEN_TEXT = """status: optimal
 weight: 3
-nodes explored: 3
-columns generated: 9
-pricing rounds: 12
-mwss nodes: 35
+nodes explored: 1
+incumbent found at node: 1
+columns generated: 6
+pricing rounds: 7
+mwss nodes: 20
 assignment:
   vertex 1 -> color 1
-  vertex 2 -> color 3
-  vertex 3 -> color 2
-  vertex 4 -> color 1
+  vertex 2 -> color 2
+  vertex 3 -> color 1
+  vertex 4 -> color 2
   vertex 5 -> color 3
-  vertex 6 -> color 3
+  vertex 6 -> color 2
   vertex 7 -> color 1
-  vertex 8 -> color 1
-  vertex 9 -> color 2
+  vertex 8 -> color 3
+  vertex 9 -> color 3
   vertex 10 -> color 2
 """
 
 PETERSEN_RECORD = """status=optimal
 weight=3
-nodes=3
-columns=9
-pricing_rounds=12
-mwss_nodes=35
+nodes=1
+incumbent_node=1
+columns=6
+pricing_rounds=7
+mwss_nodes=20
 input=p.col
 time_limit=none
 assign.1=1
-assign.2=3
-assign.3=2
-assign.4=1
+assign.2=2
+assign.3=1
+assign.4=2
 assign.5=3
-assign.6=3
+assign.6=2
 assign.7=1
-assign.8=1
-assign.9=2
+assign.8=3
+assign.9=3
 assign.10=2
 echo.0=c petersen
 """

@@ -40,16 +40,16 @@ def test_every_wrapped_layer_fires(monkeypatch):
         return outcome
 
     monkeypatch.setattr(bnp, "price_all", recording)
-    # a grid instance of three nodes: inheritance, a leaf read-off, and
+    # a grid instance of five nodes: inheritance, a leaf read-off, and
     # classes on one vertex set that share a pricing search
-    branching = generate(GenConfig(n=7, p=0.25, c=1.5, q=0.25, seed=20029))
+    branching = generate(GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=20179, weight_range=(1, 10)))
     with spans.instrumented(tracer):
         tracer.request = "branching"
         first = solve(branching)
         tracer.request = "all_complete"
         second = solve(random_all_complete(0))
     assert first.status == second.status == bnp.OPTIMAL
-    assert first.nodes == 3
+    assert first.nodes == 5
 
     fired = Counter(span[0] for span in tracer.spans)
     wrapped = {

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from listchroma.bnp import select_branching_pair
 from listchroma.core import EPS, partition_colors, root_state, validate_coloring
+from listchroma.instgen import GenConfig, generate
 from listchroma.master import (
     Column,
     DualSolution,
@@ -15,11 +16,13 @@ from listchroma.master import (
     NumericalFailure,
     add_columns,
     column_fault,
+    dive,
     extract_integer_solution,
     init_with_dummies,
     node_lower_bound,
     solve_lp,
 )
+from listchroma.pricing import price_all
 
 from conftest import make_instance, stable_sets
 
@@ -519,6 +522,59 @@ def test_color_without_pool_singleton_beats_point():
     )
     with pytest.raises(NumericalFailure, match="extraction changed the objective"):
         extract_integer_solution(mp, res)
+
+
+def root_optimum(inst):
+    """The root master of inst and its LP optimum, priced out by the solver's own loop."""
+    mp = master_for(inst)
+    while True:
+        res = solve_lp(mp)
+        cols = price_all(inst, mp.partition, res.duals).columns()
+        if not cols:
+            return mp, res
+        add_columns(mp, cols)
+
+
+class TestDive:
+    # root LP 5.67, with a fractional big column to branch on
+    INST = generate(GenConfig(n=20, p=0.5, c=1.0, q=0.5, seed=3))
+
+    def test_coloring_no_lighter_than_the_bound(self):
+        mp, res = root_optimum(self.INST)
+        assert select_branching_pair(res) is not None
+        coloring = dive(mp, res, None)
+        assert coloring is not None
+        assert validate_coloring(self.INST, coloring) >= node_lower_bound(res, mp.big_m)
+
+    @pytest.mark.parametrize("above", [0, -1])
+    def test_cutoff_at_or_below_the_bound_gives_up(self, above):
+        mp, res = root_optimum(self.INST)
+        assert dive(mp, res, node_lower_bound(res, mp.big_m) + above) is None
+
+    def test_cutoff_above_the_coloring_keeps_it(self):
+        mp, res = root_optimum(self.INST)
+        free = dive(mp, res, None)
+        mp, res = root_optimum(self.INST)
+        assert dive(mp, res, validate_coloring(self.INST, free) + 1) == free
+
+    def test_pool_unchanged(self):
+        mp, res = root_optimum(self.INST)
+        pool = list(mp.columns)
+        dive(mp, res, None)
+        assert mp.columns == pool == list(res.columns)
+
+    def test_deterministic(self):
+        first = dive(*root_optimum(self.INST), None)
+        assert dive(*root_optimum(self.INST), None) == first
+
+    def test_positive_dummy_gives_up(self):
+        # no pool column covers vertex 1, so its dummy stays at one
+        inst = make_instance(2, [(0, 1)], [[0], [0, 1]])
+        mp = master_for(inst)
+        add_columns(mp, [Column(0b01, 0)])
+        res = solve_lp(mp)
+        assert res.values[1] == pytest.approx(1.0)
+        assert dive(mp, res, None) is None
 
 
 class TestNodeLowerBound:
