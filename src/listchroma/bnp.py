@@ -7,10 +7,11 @@ tree is bounded by memory alone. SAME children are explored first since they
 shrink the graph toward the all-complete leaves that the matching module
 finishes off.
 
-A node that is about to branch first dives (master.dive) from its LP
-optimum over its own column pool and offers the coloring it reads off; if
-that incumbent reaches the node's bound, the node is not branched. Most of
-a tree without the dive was spent finding the optimum, not proving it.
+A node is pruned once master.node_lower_bound reaches its cutoff, the
+incumbent's weight less the node's fixed weight. About to branch, it dives
+(master.dive) over its own column pool under that cutoff and offers the
+coloring read off; if that coloring meets the bound, it does not branch.
+Most of a tree without the dive was spent finding the optimum.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .master import (
     column_fault,
     dive,
     extract_integer_solution,
+    fractional_big_columns,
     init_with_dummies,
     node_lower_bound,
     solve_lp,
@@ -93,15 +95,11 @@ def select_branching_pair(res: LPResult) -> tuple[int, int] | None:
     Both choices keep u and v in a common stable set, hence non-adjacent with
     intersecting lists; branch_same and branch_differ raise otherwise.
 
-    None means no column of two or more vertices is fractional, and the node
-    is a leaf; extract_integer_solution reads its coloring off and says why
+    None means master.fractional_big_columns finds none, and the node is a
+    leaf; extract_integer_solution reads its coloring off and says why
     that coloring costs what the LP point costs.
     """
-    candidates = [
-        (abs(x - 0.5), -col.size, i)
-        for i, (col, x) in enumerate(zip(res.columns, res.values))
-        if col.size >= 2 and abs(x - round(x)) > EPS
-    ]
+    candidates = [(abs(x - 0.5), -col.size, i) for i, col, x in fractional_big_columns(res)]
     if not candidates:
         return None
     _, _, i1 = min(candidates)
@@ -171,11 +169,14 @@ class _Search:
         while stack:
             stack.extend(reversed(self._evaluate(*stack.pop())))
 
-    def _offer(self, candidate: ListColoring) -> None:
+    def _offer(self, node_coloring: dict[int, int], state: NodeState) -> ListColoring:
+        """Lift a coloring of the node instance to the root and offer it; return it lifted."""
         report = self.report
+        candidate = lift_node_assignment(node_coloring, state, self.root)
         best = update_incumbent(report.coloring, candidate)
         if best is not report.coloring:
             report.coloring, report.incumbent_node = best, report.nodes
+        return candidate
 
     def _evaluate(
         self,
@@ -192,14 +193,14 @@ class _Search:
             return []
         inst = state.instance
         if inst.n == 0:
-            self._offer(lift_node_assignment({}, state, self.root))
+            self._offer({}, state)
             return []
         partition = partition_colors(inst)
 
         if asg.all_complete(partition, inst.graph):
             node_coloring = asg.solve_assignment(state)
             if node_coloring is not None:
-                self._offer(lift_node_assignment(node_coloring, state, self.root))
+                self._offer(node_coloring, state)
             return []
 
         inherited = (
@@ -222,24 +223,20 @@ class _Search:
             add_columns(mp, cols)
             report.columns_generated += len(cols)
 
+        cutoff = None if report.weight is None else report.weight - state.fixed_weight
         bound = node_lower_bound(res, mp.big_m)
-        if bound is None:
-            return []  # a dummy is still active: this subproblem has no coloring
-        if report.weight is not None and bound + state.fixed_weight >= report.weight:
-            return []
+        if bound is None or (cutoff is not None and bound >= cutoff):
+            return []  # no coloring (a dummy is still active), or none lighter
 
         pair = select_branching_pair(res)
         if pair is None:
-            node_coloring = extract_integer_solution(mp, res)
-            self._offer(lift_node_assignment(node_coloring, state, self.root))
+            self._offer(extract_integer_solution(mp, res), state)
             return []
 
-        cutoff = None if report.weight is None else report.weight - state.fixed_weight
         node_coloring = dive(mp, res, cutoff)
         if node_coloring is not None:
-            self._offer(lift_node_assignment(node_coloring, state, self.root))
-            if bound + state.fixed_weight >= report.weight:
-                return []
+            if self._offer(node_coloring, state).weight <= bound + state.fixed_weight:
+                return []  # the dive met the node's bound: nothing below is lighter
 
         u, v = pair
         real_cols = [c for c in mp.columns if not c.is_dummy]

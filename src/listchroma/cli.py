@@ -288,7 +288,11 @@ def _emit_report(
 
 
 def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
-    """Read a machine-readable record: its status, assignment and weight (None if absent)."""
+    """Read a machine-readable record: its status, assignment and weight (None if absent).
+
+    A record that contradicts itself, an infeasible one with a weight or an
+    assignment or a weight without an assignment, raises ValueError too.
+    """
     status = weight = None
     assignment: dict[int, int] = {}
     seen: set[str] = set()  # status, weight and assign.<v>, v normalized
@@ -323,6 +327,10 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
         raise ValueError(f"{path}: no status line")
     if status not in STATUS_EXIT:
         raise ValueError(f"{path}: unknown status {status!r}")
+    if status == INFEASIBLE and (weight is not None or assignment):
+        raise ValueError(f"{path}: an infeasible record states a weight or an assignment")
+    if weight is not None and not assignment:
+        raise ValueError(f"{path}: weight line without any assign.<v> line")
     return status, assignment, weight
 
 

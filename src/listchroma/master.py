@@ -21,10 +21,11 @@ what is a column of a node (column_fault) and what it costs
 for a dummy. So a column carried into a child node costs the child's weight
 of its class, which singleton fixing may have zeroed.
 
-An LP optimum without a fractional big column is a leaf of the search
-(bnp.select_branching_pair finds no pair in it); extract_integer_solution
-reads a coloring of the node instance off it, with no second LP, and says
-why that coloring costs what the point costs.
+An LP optimum without a fractional big column (fractional_big_columns) is
+a leaf of the search; extract_integer_solution reads a coloring of the
+node instance off it, with no second LP, and says why that coloring costs
+what the point costs. node_lower_bound is the one bound read from an LP
+point: the search prunes on it and the dive gives up on it.
 
 Every lower bound is 0 until a node branches. Right before it does, dive
 raises the lower bound of one column at a time to 1 and re-solves, until no
@@ -242,6 +243,15 @@ def solve_lp(mp: MasterProblem) -> LPResult:
     )
 
 
+def fractional_big_columns(res: LPResult) -> list[tuple[int, Column, float]]:
+    """(pool index, column, x) of the columns of two or more vertices whose x is fractional.
+
+    The one fractional test, |x - round(x)| > EPS: branching and the dive both read it.
+    """
+    pool = enumerate(zip(res.columns, res.values))
+    return [(i, col, x) for i, (col, x) in pool if col.size >= 2 and abs(x - round(x)) > EPS]
+
+
 def _read_off(mp: MasterProblem, res: LPResult) -> tuple[dict[int, int], int] | None:
     """A coloring {node vertex: color} read off res and its weight; None when no matching exists.
 
@@ -287,28 +297,22 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]
 def dive(mp: MasterProblem, res: LPResult, cutoff: int | None) -> dict[int, int] | None:
     """Dive from the LP optimum res over the node's pool; a node coloring, or None.
 
-    Each step fixes the fractional column of two or more vertices with the
-    largest x (ties: larger, then earlier in the pool) by raising its lower
-    bound to 1, and re-solves warm. No column is priced, so mp.columns stays
-    as it is; only the model's bounds change. The dive gives up once
-    ceil(obj - EPS) reaches cutoff (None: no cutoff) or a dummy stays
-    positive. With no fractional big column left it reads a coloring off
-    like extract_integer_solution, without the cost check: the pool may lack
+    Each step fixes the fractional big column (fractional_big_columns) below
+    1 with the largest x (ties: larger, then earlier in the pool) by raising
+    its lower bound to 1, and re-solves warm; a column at 1 or above is fixed
+    already. No column is priced, so mp.columns stays as it is; only the
+    model's bounds change. The dive gives up exactly when node_lower_bound
+    of the current point is None or reaches cutoff (None: no cutoff). With
+    no fractional big column left it reads a coloring off like
+    extract_integer_solution, without the cost check: the pool may lack
     singletons that the matching uses, so the coloring can be cheaper than
     the point.
     """
     while True:
-        if cutoff is not None and math.ceil(res.objective - EPS) >= cutoff:
+        bound = node_lower_bound(res, mp.big_m)
+        if bound is None or (cutoff is not None and bound >= cutoff):
             return None
-        if any(col.is_dummy and x > EPS for col, x in zip(res.columns, res.values)):
-            return None
-        # below 1 only: a column at 1 or above is fixed already, and raising
-        # its lower bound again would not move the point
-        candidates = [
-            (x, col.size, -i)
-            for i, (col, x) in enumerate(zip(res.columns, res.values))
-            if col.size >= 2 and EPS < x < 1 - EPS
-        ]
+        candidates = [(x, col.size, -i) for i, col, x in fractional_big_columns(res) if x < 1]
         if not candidates:
             read = _read_off(mp, res)
             return None if read is None else read[0]

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from listchroma.cli import (
 )
 from listchroma.bnp import solve
 from listchroma.core import Graph, NumericalFailure, build_instance
-from listchroma.instgen import GenConfig, generate
+from listchroma.instgen import REJECT, GenConfig, generate
 from listchroma.oracle import OracleResult
 
 from conftest import k33_mirrored, make_instance
@@ -109,6 +110,18 @@ class TestGenerateCommand:
         ) == EXIT_OK
         inst, _ = parse_instance(out)
         assert len(inst.colors) == 25
+
+    def test_strict_lists_redraws(self, tmp_path):
+        # the instgen config whose repaired and rejected draws differ
+        out = str(tmp_path / "g.col")
+        assert main(
+            ["generate", "--n", "4", "--p", "0.5", "--c", "1.0", "--q", "0.05",
+             "--seed", "11", "--strict-lists", "--out", out]
+        ) == EXIT_OK
+        inst, comments = parse_instance(out)
+        assert any(c.endswith(" empty_lists=reject") for c in comments)
+        cfg = GenConfig(n=4, p=0.5, c=1.0, q=0.05, seed=11, empty_lists=REJECT)
+        assert inst == generate(cfg)
 
     def test_invalid_probability(self, tmp_path, capsys):
         code = main(
@@ -523,6 +536,30 @@ class TestCheckCommand:
         path = write(tmp_path, "i.col", "p mwlcp 1 0 1\nw 1 5\nl 1 1 1\n")
         sol = write(tmp_path, "i.sol", f"status=optimal\n{record}")
         with pytest.raises(ValueError, match=message):
+            read_solution(sol)
+        assert main(["check", path, sol]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {sol}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            # the record colors both ends of the edge 1
+            ("status=infeasible\nweight=1\nassign.1=1\nassign.2=1\n",
+             "an infeasible record states a weight or an assignment"),
+            ("status=infeasible\nweight=1\n",
+             "an infeasible record states a weight or an assignment"),
+            ("status=infeasible\nassign.1=1\nassign.2=2\n",
+             "an infeasible record states a weight or an assignment"),
+            ("status=time_limit\nweight=0\n", "weight line without any assign.<v> line"),
+            ("status=optimal\nweight=2\n", "weight line without any assign.<v> line"),
+        ],
+    )
+    def test_contradictory_record_rejected(self, tmp_path, capsys, record, message):
+        path = write(tmp_path, "i.col", "p mwlcp 2 1 2\ne 1 2\nw 1 1\nw 2 1\nl 1 2 1 2\nl 2 2 1 2\n")
+        sol = write(tmp_path, "i.sol", record)
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_solution(sol)
         assert main(["check", path, sol]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()

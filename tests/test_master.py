@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from listchroma import master
 from listchroma.bnp import select_branching_pair
 from listchroma.core import EPS, partition_colors, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
@@ -575,6 +576,51 @@ class TestDive:
         res = solve_lp(mp)
         assert res.values[1] == pytest.approx(1.0)
         assert dive(mp, res, None) is None
+
+
+class TestSharedFractionalRule:
+    """Branching and the dive call the same big columns fractional."""
+
+    # edgeless, one class of two colors: three dummies, then {0,1} and {1,2}
+    INST = make_instance(3, [], [[0, 1]] * 3)
+
+    def lp_at(self, x01, x12):
+        mp = master_for(self.INST)
+        add_columns(mp, [Column(0b011, 0), Column(0b110, 0)])
+        res = LPResult(
+            objective=x01 + x12,
+            values=(0.0, 0.0, 0.0, x01, x12),
+            columns=tuple(mp.columns),
+            duals=DualSolution((0.0,) * 3, {}),
+        )
+        return mp, res
+
+    def test_within_eps_of_an_integer_is_integral(self, monkeypatch):
+        mp, res = self.lp_at(1 - EPS / 2, EPS / 2)
+        assert select_branching_pair(res) is None
+
+        def no_solve(mp):
+            raise AssertionError("the dive re-solved an integral point")
+
+        monkeypatch.setattr(master, "solve_lp", no_solve)
+        coloring = dive(mp, res, None)
+        validate_coloring(self.INST, coloring)
+        assert coloring[0] == coloring[1]  # read off as one column
+
+    def test_half_is_fractional(self, monkeypatch):
+        mp, res = self.lp_at(0.5, 0.5)
+        assert select_branching_pair(res) is not None
+        solves = []
+
+        def counting(mp):
+            solves.append(mp)
+            return solve_lp(mp)
+
+        monkeypatch.setattr(master, "solve_lp", counting)
+        coloring = dive(mp, res, None)
+        # fixing {0,1} leaves {1,2} at 1 as the only cover of vertex 2
+        assert len(solves) == 1
+        validate_coloring(self.INST, coloring)
 
 
 class TestNodeLowerBound:

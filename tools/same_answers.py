@@ -1,0 +1,123 @@
+"""Solve every benchmark config with two source trees and compare the answers.
+
+    python3 tools/same_answers.py TREE_A TREE_B [WORKLOAD ...]
+
+TREE_A and TREE_B are checkouts of this repository, say a parent commit and
+a change; each tree's src/ is imported in an interpreter of its own, and the
+two run side by side. The configs are those of
+perfbench/workloads.WORKLOADS in the checkout that holds this script (every
+workload when none is named), and each tree generates and solves them with
+its own code. Per config the script compares status, weight, nodes,
+pricing_rounds, columns_generated, mwss_nodes, incumbent_node and the
+coloring. It prints per-workload counts and the first difference, and exits
+1 on any difference, 2 on an unknown workload or tree.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS, instance_key  # noqa: E402
+
+FIELDS = (
+    "status",
+    "weight",
+    "nodes",
+    "pricing_rounds",
+    "columns_generated",
+    "mwss_nodes",
+    "incumbent_node",
+    "coloring",
+)
+
+# Reads [[workload, key, config], ...] on stdin and prints one JSON list of
+# answers; refuses to run on a listchroma from anywhere but {src}.
+_WORKER = """
+import json, os, sys
+import listchroma
+from listchroma import GenConfig, generate, solve
+if not os.path.abspath(listchroma.__file__).startswith(os.path.join({src!r}, "")):
+    sys.exit(f"imported {{listchroma.__file__}}, not the tree's")
+answers = []
+for name, key, cfg in json.load(sys.stdin):
+    if cfg["weight_range"] is not None:
+        cfg["weight_range"] = tuple(cfg["weight_range"])
+    report = solve(generate(GenConfig(**cfg)))
+    answer = {{field: getattr(report, field) for field in {fields!r}[:-1]}}
+    coloring = report.coloring
+    answer["coloring"] = None if coloring is None else sorted(coloring.assignment)
+    answers.append([name, key, answer])
+print(json.dumps(answers))
+"""
+
+
+def start(tree: str, configs: list) -> subprocess.Popen:
+    """An interpreter that solves configs with tree's src/."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WORKER.format(src=src, fields=FIELDS)],
+        cwd=src,
+        env={**os.environ, "PYTHONPATH": src},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdin.write(json.dumps(configs))
+    proc.stdin.close()
+    return proc
+
+
+def answers_of(proc: subprocess.Popen, tree: str) -> list:
+    out = proc.stdout.read()
+    if proc.wait() != 0:
+        raise RuntimeError(f"solving with {tree} failed (exit {proc.returncode})")
+    return json.loads(out)
+
+
+def compare(answers_a: list, answers_b: list) -> tuple[dict[str, list[int]], str | None]:
+    """Per workload [configs, identical], and the first difference (None: none)."""
+    counts: dict[str, list[int]] = {}
+    first = None
+    for (name, key, a), (_, _, b) in zip(answers_a, answers_b, strict=True):
+        tally = counts.setdefault(name, [0, 0])
+        tally[0] += 1
+        differ = [field for field in FIELDS if a[field] != b[field]]
+        if not differ:
+            tally[1] += 1
+        elif first is None:
+            field = differ[0]
+            first = f"{name} {key}: {field} {a[field]} vs {b[field]}"
+    return counts, first
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    tree_a, tree_b, *names = argv
+    names = names or list(WORKLOADS)
+    errors = [f"unknown workload {name!r}" for name in names if name not in WORKLOADS]
+    errors += [f"{tree} has no src/" for tree in (tree_a, tree_b) if not os.path.isdir(f"{tree}/src")]
+    if errors:
+        print(f"error: {'; '.join(errors)}", file=sys.stderr)
+        return 2
+    configs = [[name, instance_key(cfg), cfg] for name in names for cfg in WORKLOADS[name]]
+    procs = [start(tree_a, configs), start(tree_b, configs)]
+    counts, first = compare(answers_of(procs[0], tree_a), answers_of(procs[1], tree_b))
+    for name, (total, same) in counts.items():
+        print(f"{name}: {same} of {total} configs identical")
+    if first is not None:
+        print(f"first difference: {first}")
+        return 1
+    print(f"all {len(configs)} configs identical in {', '.join(FIELDS)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
