@@ -1,7 +1,8 @@
 """Microbenches at the root of a dense-pricing instance: one pricing round,
-its heaviest-first relabelling, and one master LP solve; and one pricing
-round at the root of a sparse n=70 instance, on the other side of
-pricing.SHARED_SEARCH_DENSITY.
+its heaviest-first relabelling, and one master LP solve; one pricing round
+at the root of a sparse n=70 instance, on the other side of
+pricing.SHARED_SEARCH_DENSITY; and a whole solve of a one-class (graph
+coloring) instance, whose rounds take up to pricing.ONE_CLASS_SETS columns.
 
 Run with `python -m pytest benches --benchmark-only`; the tier-1 suite
 (testpaths = tests) does not collect this directory.
@@ -9,6 +10,7 @@ Run with `python -m pytest benches --benchmark-only`; the tier-1 suite
 
 import pytest
 
+from listchroma.bnp import OPTIMAL, solve
 from listchroma.core import partition_colors, preprocess_singletons, root_state
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import add_columns, init_with_dummies, solve_lp
@@ -84,3 +86,10 @@ def test_solve_lp_cold_at_root(benchmark, root):
 
     got = benchmark.pedantic(solve_lp, setup=fresh_master, rounds=20)
     assert got.objective == pytest.approx(res.objective)
+
+
+def test_solve_one_class_root(benchmark):
+    # q = 1: every color is in one class; this seed is settled at the root
+    inst = generate(GenConfig(n=50, p=0.5, c=1.0, q=1.0, seed=7001))
+    report = benchmark(solve, inst)
+    assert (report.status, report.weight) == (OPTIMAL, 9)

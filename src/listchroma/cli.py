@@ -425,7 +425,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # --out is opened before the first solve, so an unwritable path costs no time
     with _open_out(args.out) as out:
-        rows = [f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'time':>10} {'solved':>7}"]
+        rows = [
+            f"{'n':>4} {'p':>5} {'c':>5} {'q':>5} {'nodes':>10} {'rounds':>10} {'time':>10} "
+            f"{'solved':>7}"
+        ]
         for (n, p, c, q), cfgs in cells:
             settled: list[SolveReport] = []
             for cfg in cfgs:
@@ -433,14 +436,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 if report.status in (OPTIMAL, INFEASIBLE):
                     settled.append(report)
             solved = len(settled)
-            nodes_avg = time_avg = "--"
+            nodes_avg = rounds_avg = time_avg = "--"
             if solved:
                 nodes_avg = f"{sum(r.nodes for r in settled) / solved:.1f}"
+                rounds_avg = f"{sum(r.pricing_rounds for r in settled) / solved:.1f}"
                 time_avg = f"{sum(r.wall_time for r in settled) / solved:.2f}"
                 if solved < args.instances:
                     time_avg += f"({solved})"
             rows.append(
-                f"{n:>4} {p:>5} {c:>5} {q:>5} {nodes_avg:>10} {time_avg:>10} "
+                f"{n:>4} {p:>5} {c:>5} {q:>5} {nodes_avg:>10} {rounds_avg:>10} {time_avg:>10} "
                 f"{solved}/{args.instances:<5}"
             )
         table = "\n".join(rows)

@@ -43,6 +43,8 @@ class GenConfig:
             raise ValueError("q must be in (0, 1]")
         if self.c <= 0 or self.ncolors < 1:
             raise ValueError("c must give at least one color")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.weight_range is not None:
             lo, hi = self.weight_range
             if not 0 <= lo <= hi:

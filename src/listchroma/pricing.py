@@ -3,7 +3,9 @@
 A class k yields an entering column iff some stable set of G^k has pi-weight
 strictly above the threshold w_k + gamma_k. Each round numbers the node graph
 once, heaviest pi first, and searches stable sets in that numbering, include
-first, stopping for each class at the first set above its threshold.
+first, stopping for each class at the first set above its threshold. A node
+with a single class is the exception: its search goes on to up to
+ONE_CLASS_SETS sets, so that one LP re-solve gains several columns.
 
 Classes whose searches would repeat each other share one search: on a node
 graph of edge density at least SHARED_SEARCH_DENSITY all classes of the round
@@ -26,6 +28,16 @@ from .master import Column, DualSolution
 # too loosely, and only classes on one vertex set share a search.
 SHARED_SEARCH_DENSITY = 0.4
 
+# Sets a round asks of the search when the node has a single class, as on
+# graph coloring instances (q = 1). One column per round starves the master
+# there: every LP re-solve gains one column. On the ten n=50 p=0.5 c=1 q=1
+# seeds 0-4 and 7000-7004, limits of 1/5/10/20/50 took 4.76/1.20/1.05/2.20/
+# 1.90 s in all. Rounds with two or more classes keep one set per class: a
+# prototype that gave extra sets to every one-class group changed sparse
+# trees, and on n=60 p=0.25 q=0.5 seed 7002 a 767-node solve (41 s) became a
+# 60 s time-out.
+ONE_CLASS_SETS = 10
+
 
 @dataclass
 class PricingStats:
@@ -39,9 +51,13 @@ class PricingStats:
 class PricingOutcome:
     per_class: dict[int, Column | None]
     stats: PricingStats
+    # the later columns of a one-class round, in search order
+    extra: tuple[Column, ...] = ()
 
     def columns(self) -> list[Column]:
-        return [col for _, col in sorted(self.per_class.items()) if col is not None]
+        """The per-class columns in class order, then the extra ones."""
+        cols = [col for _, col in sorted(self.per_class.items()) if col is not None]
+        return cols + list(self.extra)
 
 
 def heaviest_first(
@@ -67,6 +83,7 @@ def mwss_search(
     thresholds: Sequence[float],
     stats: PricingStats | None = None,
     deadline: Deadline | None = None,
+    limit: int = 1,
 ) -> list[int]:
     """Branch and bound for stable sets heavier than the thresholds of a group of classes.
 
@@ -75,6 +92,13 @@ def mwss_search(
     in decreasing weight; thresholds are in ascending order. Returns for each
     class the mask of the first stable set of its vertices found above
     threshold + EPS, or 0 when the search proves that none exists.
+
+    A group of one class may ask for up to limit sets. After a set crosses
+    the threshold the search follows the exclude branch of its last vertex
+    and goes on in the same order, so each later set is the first above the
+    threshold in a subtree disjoint from the earlier sets'; it stops at limit
+    sets or when the search is exhausted. The result is [first, second, ...],
+    or [0] without a set; with limit 1 it is the first set alone.
 
     A search node carries open, the bitmask of the unsettled classes whose
     vertex sets hold every chosen vertex; the lowest open class has the
@@ -85,10 +109,13 @@ def mwss_search(
     Once a single class is open, its subtree is searched over its own
     vertices only, which is the whole search for a group of one class.
     """
+    if limit > 1 and len(vertex_masks) > 1:
+        raise ValueError(f"only a group of one class takes a limit above 1, got {limit}")
     if stats is None:
         stats = PricingStats()
     nodes = stats.nodes
     found = [0] * len(vertex_masks)
+    more: list[int] = []  # the sets after the first, when limit > 1
     alive = (1 << len(vertex_masks)) - 1
     if alive == 1:
         union = vertex_masks[0]
@@ -136,10 +163,18 @@ def mwss_search(
                         bit = 1 << i
                         w2 = cur_w + weights[i]
                         if w2 > target:
-                            found[k] = cur_mask | bit
-                            alive ^= low
-                            sub.clear()
-                            break
+                            if found[k]:
+                                more.append(cur_mask | bit)
+                            else:
+                                found[k] = cur_mask | bit
+                            if len(more) + 1 == limit:
+                                alive ^= low
+                                sub.clear()
+                                break
+                            # follow the exclude branch in place
+                            cand ^= bit
+                            rem -= weights[i]
+                            continue
                         sub.append((cand ^ bit, cur_w, cur_mask, rem - weights[i]))
                         removed = cand & (adj[i] | bit)
                         rm = removed
@@ -181,7 +216,7 @@ def mwss_search(
                 rm ^= lowrm
             cand, cur_w, cur_mask, open_ = cand & ~removed, w2, cur_mask | bit, inc
     stats.nodes = nodes
-    return found
+    return found + more
 
 
 def extend_to_maximal(mask: int, vertex_mask: int, adj: Sequence[int]) -> int:
@@ -208,7 +243,10 @@ def price_all(
     Returns at most one column per class, each extended to a maximal stable
     set. The classes are searched in groups, one mwss_search call per group:
     all of them together on a node graph of edge density at least
-    SHARED_SEARCH_DENSITY, else those of each vertex set together.
+    SHARED_SEARCH_DENSITY, else those of each vertex set together. A node
+    with a single class also gets up to ONE_CLASS_SETS - 1 extra columns, the
+    later sets of its search, each extended to a maximal set and kept unless
+    an earlier column of the round equals it.
     """
     stats = PricingStats()
     order, bit, weights, adj = heaviest_first(inst.graph, duals.pi)
@@ -224,16 +262,30 @@ def price_all(
         for k in classes:
             by_set.setdefault(vmask[k], []).append(k)
         groups = list(by_set.values())
+    limit = ONE_CLASS_SETS if len(classes) == 1 else 1
+
+    def column(mask: int, k: int) -> Column:
+        full = extend_to_maximal(mask, vmask[k], adj)
+        return Column(sum(1 << order[i] for i in bits(full)), k)
+
     per_class: dict[int, Column | None] = {}
+    extra: list[Column] = []
     for group in groups:
         stats.cache_hits += len(group) - 1
         found = mwss_search(
-            adj, [vmask[k] for k in group], weights, [thresholds[k] for k in group], stats, deadline
+            adj,
+            [vmask[k] for k in group],
+            weights,
+            [thresholds[k] for k in group],
+            stats,
+            deadline,
+            limit=limit,
         )
         for k, mask in zip(group, found):
-            if mask:
-                full = extend_to_maximal(mask, vmask[k], adj)
-                per_class[k] = Column(sum(1 << order[i] for i in bits(full)), k)
-            else:
-                per_class[k] = None
-    return PricingOutcome(per_class, stats)
+            per_class[k] = column(mask, k) if mask else None
+        # sets beyond one per class: the later ones of a one-class search
+        for mask in found[len(group):]:
+            col = column(mask, group[0])
+            if col != per_class[group[0]] and col not in extra:
+                extra.append(col)
+    return PricingOutcome(per_class, stats, tuple(extra))

@@ -16,7 +16,7 @@ from listchroma.cli import (
     read_solution,
     write_instance,
 )
-from listchroma.bnp import solve
+from listchroma.bnp import SolveReport, solve
 from listchroma.core import Graph, NumericalFailure, build_instance
 from listchroma.instgen import REJECT, GenConfig, generate
 from listchroma.oracle import OracleResult
@@ -130,6 +130,19 @@ class TestGenerateCommand:
         )
         assert code == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_flag", [["--seed", "-1"], []], ids=["flag", "env"])
+    def test_negative_seed_names_the_problem(self, tmp_path, monkeypatch, capsys, seed_flag):
+        # without --seed the environment's seed is the one checked
+        monkeypatch.setenv("LISTCHROMA_SEED", "-1")
+        out = tmp_path / "x.col"
+        code = main(
+            ["generate", "--n", "8", "--p", "0.5", "--c", "1.0", "--q", "0.5",
+             *seed_flag, "--out", str(out)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         explicit = str(tmp_path / "a.col")
@@ -312,43 +325,43 @@ EMPTY_LIST = "c empty\np mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\nl 2 0\n"
 
 PETERSEN_TEXT = """status: optimal
 weight: 3
-nodes explored: 1
-incumbent found at node: 1
-columns generated: 6
-pricing rounds: 7
-mwss nodes: 20
+nodes explored: 3
+incumbent found at node: 2
+columns generated: 10
+pricing rounds: 8
+mwss nodes: 61
 assignment:
   vertex 1 -> color 1
   vertex 2 -> color 2
-  vertex 3 -> color 1
-  vertex 4 -> color 2
-  vertex 5 -> color 3
+  vertex 3 -> color 3
+  vertex 4 -> color 1
+  vertex 5 -> color 2
   vertex 6 -> color 2
   vertex 7 -> color 1
-  vertex 8 -> color 3
+  vertex 8 -> color 1
   vertex 9 -> color 3
-  vertex 10 -> color 2
+  vertex 10 -> color 3
 """
 
 PETERSEN_RECORD = """status=optimal
 weight=3
-nodes=1
-incumbent_node=1
-columns=6
-pricing_rounds=7
-mwss_nodes=20
+nodes=3
+incumbent_node=2
+columns=10
+pricing_rounds=8
+mwss_nodes=61
 input=p.col
 time_limit=none
 assign.1=1
 assign.2=2
-assign.3=1
-assign.4=2
-assign.5=3
+assign.3=3
+assign.4=1
+assign.5=2
 assign.6=2
 assign.7=1
-assign.8=3
+assign.8=1
 assign.9=3
-assign.10=2
+assign.10=3
 echo.0=c petersen
 """
 
@@ -644,6 +657,7 @@ class TestBenchCommand:
             # {tmp} is the test's own temporary directory
             (["--out", "{tmp}/missing/bench.txt"],
              "[Errno 2] No such file or directory: '{tmp}/missing/bench.txt'"),
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_invalid_config_exits_one_before_solving(
@@ -658,6 +672,28 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
+
+    def test_negative_env_seed_exits_one_before_solving(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a negative seed")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setenv("LISTCHROMA_SEED", "-1")
+        assert main(["bench", "--n", "12", "--instances", "1"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_rounds_column_averages_settled_instances(self, monkeypatch, capsys):
+        # two instances of the cell: one settles in 4 nodes and 6 rounds, the
+        # other times out; the table averages only the settled one
+        reports = iter([
+            SolveReport("optimal", nodes=4, pricing_rounds=6, wall_time=0.5),
+            SolveReport("time_limit", nodes=9, pricing_rounds=30, wall_time=1.0),
+        ])
+        monkeypatch.setattr(cli, "solve", lambda inst, time_limit=None: next(reports))
+        assert main(["bench", "--n", "12", "--instances", "2", "--seed", "0"]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split() == ["n", "p", "c", "q", "nodes", "rounds", "time", "solved"]
+        assert row.split() == ["12", "0.5", "1.0", "0.5", "4.0", "6.0", "0.50(1)", "1/2"]
 
     def test_exhausted_budget_prints_dashes(self, capsys):
         code = main(

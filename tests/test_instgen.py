@@ -59,6 +59,8 @@ class TestGenerate:
             GenConfig(n=10, p=0.5, c=0.05, q=0.5, seed=0).validate()
         with pytest.raises(ValueError):
             GenConfig(n=0, p=0.5, c=1.0, q=0.5, seed=0).validate()
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            GenConfig(n=10, p=0.5, c=1.0, q=0.5, seed=-1).validate()
 
 
 class TestRejectMode:

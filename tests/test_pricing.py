@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from listchroma.core import EPS, Deadline, Graph, SearchTimeout, bits, partition_colors
 from listchroma.master import Column, DualSolution
 from listchroma.pricing import (
+    ONE_CLASS_SETS,
     SHARED_SEARCH_DENSITY,
     PricingOutcome,
     PricingStats,
@@ -23,14 +24,24 @@ def duals_for(inst, pi, gamma=None):
     return DualSolution(tuple(float(x) for x in pi), gamma or {})
 
 
-def search(graph, vertex_mask, pi, threshold, stats=None):
+def search_sets(graph, vertex_mask, pi, threshold, stats=None, limit=1):
     """A one-class mwss_search in the original vertex ids: renumber as price_all
-    does, search, map back. Returns (mask, weight), (0, 0) when nothing is found."""
+    does, search, map back. Returns the (mask, weight) of each set found."""
     order, bit, weights, adj = heaviest_first(graph, [pi.get(v, 0.0) for v in range(graph.n)])
-    [mask] = mwss_search(adj, [sum(bit[v] for v in bits(vertex_mask))], weights, [threshold], stats)
-    # summed in index order, as the search adds the set up
-    weight = sum(weights[i] for i in bits(mask))
-    return sum(1 << order[i] for i in bits(mask)), weight
+    masks = mwss_search(
+        adj, [sum(bit[v] for v in bits(vertex_mask))], weights, [threshold], stats, limit=limit
+    )
+    # weights summed in index order, as the search adds a set up
+    return [
+        (sum(1 << order[i] for i in bits(mask)), sum(weights[i] for i in bits(mask)))
+        for mask in masks
+        if mask
+    ]
+
+
+def search(graph, vertex_mask, pi, threshold, stats=None):
+    """The first set of search_sets, (0, 0) when nothing is found."""
+    return (search_sets(graph, vertex_mask, pi, threshold, stats) or [(0, 0)])[0]
 
 
 def is_dense(graph):
@@ -174,8 +185,13 @@ class TestMwssSearch:
                 assert exact <= threshold + EPS
 
 
-def recursive_mwss_search(graph, vertex_mask, pi, threshold, stats):
-    """The recursive form of mwss_search, kept as the reference for its order."""
+def recursive_mwss_search(graph, vertex_mask, pi, threshold, stats, limit=1):
+    """The recursive form of mwss_search, kept as the reference for its order.
+
+    Returns the (mask, weight) of the first limit sets above threshold + EPS,
+    in the original ids. After each set the search goes on in the exclude
+    branch of the set's last vertex.
+    """
     order = sorted(bits(vertex_mask), key=lambda v: (-pi[v], v))
     loc = {v: i for i, v in enumerate(order)}
     pl = [pi[v] for v in order]
@@ -186,12 +202,9 @@ def recursive_mwss_search(graph, vertex_mask, pi, threshold, stats):
             m |= 1 << loc[u]
         ladj.append(m)
 
-    best_w = 0.0
-    best_mask = 0
-    found = False
+    found = []
 
     def dfs(cand, cur_w, cur_mask, rem):
-        nonlocal best_w, best_mask, found
         stats.nodes += 1
         if cur_w + rem <= threshold + EPS:
             return
@@ -202,7 +215,9 @@ def recursive_mwss_search(graph, vertex_mask, pi, threshold, stats):
         w2 = cur_w + pl[i]
         m2 = cur_mask | bit
         if w2 > threshold + EPS:
-            best_w, best_mask, found = w2, m2, True
+            found.append((m2, w2))
+            if len(found) < limit:
+                dfs(cand ^ bit, cur_w, cur_mask, rem - pl[i])
             return
         removed = cand & (ladj[i] | bit)
         rem2 = rem
@@ -212,16 +227,13 @@ def recursive_mwss_search(graph, vertex_mask, pi, threshold, stats):
             rem2 -= pl[low.bit_length() - 1]
             rm ^= low
         dfs(cand & ~removed, w2, m2, rem2)
-        if found:
+        if len(found) == limit:
             return
         dfs(cand ^ bit, cur_w, cur_mask, rem - pl[i])
 
     if order:
         dfs((1 << len(order)) - 1, 0.0, 0, sum(pl))
-    global_mask = 0
-    for i in bits(best_mask):
-        global_mask |= 1 << order[i]
-    return global_mask, best_w
+    return [(sum(1 << order[i] for i in bits(mask)), w) for mask, w in found]
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,10 +250,44 @@ def test_search_order_matches_recursive_reference(data):
     vmask = data.draw(st.integers(1, (1 << n) - 1))
     threshold = data.draw(st.floats(0.0, 20.0))
     got_stats, ref_stats = PricingStats(), PricingStats()
-    got = search(g, vmask, pi, threshold, got_stats)
+    got = search_sets(g, vmask, pi, threshold, got_stats)
     ref = recursive_mwss_search(g, vmask, pi, threshold, ref_stats)
     assert got == ref
     assert got_stats.nodes == ref_stats.nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_limited_search_matches_recursive_reference(data):
+    # With a limit, the search returns the first sets of the recursion that
+    # goes on after each set, in its order, visiting the same nodes.
+    n = data.draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if data.draw(st.booleans())])
+    pi = {v: data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.125])) for v in range(n)}
+    vmask = data.draw(st.integers(1, (1 << n) - 1))
+    threshold = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0]))
+    limit = data.draw(st.integers(1, 12))
+    got_stats, ref_stats = PricingStats(), PricingStats()
+    got = search_sets(g, vmask, pi, threshold, got_stats, limit)
+    ref = recursive_mwss_search(g, vmask, pi, threshold, ref_stats, limit)
+    assert got == ref
+    assert got_stats.nodes == ref_stats.nodes
+    assert len({mask for mask, _ in got}) == len(got) <= limit
+    # each set is stable, inside the vertex set and above the threshold
+    for mask, weight in got:
+        assert not mask & ~vmask and all(not g.adj[v] & mask for v in bits(mask))
+        assert weight > threshold + EPS
+
+
+def test_limit_above_one_needs_a_group_of_one():
+    # each vertex alone beats the threshold; after a set the search drops its
+    # last vertex and goes on
+    adj = Graph.from_edges(3, []).adj
+    assert mwss_search(adj, [0b111], [1.0] * 3, [0.5], limit=5) == [0b001, 0b010, 0b100]
+    assert mwss_search(adj, [0b111], [1.0] * 3, [0.5], limit=2) == [0b001, 0b010]
+    with pytest.raises(ValueError, match="group of one class"):
+        mwss_search(adj, [0b111, 0b011], [1.0] * 3, [0.5, 1.0], limit=2)
 
 
 def per_class_extend_to_maximal(mask, vertex_mask, graph, pi):
@@ -283,7 +329,8 @@ def per_class_price_all(inst, partition, duals):
                 resolved = True
                 stats.cache_hits += 1
         if not resolved:
-            mask, w = recursive_mwss_search(graph, vmask, pi, t, stats)
+            sets = recursive_mwss_search(graph, vmask, pi, t, stats)
+            mask, w = sets[0] if sets else (0, 0.0)
             if w > t + EPS:
                 chosen = mask
                 cache[vmask] = (w, mask, None)
@@ -339,6 +386,8 @@ def test_price_all_matches_per_class_reference(data):
     inst, part, duals = draw_priced_instance(data, [0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
     got = price_all(inst, part, duals)
     ref = per_class_price_all(inst, part, duals)
+    if len(part.reps) > 1 or not got.columns():
+        assert got.extra == ()
     assert got.per_class.keys() == ref.per_class.keys()
     masks = list(part.vertex_mask.values())
     for k, col in got.per_class.items():
@@ -363,17 +412,21 @@ def test_price_all_matches_reference_without_shared_vertex_sets(dense, data):
 
 
 def assert_certified(inst, part, duals, out):
-    """A class without a column has no stable set above its threshold; a column beats it."""
+    """A class without a column has no stable set above its threshold; every
+    column, extra ones included, beats it. Only a one-class round that found
+    a column has extra columns."""
+    thresholds = {k: inst.weights[k] + duals.gamma_of(k) for k in part.reps}
     for k in part.reps:
-        threshold = inst.weights[k] + duals.gamma_of(k)
-        col = out.per_class[k]
-        if col is None:
+        if out.per_class[k] is None:
             best = max_stable_weight(inst.graph.adj, part.vertex_mask[k], duals.pi)
-            assert best <= threshold + EPS
-        else:
-            assert not col.mask & ~part.vertex_mask[k]
-            assert all(not inst.graph.adj[v] & col.mask for v in col.vertices())
-            assert sum(duals.pi[v] for v in col.vertices()) > threshold + EPS
+            assert best <= thresholds[k] + EPS
+    if len(part.reps) > 1 or not any(out.per_class.values()):
+        assert out.extra == ()
+    for col in out.columns():
+        k = col.class_rep
+        assert not col.mask & ~part.vertex_mask[k]
+        assert all(not inst.graph.adj[v] & col.mask for v in col.vertices())
+        assert sum(duals.pi[v] for v in col.vertices()) > thresholds[k] + EPS
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,6 +438,70 @@ def test_fruitless_round_certifies_every_class(data):
     # its threshold.
     inst, part, duals = draw_priced_instance(data, [0.0, 0.1, 1 / 3, 0.5, 1.0, 1.5, 2.5])
     assert_certified(inst, part, duals, price_all(inst, part, duals))
+
+
+def one_class_reference(inst, part, duals):
+    """The columns of a one-class round: the first ONE_CLASS_SETS sets of the
+    recursive search, each extended to a maximal set, repeats dropped."""
+    [k] = part.reps
+    vmask = part.vertex_mask[k]
+    pi = {v: duals.pi[v] for v in part.vertices[k]}
+    threshold = inst.weights[k] + duals.gamma_of(k)
+    cols = []
+    sets = recursive_mwss_search(inst.graph, vmask, pi, threshold, PricingStats(), ONE_CLASS_SETS)
+    for mask, _ in sets:
+        col = Column(per_class_extend_to_maximal(mask, vmask, inst.graph, pi), k)
+        if col not in cols:
+            cols.append(col)
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_class_round_returns_up_to_ten_columns(data):
+    # Equal lists and weights, as in graph coloring: one class. Its first
+    # column is the one a round of one column per class finds; the later ones
+    # come from the same search, each distinct and above the threshold.
+    n = data.draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if data.draw(st.booleans())]
+    inst = make_instance(n, edges, [list(range(data.draw(st.integers(1, 3))))] * n)
+    part = partition_colors(inst)
+    [k] = part.reps
+    # dyadic duals: every sum is exact, in any order
+    pi = [data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])) for _ in range(n)]
+    duals = duals_for(inst, pi, {k: data.draw(st.sampled_from([0.0, 0.5, 1.0]))})
+    out = price_all(inst, part, duals)
+    cols = out.columns()
+    assert cols == one_class_reference(inst, part, duals)
+    assert len(set(cols)) == len(cols) <= ONE_CLASS_SETS
+    assert cols[:1] == [col for col in out.per_class.values() if col is not None]
+    assert out.per_class[k] == per_class_price_all(inst, part, duals).per_class[k]
+    assert_certified(inst, part, duals, out)
+
+
+@pytest.mark.parametrize(
+    "edges, columns",
+    [
+        # the ten sets {0, 1}, ..., {0, 10} all grow to the whole vertex set
+        ([], [list(range(12))]),
+        # a perfect matching: the ten sets {0, 2}, ..., {0, 11}; {0, 2j} grows
+        # to the first column, {0, 2j + 1} to one that swaps in 2j + 1
+        (
+            [(2 * i, 2 * i + 1) for i in range(6)],
+            [[0, 2, 4, 6, 8, 10]]
+            + [[2 * i + (i == j) for i in range(6)] for j in range(1, 6)],
+        ),
+    ],
+    ids=["edgeless", "matching"],
+)
+def test_one_class_round_drops_repeated_extensions(edges, columns):
+    # unit weights and duals: a set beats the threshold 1 from two vertices on
+    n = 12
+    inst = make_instance(n, edges, [[0]] * n)
+    out = price_all(inst, partition_colors(inst), duals_for(inst, [1.0] * n))
+    assert [col.vertices() for col in out.columns()] == columns
+    assert len(out.extra) == len(columns) - 1
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])

@@ -1,5 +1,7 @@
 """tools/same_answers.py, run on the grid workload: it must keep working."""
 
+import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +20,40 @@ def same_answers(*args):
 def test_checkout_agrees_with_itself():
     run = same_answers(ROOT, ROOT, "grid-oracle")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[0] == "grid-oracle: 324 of 324 configs identical"
+    lines = run.stdout.splitlines()
+    assert lines[:2] == [
+        "grid-oracle: 324 of 324 configs identical",
+        "  status and weight equal on 324 of 324",
+    ]
+    totals = re.fullmatch(r"  nodes (\d+) vs (\d+), pricing rounds (\d+) vs (\d+)", lines[2])
+    assert totals and totals[1] == totals[2] and totals[3] == totals[4]
+
+
+def test_tally_counts_answers_and_tree_sizes(monkeypatch):
+    spec = importlib.util.spec_from_file_location("same_answers", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tool)  # dataclasses look their module up
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts perfbench/ on it
+    spec.loader.exec_module(tool)
+
+    def answer(**fields):
+        return {**dict.fromkeys(tool.FIELDS, 0), "status": "optimal", "weight": 9, **fields}
+
+    answers_a = [
+        ["w", "k1", answer(nodes=5, pricing_rounds=232)],
+        ["w", "k2", answer(nodes=1, pricing_rounds=155)],
+    ]
+    answers_b = [
+        ["w", "k1", answer(nodes=3, pricing_rounds=36)],
+        ["w", "k2", answer(nodes=1, pricing_rounds=155, weight=10)],
+    ]
+    counts, first = tool.compare(answers_a, answers_b)
+    assert counts["w"].lines("w") == [
+        "w: 0 of 2 configs identical",
+        "  status and weight equal on 1 of 2",
+        "  nodes 6 vs 4, pricing rounds 387 vs 191",
+    ]
+    assert first == "w k1: nodes 5 vs 3"
 
 
 def test_a_changed_tree_is_reported(tmp_path):

@@ -9,8 +9,10 @@ perfbench/workloads.WORKLOADS in the checkout that holds this script (every
 workload when none is named), and each tree generates and solves them with
 its own code. Per config the script compares status, weight, nodes,
 pricing_rounds, columns_generated, mwss_nodes, incumbent_node and the
-coloring. It prints per-workload counts and the first difference, and exits
-1 on any difference, 2 on an unknown workload or tree.
+coloring. It prints per workload how many configs are identical, on how
+many status and weight are equal, and the total nodes and pricing rounds of
+each tree, then the first difference. It exits 1 on any difference, 2 on an
+unknown workload or tree.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -80,16 +83,42 @@ def answers_of(proc: subprocess.Popen, tree: str) -> list:
     return json.loads(out)
 
 
-def compare(answers_a: list, answers_b: list) -> tuple[dict[str, list[int]], str | None]:
-    """Per workload [configs, identical], and the first difference (None: none)."""
-    counts: dict[str, list[int]] = {}
+@dataclass
+class Tally:
+    """One workload's comparison, with the total nodes and rounds of trees A and B."""
+
+    configs: int = 0
+    identical: int = 0
+    same_answer: int = 0  # status and weight equal
+    nodes_a: int = 0
+    nodes_b: int = 0
+    rounds_a: int = 0
+    rounds_b: int = 0
+
+    def lines(self, name: str) -> list[str]:
+        return [
+            f"{name}: {self.identical} of {self.configs} configs identical",
+            f"  status and weight equal on {self.same_answer} of {self.configs}",
+            f"  nodes {self.nodes_a} vs {self.nodes_b}, "
+            f"pricing rounds {self.rounds_a} vs {self.rounds_b}",
+        ]
+
+
+def compare(answers_a: list, answers_b: list) -> tuple[dict[str, Tally], str | None]:
+    """A tally per workload, and the first difference (None: none)."""
+    counts: dict[str, Tally] = {}
     first = None
     for (name, key, a), (_, _, b) in zip(answers_a, answers_b, strict=True):
-        tally = counts.setdefault(name, [0, 0])
-        tally[0] += 1
+        tally = counts.setdefault(name, Tally())
+        tally.configs += 1
+        tally.same_answer += (a["status"], a["weight"]) == (b["status"], b["weight"])
+        tally.nodes_a += a["nodes"]
+        tally.nodes_b += b["nodes"]
+        tally.rounds_a += a["pricing_rounds"]
+        tally.rounds_b += b["pricing_rounds"]
         differ = [field for field in FIELDS if a[field] != b[field]]
         if not differ:
-            tally[1] += 1
+            tally.identical += 1
         elif first is None:
             field = differ[0]
             first = f"{name} {key}: {field} {a[field]} vs {b[field]}"
@@ -110,8 +139,8 @@ def main(argv: list[str]) -> int:
     configs = [[name, instance_key(cfg), cfg] for name in names for cfg in WORKLOADS[name]]
     procs = [start(tree_a, configs), start(tree_b, configs)]
     counts, first = compare(answers_of(procs[0], tree_a), answers_of(procs[1], tree_b))
-    for name, (total, same) in counts.items():
-        print(f"{name}: {same} of {total} configs identical")
+    for name, tally in counts.items():
+        print("\n".join(tally.lines(name)))
     if first is not None:
         print(f"first difference: {first}")
         return 1
