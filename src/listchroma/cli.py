@@ -216,7 +216,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             weight_range=_parse_weights_flag(args.weights),
             empty_lists="reject" if args.strict_lists else "repair",
         )
-        cfg.validate()
         inst = generate(cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -338,7 +337,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         inst, _ = parse_instance(args.input)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EmptyListError as exc:
         print(f"error: {exc.one_based()}", file=sys.stderr)
@@ -433,7 +432,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             settled: list[SolveReport] = []
             for cfg in cfgs:
                 report = solve(generate(cfg), time_limit=args.time_limit)
-                if report.status in (OPTIMAL, INFEASIBLE):
+                if report.status not in UNSETTLED:
                     settled.append(report)
             solved = len(settled)
             nodes_avg = rounds_avg = time_avg = "--"

@@ -12,7 +12,7 @@ where list_coloring validates it once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -237,9 +237,12 @@ class NodeState:
 
     merge_map sends every still-live root vertex to its representative in the
     current instance. fixed holds (root vertex, color) pairs decided by
-    singleton preprocessing; the weight of each fixed color is zeroed in the
-    current instance so that LP bounds stay exact, and fixed_weight carries
-    the root weight of the distinct fixed colors.
+    singleton preprocessing, in root-vertex order; the weight of each fixed
+    color is zeroed in the current instance so that LP bounds stay exact, and
+    fixed_weight carries the root weight of the distinct fixed colors.
+
+    Nothing mutates merge_map or the instance's weights once a NodeState holds
+    them, so states may share those dicts.
     """
 
     instance: Instance
@@ -257,59 +260,67 @@ def root_state(inst: Instance) -> NodeState:
     )
 
 
-def _drop_vertex(masks: list[int], u: int) -> list[int]:
-    """Remove vertex u from a bitmask adjacency, shifting higher ids down."""
-    low = (1 << u) - 1
-    out = []
-    for x, m in enumerate(masks):
-        if x == u:
-            continue
-        out.append((m & low) | (m >> (u + 1)) << u)
-    return out
+def _drop_vertices(
+    adj: Sequence[int], lists: Sequence, merge_map: Mapping[int, int], drop: int
+) -> tuple[tuple[int, ...], list, dict[int, int]]:
+    """Remove the vertices in the bitmask drop and number the rest 0.. in their order.
+
+    Returns the adjacency masks, the lists and the merge_map of the kept
+    vertices; root vertices that map to a dropped vertex leave merge_map.
+    """
+    new_id = {x: i for i, x in enumerate(x for x in range(len(adj)) if not drop >> x & 1)}
+    gone = bits(drop)[::-1]  # highest first, so each shift leaves the lower ids in place
+    masks = []
+    for x in new_id:
+        m = adj[x]
+        for u in gone:
+            m = (m & ((1 << u) - 1)) | (m >> (u + 1)) << u
+        masks.append(m)
+    merge_map = {r: new_id[cur] for r, cur in merge_map.items() if cur in new_id}
+    return tuple(masks), [lists[x] for x in new_id], merge_map
 
 
 def preprocess_singletons(state: NodeState) -> NodeState | None:
-    """Fix every vertex with a one-color list, to fixpoint.
+    """Fix every vertex with a one-color list, to fixpoint, by unit propagation.
 
-    Fixing vertex u to color j removes u, deletes j from the lists of u's
-    neighbors, and zeroes j's weight in the residual instance (j is paid for
-    once, in fixed_weight; later uses of j by non-neighbors are free).
-    Returns None when a neighbor list empties, i.e. the subproblem has no
-    list coloring.
+    Fixing vertex u to color j deletes j from the lists of u's neighbors,
+    which may leave them one color to fix in turn, and zeroes j's weight in
+    the residual instance (j is paid for once, in fixed_weight; later uses of
+    j by non-neighbors are free). The fixed vertices are removed and the rest
+    renumbered once, at the end. Every order of fixing reaches the same
+    fixpoint. Returns None when a list empties, i.e. the subproblem has no
+    list coloring, and state itself when no list has one color.
     """
     inst = state.instance
-    adj = list(inst.graph.adj)
+    work = [v for v, l in enumerate(inst.lists) if len(l) == 1]
+    if not work:
+        return state
+    adj = inst.graph.adj
     lists = [set(l) for l in inst.lists]
     weights = dict(inst.weights)
-    merge_map = dict(state.merge_map)
-    fixed = list(state.fixed)
     fixed_weight = state.fixed_weight
-
-    while True:
-        u = next((v for v in range(len(lists)) if len(lists[v]) == 1), None)
-        if u is None:
-            break
+    color: dict[int, int] = {}  # fixed node vertex -> its color
+    while work:
+        u = work.pop()
         (j,) = lists[u]
-        for r in sorted(r for r, cur in merge_map.items() if cur == u):
-            fixed.append((r, j))
-        fixed_weight += weights.get(j, 0)
+        color[u] = j
+        fixed_weight += weights[j]
         weights[j] = 0
         for z in bits(adj[u]):
-            lists[z].discard(j)
-            if not lists[z]:
-                return None
-        adj = _drop_vertex(adj, u)
-        del lists[u]
-        merge_map = {
-            r: cur - (cur > u) for r, cur in merge_map.items() if cur != u
-        }
+            if j in lists[z]:
+                lists[z].discard(j)
+                if len(lists[z]) == 1:
+                    work.append(z)
+                elif not lists[z]:
+                    return None
 
-    graph = Graph(len(lists), tuple(adj))
-    surviving = sorted({j for l in lists for j in l})
+    fixed = [(r, color[cur]) for r, cur in state.merge_map.items() if cur in color]
+    drop = sum(1 << u for u in color)
+    masks, lists, merge_map = _drop_vertices(adj, lists, state.merge_map, drop)
     return NodeState(
-        instance=build_instance(graph, surviving, weights, lists),
+        instance=build_instance(Graph(len(lists), masks), inst.colors, weights, lists),
         merge_map=merge_map,
-        fixed=tuple(fixed),
+        fixed=tuple(sorted([*state.fixed, *fixed])),
         fixed_weight=fixed_weight,
     )
 
@@ -331,37 +342,25 @@ def branch_differ(state: NodeState, u: int, v: int) -> NodeState:
     adj = list(inst.graph.adj)
     adj[u] |= 1 << v
     adj[v] |= 1 << u
-    child = Instance(Graph(inst.n, tuple(adj)), inst.colors, dict(inst.weights), inst.lists)
-    return NodeState(
-        instance=child,
-        merge_map=dict(state.merge_map),
-        fixed=state.fixed,
-        fixed_weight=state.fixed_weight,
-    )
+    return replace(state, instance=replace(inst, graph=Graph(inst.n, tuple(adj))))
 
 
 def branch_same(state: NodeState, u: int, v: int) -> NodeState:
     """Child where u and v share a color: merge v into u, intersect lists."""
     _check_branch_pair(state, u, v)
     inst = state.instance
-    n = inst.n
-    merged_list = inst.lists[u] & inst.lists[v]
-    rename = {x: x - (x > v) for x in range(n) if x != v}
     adj = list(inst.graph.adj)
     adj[u] |= adj[v]
     for x in bits(adj[v]):
         adj[x] |= 1 << u
-    graph = Graph(n - 1, tuple(_drop_vertex(adj, v)))
-    lists = [merged_list if x == u else inst.lists[x] for x in range(n) if x != v]
-    child = build_instance(graph, inst.colors, inst.weights, lists)
-    merge_map = {
-        r: rename[u if cur == v else cur] for r, cur in state.merge_map.items()
-    }
-    return NodeState(
-        instance=child,
+    lists = list(inst.lists)
+    lists[u] &= lists[v]
+    merge_map = {r: u if cur == v else cur for r, cur in state.merge_map.items()}
+    masks, lists, merge_map = _drop_vertices(adj, lists, merge_map, 1 << v)
+    return replace(
+        state,
+        instance=build_instance(Graph(inst.n - 1, masks), inst.colors, inst.weights, lists),
         merge_map=merge_map,
-        fixed=state.fixed,
-        fixed_weight=state.fixed_weight,
     )
 
 

@@ -82,7 +82,7 @@ def mwss_search(
     weights: Sequence[float],
     thresholds: Sequence[float],
     stats: PricingStats | None = None,
-    deadline: Deadline | None = None,
+    deadline: Deadline = Deadline(None),
     limit: int = 1,
 ) -> list[int]:
     """Branch and bound for stable sets heavier than the thresholds of a group of classes.
@@ -155,7 +155,7 @@ def mwss_search(
                     cand, cur_w, cur_mask, rem = sub.pop()
                     while True:
                         nodes += 1
-                        if deadline is not None and nodes % 1000 == 0:
+                        if nodes % 1000 == 0:
                             deadline.check()
                         if cur_w + rem <= target or not cand:
                             break
@@ -185,7 +185,7 @@ def mwss_search(
                         cand, cur_w, cur_mask = cand & ~removed, w2, cur_mask | bit
                 break
             nodes += 1
-            if deadline is not None and nodes % 1000 == 0:
+            if nodes % 1000 == 0:
                 deadline.check()
             if cur_w + rem <= targets[low.bit_length() - 1] or not cand:
                 break
@@ -236,7 +236,7 @@ def price_all(
     inst: Instance,
     partition: ColorPartition,
     duals: DualSolution,
-    deadline: Deadline | None = None,
+    deadline: Deadline = Deadline(None),
 ) -> PricingOutcome:
     """Search every class for a column with positive reduced cost.
 

@@ -506,6 +506,14 @@ class TestCheckCommand:
         assert main(["check", path, sol]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: vertex 2 has an empty color list\n"
 
+    def test_malformed_instance_named_by_file_and_line(self, tmp_path, capsys):
+        path = write(tmp_path, "i.col", "p mwlcp 2 1 1\ne 1 1\nw 1 1\nl 1 1 1\nl 2 1 1\n")
+        sol = write(tmp_path, "i.sol", "status=infeasible\n")
+        assert main(["check", path, sol]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 2: self-loops are not allowed\n"
+
     @pytest.mark.parametrize(
         "stated, code, out",
         [

@@ -122,9 +122,20 @@ class TestPreprocessSingletons:
 
     def test_no_singleton_is_identity(self):
         inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0, 1, 2]] * 3)
+        pre = root_state(inst)
+        assert preprocess_singletons(pre) is pre
+
+    def test_fixed_in_root_vertex_order(self):
+        # the cascade fixes vertex 2, then 1, then 0
+        inst = make_instance(3, [(0, 1), (1, 2)], [[1, 2], [0, 1], [0]])
         state = preprocess_singletons(root_state(inst))
-        assert state.instance == inst
-        assert state.fixed == ()
+        assert state.fixed == ((0, 2), (1, 1), (2, 0))
+        # a later pass merges its pairs in among the earlier ones
+        inst = make_instance(3, [(0, 2)], [[0, 1], [1, 2], [5]])
+        state = preprocess_singletons(root_state(inst))
+        assert state.fixed == ((2, 5),)
+        child = preprocess_singletons(branch_same(state, 0, 1))
+        assert child.fixed == ((0, 1), (1, 1), (2, 5))
 
     def test_fixed_color_weight_zeroed_in_residual(self):
         # vertex 0 fixed to color 0; non-neighbor 1 keeps color 0 at weight 0
@@ -176,6 +187,87 @@ class TestPreprocessSingletons:
                 else:
                     assert not parent.feasible
         assert checked >= 50
+
+
+def reference_singletons(state):
+    """The fixpoint by the repeated lowest-index scan, on an edge set and a dict of lists.
+
+    Returns None on an empty list, else (instance, merge_map, set of fixed
+    pairs, fixed_weight).
+    """
+    inst = state.instance
+    edges = set(inst.graph.edges())
+    lists = {v: set(lst) for v, lst in enumerate(inst.lists)}
+    weights = dict(inst.weights)
+    fixed, fixed_weight = set(state.fixed), state.fixed_weight
+    while True:
+        u = next((v for v in sorted(lists) if len(lists[v]) == 1), None)
+        if u is None:
+            break
+        (j,) = lists.pop(u)
+        fixed |= {(r, j) for r, cur in state.merge_map.items() if cur == u}
+        fixed_weight += weights[j]
+        weights[j] = 0
+        for z in lists:
+            if (min(u, z), max(u, z)) in edges:
+                lists[z].discard(j)
+                if not lists[z]:
+                    return None
+    new = {x: i for i, x in enumerate(sorted(lists))}
+    graph = Graph.from_edges(
+        len(new), [(new[a], new[b]) for a, b in edges if a in new and b in new]
+    )
+    residual = build_instance(graph, inst.colors, weights, [lists[x] for x in sorted(lists)])
+    merge_map = {r: new[cur] for r, cur in state.merge_map.items() if cur in new}
+    return residual, merge_map, fixed, fixed_weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_singletons_match_lowest_index_scan(data):
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    edges = [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if data.draw(st.booleans(), label=f"edge{a},{b}")
+    ]
+    lists = [
+        data.draw(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3, unique=True),
+            label=f"list{x}",
+        )
+        for x in range(n)
+    ]
+    weights = {j: data.draw(st.integers(min_value=0, max_value=5), label=f"w{j}") for j in range(4)}
+    inst = make_instance(n, edges, lists, weights)
+    state = root_state(inst)
+    # up to two rounds of fixing then branching, so merge_map and fixed are not trivial
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2), label="rounds")):
+        state = preprocess_singletons(state)
+        assume(state is not None)
+        g = state.instance.graph
+        pairs = [
+            (a, b)
+            for a in range(g.n)
+            for b in range(a + 1, g.n)
+            if not g.has_edge(a, b) and state.instance.lists[a] & state.instance.lists[b]
+        ]
+        assume(pairs)
+        a, b = data.draw(st.sampled_from(pairs), label="pair")
+        branch = data.draw(st.sampled_from([branch_same, branch_differ]), label="branch")
+        state = branch(state, a, b)
+    expected = reference_singletons(state)
+    got = preprocess_singletons(state)
+    if expected is None:
+        assert got is None
+        return
+    residual, merge_map, fixed, fixed_weight = expected
+    assert got.instance == residual
+    assert got.merge_map == merge_map
+    assert set(got.fixed) == fixed
+    assert list(got.fixed) == sorted(got.fixed)
+    assert got.fixed_weight == fixed_weight
 
 
 class TestBranching:
