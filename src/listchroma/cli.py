@@ -340,7 +340,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EmptyListError as exc:
-        print(f"error: {exc.one_based()}", file=sys.stderr)
+        print(f"error: {args.input}: {exc.one_based()}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         status, assignment, stated = read_solution(args.solution)

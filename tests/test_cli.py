@@ -504,7 +504,7 @@ class TestCheckCommand:
         path = write(tmp_path, "e.col", EMPTY_LIST)
         sol = write(tmp_path, "e.sol", "status=infeasible\n")
         assert main(["check", path, sol]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == "error: vertex 2 has an empty color list\n"
+        assert capsys.readouterr().err == f"error: {path}: vertex 2 has an empty color list\n"
 
     def test_malformed_instance_named_by_file_and_line(self, tmp_path, capsys):
         path = write(tmp_path, "i.col", "p mwlcp 2 1 1\ne 1 1\nw 1 1\nl 1 1 1\nl 2 1 1\n")

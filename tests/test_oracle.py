@@ -114,6 +114,49 @@ def test_pruned_matches_unpruned_enumeration(data):
     assert oracle_solve(inst).optimum == enumerate_optimum(inst)
 
 
+def test_dense_weighted_matches_enumeration():
+    # near-cliques with up to 7 colors and zero weights: needy cliques of
+    # several vertices form, so the clique bound and its short-union prune fire
+    rng = np.random.Generator(np.random.PCG64(21))
+    for _ in range(300):
+        n = int(rng.integers(3, 7))
+        ncolors = int(rng.integers(2, 8))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.85]
+        lists = [
+            rng.choice(ncolors, size=int(rng.integers(1, ncolors + 1)), replace=False)
+            for _ in range(n)
+        ]
+        used = sorted({int(j) for lst in lists for j in lst})
+        weights = {j: int(rng.integers(0, 7)) for j in used}
+        weights[used[0]] = 0
+        inst = make_instance(n, edges, [[int(j) for j in lst] for lst in lists], weights=weights)
+        assert oracle_solve(inst).optimum == enumerate_optimum(inst)
+
+
+def clique_bound_pins():
+    """A triangle on which only the clique part of the look-ahead bound prunes.
+
+    Lists are [0, 1], [0, 1], [0, 2] and weights 2, 2, 1; the vertices tie on
+    every placement rule, so they are placed in id order. Vertex 0 takes
+    color 0 first, and the search colors vertex v with color v, of weight 5,
+    the optimum. Vertex 0 then takes color 1 at weight 2.
+    Vertices 1 and 2 are both needy; their lightest fresh colors weigh 2 and
+    1, so that bound reaches only 4. But they are adjacent and need two
+    distinct colors of {0, 2}, weighing 3, and 2 + 3 reaches the best 5, so
+    the node is pruned before vertex 1 takes color 0.
+    """
+    return make_instance(
+        3, [(0, 1), (0, 2), (1, 2)], [[0, 1], [0, 1], [0, 2]], weights={0: 2, 1: 2, 2: 1}
+    )
+
+
+def test_clique_bound_prunes_what_the_lightest_fresh_color_does_not():
+    res = oracle_solve(clique_bound_pins())
+    assert res.optimum == 5
+    assert res.witness.as_dict() == {0: 0, 1: 1, 2: 2}
+    assert res.assignments_explored == 4
+
+
 def placement_pins():
     """Six vertices whose placement order exercises the rule and each tie-break.
 
