@@ -29,9 +29,12 @@ point: the search prunes on it and the dive gives up on it.
 
 Every lower bound is 0 until a node branches. Right before it does, dive
 raises the lower bound of one column at a time to 1 and re-solves, until no
-big column is fractional, and reads a coloring off the same way. The
-model's bounds then stay changed, which is harmless: the node's model is
-dropped once it branches, and its children inherit only the column pool.
+big column is fractional, and reads a coloring off the same way. A raised
+bound leaves the last basis primal infeasible but dual feasible, so the dive
+switches the model to dual simplex, while pricing rounds stay primal. The
+model's bounds and simplex strategy then stay changed, which is harmless:
+the node's model is dropped once the dive ends, and its children inherit
+only the column pool.
 """
 
 from __future__ import annotations
@@ -93,14 +96,21 @@ class LPResult:
 
 
 _INF = _highs.kHighsInf
-# Primal simplex, not HiGHS's default dual simplex. Appended columns keep the
-# previous basis primal feasible, so primal simplex re-solves in a few
-# iterations. It also decides which of several optimal dual vectors comes
-# back, and the duals steer pricing and through it the branching pairs. On
-# the benchmark's dense-pricing cell (n=60 p=0.75 c=1.5 q=0.5, seeds
-# 7000-7002) the three trees total 83 nodes with a cold dual simplex solve
-# per round, 129 with warm dual simplex and 65 with warm primal simplex.
+# Pricing re-solves with primal simplex, not HiGHS's default dual simplex.
+# Appended columns keep the previous basis primal feasible, so primal simplex
+# re-solves in a few iterations. It also decides which of several optimal
+# dual vectors comes back, and the duals steer pricing and through it the
+# branching pairs. On the benchmark's dense-pricing cell (n=60 p=0.75 c=1.5
+# q=0.5, seeds 7000-7002) the three trees total 83 nodes with a cold dual
+# simplex solve per round, 129 with warm dual simplex and 65 with warm primal
+# simplex.
 _PRIMAL_SIMPLEX = 4
+# The dive re-solves with dual simplex. Raising a lower bound leaves the
+# previous basis primal infeasible but still dual feasible, which is where
+# dual simplex starts. On the benchmark's c7 cell (n=50 p=0.5 c=1 q=0.5,
+# seeds 7001-7003) a dive re-solve takes 42 iterations on average, against
+# 100 with primal simplex.
+_DUAL_SIMPLEX = 1
 
 
 def _check(status: _highs.HighsStatus, what: str) -> None:
@@ -247,9 +257,16 @@ def fractional_big_columns(res: LPResult) -> list[tuple[int, Column, float]]:
     """(pool index, column, x) of the columns of two or more vertices whose x is fractional.
 
     The one fractional test, |x - round(x)| > EPS: branching and the dive both read it.
+    It runs on the whole point at once; np.rint rounds half to even, as round does.
     """
-    pool = enumerate(zip(res.columns, res.values))
-    return [(i, col, x) for i, (col, x) in pool if col.size >= 2 and abs(x - round(x)) > EPS]
+    x = np.asarray(res.values, dtype=float)
+    frac = np.flatnonzero(np.abs(x - np.rint(x)) > EPS)
+    cols = res.columns
+    return [
+        (i, cols[i], xi)
+        for i, xi in zip(frac.tolist(), x[frac].tolist())
+        if cols[i].size >= 2
+    ]
 
 
 def _read_off(mp: MasterProblem, res: LPResult) -> tuple[dict[int, int], int] | None:
@@ -306,8 +323,9 @@ def dive(mp: MasterProblem, res: LPResult, cutoff: int | None) -> dict[int, int]
     no fractional big column left it reads a coloring off like
     extract_integer_solution, without the cost check: the pool may lack
     singletons that the matching uses, so the coloring can be cheaper than
-    the point.
+    the point. Every re-solve runs dual simplex.
     """
+    mp._lp.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
     while True:
         bound = node_lower_bound(res, mp.big_m)
         if bound is None or (cutoff is not None and bound >= cutoff):

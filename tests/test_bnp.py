@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from listchroma import assignment as asg, bnp
 from listchroma.bnp import (
@@ -15,6 +16,7 @@ from listchroma.bnp import (
     update_incumbent,
 )
 from listchroma.core import (
+    bits,
     branch_differ,
     branch_same,
     build_instance,
@@ -24,7 +26,15 @@ from listchroma.core import (
     root_state,
 )
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import Column, DualSolution, LPResult, add_columns, init_with_dummies, solve_lp
+from listchroma.master import (
+    Column,
+    DualSolution,
+    LPResult,
+    add_columns,
+    column_fault,
+    init_with_dummies,
+    solve_lp,
+)
 from listchroma.oracle import oracle_solve
 from listchroma.pricing import SHARED_SEARCH_DENSITY
 
@@ -303,12 +313,75 @@ class TestInheritColumns:
 
         monkeypatch.setattr(bnp, "inherit_columns", recording_inherit)
         monkeypatch.setattr(bnp, "init_with_dummies", recording_init)
-        solve(generate(GenConfig(n=14, p=0.5, c=1.0, q=0.5, seed=6)))
+        # branches at the root, so children inherit columns
+        solve(generate(GenConfig(n=18, p=0.5, c=1.0, q=0.5, seed=11)))
         (root_n, root_cols), *children = seeded
         assert root_cols == [Column(1 << v, None) for v in range(root_n)]
         assert len(children) == len(kept_lists) > 0 and any(kept_lists)
         for (n, cols), kept in zip(children, kept_lists):
             assert cols == [Column(1 << v, None) for v in range(n)] + kept
+
+
+def per_bit_inherit(parent_cols, parent_merge_map, state, partition):
+    """inherit_columns as it was: each column through the set of its translated vertices."""
+    vmap = {parent_merge_map[r]: cur for r, cur in state.merge_map.items()}
+    out, seen = [], set()
+    for col in parent_cols:
+        moved = {vmap.get(v) for v in bits(col.mask)}
+        rep = partition.rep_of.get(col.class_rep)
+        if None in moved or rep is None:
+            continue
+        new = Column(sum(1 << nv for nv in moved), rep)
+        if new in seen:
+            continue
+        seen.add(new)
+        if column_fault(new, state.instance, partition) is None:
+            out.append(new)
+    return out
+
+
+def branch_pair(data, state):
+    """A non-adjacent pair with a common color, or None."""
+    inst = state.instance
+    pairs = [
+        (u, v)
+        for u in range(inst.n)
+        for v in range(u + 1, inst.n)
+        if not inst.graph.has_edge(u, v) and inst.lists[u] & inst.lists[v]
+    ]
+    return data.draw(st.sampled_from(pairs), label="pair") if pairs else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inherit_matches_per_bit_reference(data):
+    """The chunk-table translation keeps the per-bit translation's columns and order."""
+    n = data.draw(st.integers(min_value=9, max_value=20), label="n")
+    seed = data.draw(st.integers(min_value=0, max_value=10**6), label="seed")
+    parent = root_state(generate(GenConfig(n=n, p=0.3, c=1.0, q=0.5, seed=seed)))
+    # a SAME step first, so that parent ids are not root ids
+    pair = branch_pair(data, parent)
+    assume(pair is not None)
+    parent = preprocess_singletons(branch_same(parent, *pair))
+    assume(parent is not None and parent.instance.n > 1)
+    inst, part = parent.instance, partition_colors(parent.instance)
+    pool = []
+    for k in part.reps:
+        for _ in range(data.draw(st.integers(0, 6), label="sets")):
+            mask = 0
+            for v in data.draw(st.permutations(part.vertices[k]), label="order"):
+                if not inst.graph.adj[v] & mask:
+                    mask |= 1 << v
+            pool.append(Column(mask, k))
+    pair = branch_pair(data, parent)
+    assume(pair is not None)
+    branch = data.draw(st.sampled_from([branch_same, branch_differ]), label="branch")
+    child = preprocess_singletons(branch(parent, *pair))
+    assume(child is not None and child.instance.n > 0)
+    child_part = partition_colors(child.instance)
+    assert inherit_columns(pool, parent.merge_map, child, child_part) == per_bit_inherit(
+        pool, parent.merge_map, child, child_part
+    )
 
 
 class TestDive:

@@ -325,43 +325,43 @@ EMPTY_LIST = "c empty\np mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\nl 2 0\n"
 
 PETERSEN_TEXT = """status: optimal
 weight: 3
-nodes explored: 3
-incumbent found at node: 2
-columns generated: 10
-pricing rounds: 8
-mwss nodes: 61
+nodes explored: 1
+incumbent found at node: 1
+columns generated: 7
+pricing rounds: 4
+mwss nodes: 33
 assignment:
   vertex 1 -> color 1
   vertex 2 -> color 2
-  vertex 3 -> color 3
-  vertex 4 -> color 1
-  vertex 5 -> color 2
+  vertex 3 -> color 1
+  vertex 4 -> color 2
+  vertex 5 -> color 3
   vertex 6 -> color 2
   vertex 7 -> color 1
-  vertex 8 -> color 1
+  vertex 8 -> color 3
   vertex 9 -> color 3
-  vertex 10 -> color 3
+  vertex 10 -> color 2
 """
 
 PETERSEN_RECORD = """status=optimal
 weight=3
-nodes=3
-incumbent_node=2
-columns=10
-pricing_rounds=8
-mwss_nodes=61
+nodes=1
+incumbent_node=1
+columns=7
+pricing_rounds=4
+mwss_nodes=33
 input=p.col
 time_limit=none
 assign.1=1
 assign.2=2
-assign.3=3
-assign.4=1
-assign.5=2
+assign.3=1
+assign.4=2
+assign.5=3
 assign.6=2
 assign.7=1
-assign.8=1
+assign.8=3
 assign.9=3
-assign.10=3
+assign.10=2
 echo.0=c petersen
 """
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from listchroma import master
@@ -86,8 +86,11 @@ def assert_duals_certify(mp, res):
             assert res.duals.gamma_of(k) <= tol
 
 
-def cold_linprog_objective(mp):
-    """The pool's LP optimum from a fresh scipy linprog solve (the reference)."""
+def cold_linprog_objective(mp, lower=None):
+    """The pool's LP optimum from a fresh scipy linprog solve (the reference).
+
+    lower gives each column's lower bound; None means all zero.
+    """
     n = mp.instance.n
     bounded = sorted(mp.partition.bounded)
     class_row = {k: n + i for i, k in enumerate(bounded)}
@@ -99,7 +102,8 @@ def cold_linprog_objective(mp):
             a_ub[class_row[col.class_rep], j] = 1.0
     b_ub = [-1.0] * n + [float(len(mp.partition.class_members[k])) for k in bounded]
     cost = [mp.cost(col) for col in mp.columns]
-    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    bounds = (0, None) if lower is None else [(lo, None) for lo in lower]
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert ref.status == 0
     return ref.fun
 
@@ -576,6 +580,81 @@ class TestDive:
         res = solve_lp(mp)
         assert res.values[1] == pytest.approx(1.0)
         assert dive(mp, res, None) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=12, max_value=18),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_dive_resolves_match_cold_linprog(n, seed):
+    """After each fixing, the dive's warm dual simplex optimum is the cold optimum."""
+    mp, res = root_optimum(generate(GenConfig(n=n, p=0.5, c=1.0, q=0.5, seed=seed)))
+    assume(select_branching_pair(res) is not None)
+    lower = [0.0] * len(mp.columns)
+    points = [res]
+
+    def checked(mp):
+        after = mp._lp.getLp().col_lower_
+        raised = [i for i, (a, b) in enumerate(zip(lower, after)) if a != b]
+        # one more column fixed at one, fractional in the point before
+        assert len(raised) == 1 and after[raised[0]] == 1.0
+        assert raised[0] in [i for i, _, _ in master.fractional_big_columns(points[-1])]
+        lower[:] = after
+        res = solve_lp(mp)
+        assert res.objective == pytest.approx(cold_linprog_objective(mp, lower), rel=1e-9, abs=1e-9)
+        points.append(res)
+        return res
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(master, "solve_lp", checked)
+        dive(mp, res, None)
+    assert len(points) > 1
+
+
+def scalar_fractional_scan(res):
+    """fractional_big_columns as the per-column comprehension it replaced."""
+    pool = enumerate(zip(res.columns, res.values))
+    return [(i, col, x) for i, (col, x) in pool if col.size >= 2 and abs(x - round(x)) > EPS]
+
+
+_values = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]),
+    st.builds(
+        lambda k, d: k + d,
+        st.integers(0, 3),
+        st.one_of(
+            st.floats(-EPS / 2, EPS / 2),
+            st.sampled_from([-EPS, EPS]),
+            st.floats(-3 * EPS, 3 * EPS),
+        ),
+    ),
+    st.floats(0.0, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=63), st.sampled_from([None, 0, 1]), _values),
+        max_size=30,
+    ),
+    st.booleans(),
+)
+def test_fractional_scan_matches_scalar_comprehension(pool, as_array):
+    """The numpy scan keeps the scalar test's verdicts, order and float values."""
+    # None on a singleton is a dummy; on a bigger mask it still counts by size
+    columns = tuple(Column(mask, k) for mask, k, _ in pool)
+    values = [x for _, _, x in pool]
+    res = LPResult(
+        objective=0.0,
+        values=np.array(values) if as_array else tuple(values),
+        columns=columns,
+        duals=DualSolution((), {}),
+    )
+    scan = master.fractional_big_columns(res)
+    assert scan == scalar_fractional_scan(res)
+    assert all(type(x) is float for _, _, x in scan)
 
 
 class TestSharedFractionalRule:
