@@ -1,17 +1,21 @@
 """Microbenches of the node layers outside column generation: singleton
 preprocessing, the minimum cost matching that finishes leaves, and the dive
 that looks for an incumbent before a node branches.
-
-Run with `python -m pytest benches --benchmark-only`. These timings are not
-calibrated for machine speed the way perfbench's are; on a shared 2-core
-machine a difference below about 1.5x does not resolve from a few runs.
 """
 
+from math import inf
+
 from listchroma.assignment import min_cost_matching
-from listchroma.core import partition_colors, preprocess_singletons, root_state, validate_coloring
+from listchroma.bnp import INFEASIBLE, SolveReport, price_out
+from listchroma.core import (
+    Deadline,
+    partition_colors,
+    preprocess_singletons,
+    root_state,
+    validate_coloring,
+)
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import add_columns, dive, init_with_dummies, node_lower_bound, solve_lp
-from listchroma.pricing import price_all
+from listchroma.master import dive, init_with_dummies, node_lower_bound
 
 
 def test_preprocess_singletons_cascade(benchmark):
@@ -35,15 +39,10 @@ def test_dive_at_c7_root(benchmark):
 
     def priced_out_root():
         mp = init_with_dummies(state, partition_colors(node))
-        while True:
-            res = solve_lp(mp)
-            cols = price_all(node, mp.partition, res.duals).columns()
-            if not cols:
-                return mp, res
-            add_columns(mp, cols)
+        return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
 
     mp, res = priced_out_root()
     assert node_lower_bound(res, mp.big_m) == 9
     # the dive changes its model's bounds, so every round gets a fresh root
-    coloring = benchmark.pedantic(dive, setup=lambda: ((*priced_out_root(), None), {}), rounds=5)
+    coloring = benchmark.pedantic(dive, setup=lambda: ((*priced_out_root(), inf), {}), rounds=5)
     assert validate_coloring(node, coloring) + state.fixed_weight == 10

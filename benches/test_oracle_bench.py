@@ -1,8 +1,4 @@
-"""Microbench of the brute-force oracle on one dense weighted n=12 instance.
-
-Run with `python -m pytest benches --benchmark-only`; the tier-1 suite
-(testpaths = tests) does not collect this directory.
-"""
+"""Microbench of the brute-force oracle on one dense weighted n=12 instance."""
 
 from listchroma.instgen import GenConfig, generate
 from listchroma.oracle import oracle_solve

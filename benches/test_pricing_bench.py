@@ -3,33 +3,24 @@ its heaviest-first relabelling, and one master LP solve; one pricing round
 at the root of a sparse n=70 instance, on the other side of
 pricing.SHARED_SEARCH_DENSITY; and a whole solve of a one-class (graph
 coloring) instance, whose rounds take up to pricing.ONE_CLASS_SETS columns.
-
-Run with `python -m pytest benches --benchmark-only`; the tier-1 suite
-(testpaths = tests) does not collect this directory.
 """
 
 import pytest
 
-from listchroma.bnp import OPTIMAL, solve
-from listchroma.core import partition_colors, preprocess_singletons, root_state
+from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, price_out, solve
+from listchroma.core import Deadline, partition_colors, preprocess_singletons, root_state
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import add_columns, init_with_dummies, solve_lp
 from listchroma.pricing import SHARED_SEARCH_DENSITY, heaviest_first, price_all
 
 
 def reach_root(cfg):
-    """The root node, its final columns and duals, reached by the solver's own pricing loop."""
+    """The root node, its final columns and duals, reached by bnp.price_out."""
     state = preprocess_singletons(root_state(generate(cfg)))
-    node = state.instance
-    partition = partition_colors(node)
+    partition = partition_colors(state.instance)
     mp = init_with_dummies(state, partition)
-    while True:
-        res = solve_lp(mp)
-        cols = price_all(node, partition, res.duals).columns()
-        if not cols:
-            real = [col for col in mp.columns if not col.is_dummy]
-            return state, partition, real, res
-        add_columns(mp, cols)
+    res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
+    return state, partition, [col for col in mp.columns if not col.is_dummy], res
 
 
 @pytest.fixture(scope="module")

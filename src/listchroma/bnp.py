@@ -7,15 +7,18 @@ tree is bounded by memory alone. SAME children are explored first since they
 shrink the graph toward the all-complete leaves that the matching module
 finishes off.
 
-A node is pruned once master.node_lower_bound reaches its cutoff, the
-incumbent's weight less the node's fixed weight. About to branch, it dives
-(master.dive) over its own column pool under that cutoff and offers the
-coloring read off; if that coloring meets the bound, it does not branch.
+price_out, the one column generation loop, prices each node's master out.
+The node is pruned once master.node_lower_bound of that optimum reaches its
+cutoff, the incumbent's weight less the node's fixed weight (math.inf
+without one). About to branch, it dives (master.dive) over its own column
+pool under that cutoff and offers the coloring read off; if that coloring
+meets the bound, it does not branch.
 Most of a tree without the dive was spent finding the optimum.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ from .core import (
 from .master import (
     Column,
     LPResult,
+    MasterProblem,
     add_columns,
     column_fault,
     dive,
@@ -73,6 +77,26 @@ class SolveReport:
     def weight(self) -> int | None:
         """The incumbent's weight, None without a coloring."""
         return None if self.coloring is None else self.coloring.weight
+
+
+def price_out(mp: MasterProblem, report: SolveReport, deadline: Deadline) -> LPResult:
+    """Re-solve mp and price until a round finds no column; return the LP optimum it proves.
+
+    That round has shown max pi(S) <= w_k + gamma_k + EPS for every class.
+    Rounds, stable set search nodes and columns count into report.
+    """
+    inst, partition = mp.instance, mp.partition
+    while True:
+        deadline.check()
+        res = solve_lp(mp)
+        outcome = price_all(inst, partition, res.duals, deadline=deadline)
+        report.pricing_rounds += 1
+        report.mwss_nodes += outcome.stats.nodes
+        cols = outcome.columns()
+        if not cols:
+            return res
+        add_columns(mp, cols)
+        report.columns_generated += len(cols)
 
 
 def update_incumbent(current: ListColoring | None, candidate: ListColoring) -> ListColoring:
@@ -217,6 +241,8 @@ class _Search:
         if state is None:
             return []
         inst = state.instance
+        # Not folded into all_complete: acceptance criterion 6 switches that off
+        # to force column generation, and init_with_dummies raises when n == 0.
         if inst.n == 0:
             self._offer({}, state)
             return []
@@ -232,26 +258,11 @@ class _Search:
             inherit_columns(parent_cols, parent_merge_map, state, partition) if parent_cols else []
         )
         mp = init_with_dummies(state, partition, inherited)
-
-        # One early-exit round per LP optimum: a round that finds no column has
-        # shown max pi(S) <= w_k + gamma_k + EPS for every class, so the LP is
-        # optimal at this node.
-        while True:
-            self.deadline.check()
-            res = solve_lp(mp)
-            outcome = price_all(inst, partition, res.duals, deadline=self.deadline)
-            report.pricing_rounds += 1
-            report.mwss_nodes += outcome.stats.nodes
-            cols = outcome.columns()
-            if not cols:
-                break
-            add_columns(mp, cols)
-            report.columns_generated += len(cols)
-
-        cutoff = None if report.weight is None else report.weight - state.fixed_weight
+        res = price_out(mp, report, self.deadline)
+        cutoff = math.inf if report.weight is None else report.weight - state.fixed_weight
         bound = node_lower_bound(res, mp.big_m)
-        if bound is None or (cutoff is not None and bound >= cutoff):
-            return []  # no coloring (a dummy is still active), or none lighter
+        if bound >= cutoff:
+            return []  # no coloring (inf: a dummy is still active), or none lighter
 
         pair = select_branching_pair(res)
         if pair is None:

@@ -6,7 +6,7 @@ The LP is
          sum_{columns of class k} x <= |C^k|      (bounded classes only)
          x >= 0
 Each search node keeps one persistent HiGHS model with these rows, built by
-MasterProblem: new columns are appended to it and every pricing round
+MasterProblem: new columns are appended to it and every round of bnp.price_out
 re-solves it (solve_lp) with primal simplex from the previous optimal basis,
 which the new columns leave primal feasible. The model is scipy's bundled
 HiGHS binding, scipy.optimize._highspy._core._Highs, a private API; every
@@ -25,7 +25,8 @@ An LP optimum without a fractional big column (fractional_big_columns) is
 a leaf of the search; extract_integer_solution reads a coloring of the
 node instance off it, with no second LP, and says why that coloring costs
 what the point costs. node_lower_bound is the one bound read from an LP
-point: the search prunes on it and the dive gives up on it.
+point (math.inf when a dummy holds it at big-M): the search prunes on it and
+the dive gives up on it, against a cutoff that is math.inf without incumbent.
 
 Every lower bound is 0 until a node branches. Right before it does, dive
 raises the lower bound of one column at a time to 1 and re-solves, until no
@@ -311,7 +312,7 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]
     return coloring
 
 
-def dive(mp: MasterProblem, res: LPResult, cutoff: int | None) -> dict[int, int] | None:
+def dive(mp: MasterProblem, res: LPResult, cutoff: float) -> dict[int, int] | None:
     """Dive from the LP optimum res over the node's pool; a node coloring, or None.
 
     Each step fixes the fractional big column (fractional_big_columns) below
@@ -319,17 +320,14 @@ def dive(mp: MasterProblem, res: LPResult, cutoff: int | None) -> dict[int, int]
     its lower bound to 1, and re-solves warm; a column at 1 or above is fixed
     already. No column is priced, so mp.columns stays as it is; only the
     model's bounds change. The dive gives up exactly when node_lower_bound
-    of the current point is None or reaches cutoff (None: no cutoff). With
+    of the current point reaches cutoff (math.inf without an incumbent). With
     no fractional big column left it reads a coloring off like
     extract_integer_solution, without the cost check: the pool may lack
     singletons that the matching uses, so the coloring can be cheaper than
     the point. Every re-solve runs dual simplex.
     """
     mp._lp.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-    while True:
-        bound = node_lower_bound(res, mp.big_m)
-        if bound is None or (cutoff is not None and bound >= cutoff):
-            return None
+    while node_lower_bound(res, mp.big_m) < cutoff:
         candidates = [(x, col.size, -i) for i, col, x in fractional_big_columns(res) if x < 1]
         if not candidates:
             read = _read_off(mp, res)
@@ -340,10 +338,11 @@ def dive(mp: MasterProblem, res: LPResult, cutoff: int | None) -> dict[int, int]
             "fixing a dive column",
         )
         res = solve_lp(mp)
+    return None
 
 
-def node_lower_bound(res: LPResult, big_m: int) -> int | None:
-    """Integer lower bound from the LP value; None flags an infeasible node."""
+def node_lower_bound(res: LPResult, big_m: int) -> float:
+    """Integer lower bound from the LP value; math.inf (a dummy at big-M) flags no coloring."""
     if res.objective >= big_m - EPS:
-        return None
+        return math.inf
     return math.ceil(res.objective - EPS)

@@ -129,8 +129,8 @@ def random_all_complete(seed: int) -> Instance:
 class SolveEvents:
     """What recorded_events saw of the solves run inside it."""
 
-    # one (node instance, partition, duals) per node whose last pricing
-    # round found no column, which proves its LP optimum
+    # one (node instance, partition, duals) per node whose LP optimum
+    # price_out proved: its last pricing round found no column
     certifications: list = field(default_factory=list)
     # one (node instance, LP optimum, node coloring read off it) per LP leaf
     extractions: list = field(default_factory=list)
@@ -154,14 +154,14 @@ def recorded_events():
 
     The search is depth first and evaluates one node at a time, so the node
     being evaluated is the one last passed to preprocess_singletons, and its
-    LP optimum is the last solve_lp result before a round without a column.
+    proven LP optimum is what price_out returns for it.
     A branched child is keyed by its identity until it is evaluated; the
     entry holds the child, so the identity cannot be reused meanwhile.
     """
     events = SolveEvents()
-    node: dict = {}  # the node being evaluated: state, parent bound, LP, bound
+    node: dict = {}  # the node being evaluated: state, parent bound, bound
     children: dict[int, tuple] = {}  # id(child pre-state) -> (child, parent bound)
-    preprocess, solve_lp, price_all = bnp.preprocess_singletons, bnp.solve_lp, bnp.price_all
+    preprocess, price_out = bnp.preprocess_singletons, bnp.price_out
     extract, select = bnp.extract_integer_solution, bnp.select_branching_pair
 
     def preprocessing(pre_state):
@@ -170,18 +170,13 @@ def recorded_events():
         node.update(state=preprocess(pre_state), parent_bound=parent_bound)
         return node["state"]
 
-    def solving(mp):
-        node["res"] = solve_lp(mp)
-        return node["res"]
-
-    def pricing(inst, partition, duals, **kwargs):
-        outcome = price_all(inst, partition, duals, **kwargs)
-        if not outcome.columns():
-            events.certifications.append((inst, partition, duals))
-            node["bound"] = node["res"].objective + node["state"].fixed_weight
-            if node["parent_bound"] is not None:
-                events.bound_pairs.append((node["parent_bound"], node["bound"]))
-        return outcome
+    def pricing_out(mp, report, deadline):
+        res = price_out(mp, report, deadline)
+        events.certifications.append((mp.instance, mp.partition, res.duals))
+        node["bound"] = res.objective + node["state"].fixed_weight
+        if node["parent_bound"] is not None:
+            events.bound_pairs.append((node["parent_bound"], node["bound"]))
+        return res
 
     def extracting(mp, res):
         coloring = extract(mp, res)
@@ -204,8 +199,7 @@ def recorded_events():
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(bnp, "preprocess_singletons", preprocessing)
-        m.setattr(bnp, "solve_lp", solving)
-        m.setattr(bnp, "price_all", pricing)
+        m.setattr(bnp, "price_out", pricing_out)
         m.setattr(bnp, "extract_integer_solution", extracting)
         m.setattr(bnp, "select_branching_pair", selecting)
         m.setattr(bnp, "branch_same", branching(bnp.branch_same))

@@ -1,4 +1,5 @@
 import sys
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from listchroma.bnp import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     TIME_LIMIT,
+    SolveReport,
     inherit_columns,
     select_branching_pair,
     solve,
     update_incumbent,
 )
 from listchroma.core import (
+    Deadline,
+    SearchTimeout,
     bits,
     branch_differ,
     branch_same,
@@ -36,7 +40,7 @@ from listchroma.master import (
     solve_lp,
 )
 from listchroma.oracle import oracle_solve
-from listchroma.pricing import SHARED_SEARCH_DENSITY
+from listchroma.pricing import SHARED_SEARCH_DENSITY, price_all
 
 from conftest import k33_mirrored, make_instance, petersen, recorded_events
 
@@ -415,6 +419,29 @@ class TestDive:
     def test_no_incumbent_no_node(self):
         report = solve(k33_mirrored())
         assert report.coloring is None and report.incumbent_node is None
+
+
+class TestPriceOut:
+    INST = generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=3))
+
+    def root_master(self):
+        state = preprocess_singletons(root_state(self.INST))
+        return init_with_dummies(state, partition_colors(state.instance))
+
+    def test_counts_what_solve_reports_and_proves_the_optimum(self):
+        solved = solve(self.INST)
+        assert (solved.status, solved.nodes, solved.pricing_rounds) == (OPTIMAL, 1, 8)
+        mp, report = self.root_master(), SolveReport(INFEASIBLE)
+        res = bnp.price_out(mp, report, Deadline(None))
+        counters = attrgetter("pricing_rounds", "mwss_nodes", "columns_generated")
+        assert counters(report) == counters(solved)
+        assert report.mwss_nodes > 0 and report.columns_generated == len(mp.columns) - mp.instance.n
+        assert price_all(mp.instance, mp.partition, res.duals).columns() == []
+
+    def test_expired_deadline_raises_before_solving(self, monkeypatch):
+        monkeypatch.delattr(bnp, "solve_lp")  # a solve would raise NameError
+        with pytest.raises(SearchTimeout):
+            bnp.price_out(self.root_master(), SolveReport(INFEASIBLE), Deadline(0))
 
 
 class TestUpdateIncumbent:

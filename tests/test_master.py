@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from listchroma import master
-from listchroma.bnp import select_branching_pair
-from listchroma.core import EPS, partition_colors, root_state, validate_coloring
+from listchroma.bnp import INFEASIBLE, SolveReport, price_out, select_branching_pair
+from listchroma.core import EPS, Deadline, partition_colors, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import (
     Column,
@@ -23,7 +24,6 @@ from listchroma.master import (
     node_lower_bound,
     solve_lp,
 )
-from listchroma.pricing import price_all
 
 from conftest import make_instance, stable_sets
 
@@ -530,14 +530,9 @@ def test_color_without_pool_singleton_beats_point():
 
 
 def root_optimum(inst):
-    """The root master of inst and its LP optimum, priced out by the solver's own loop."""
+    """The root master of inst and its LP optimum, priced out by bnp.price_out."""
     mp = master_for(inst)
-    while True:
-        res = solve_lp(mp)
-        cols = price_all(inst, mp.partition, res.duals).columns()
-        if not cols:
-            return mp, res
-        add_columns(mp, cols)
+    return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
 
 
 class TestDive:
@@ -547,7 +542,7 @@ class TestDive:
     def test_coloring_no_lighter_than_the_bound(self):
         mp, res = root_optimum(self.INST)
         assert select_branching_pair(res) is not None
-        coloring = dive(mp, res, None)
+        coloring = dive(mp, res, math.inf)
         assert coloring is not None
         assert validate_coloring(self.INST, coloring) >= node_lower_bound(res, mp.big_m)
 
@@ -558,19 +553,19 @@ class TestDive:
 
     def test_cutoff_above_the_coloring_keeps_it(self):
         mp, res = root_optimum(self.INST)
-        free = dive(mp, res, None)
+        free = dive(mp, res, math.inf)
         mp, res = root_optimum(self.INST)
         assert dive(mp, res, validate_coloring(self.INST, free) + 1) == free
 
     def test_pool_unchanged(self):
         mp, res = root_optimum(self.INST)
         pool = list(mp.columns)
-        dive(mp, res, None)
+        dive(mp, res, math.inf)
         assert mp.columns == pool == list(res.columns)
 
     def test_deterministic(self):
-        first = dive(*root_optimum(self.INST), None)
-        assert dive(*root_optimum(self.INST), None) == first
+        first = dive(*root_optimum(self.INST), math.inf)
+        assert dive(*root_optimum(self.INST), math.inf) == first
 
     def test_positive_dummy_gives_up(self):
         # no pool column covers vertex 1, so its dummy stays at one
@@ -579,7 +574,7 @@ class TestDive:
         add_columns(mp, [Column(0b01, 0)])
         res = solve_lp(mp)
         assert res.values[1] == pytest.approx(1.0)
-        assert dive(mp, res, None) is None
+        assert dive(mp, res, math.inf) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -608,7 +603,7 @@ def test_dive_resolves_match_cold_linprog(n, seed):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(master, "solve_lp", checked)
-        dive(mp, res, None)
+        dive(mp, res, math.inf)
     assert len(points) > 1
 
 
@@ -682,7 +677,7 @@ class TestSharedFractionalRule:
             raise AssertionError("the dive re-solved an integral point")
 
         monkeypatch.setattr(master, "solve_lp", no_solve)
-        coloring = dive(mp, res, None)
+        coloring = dive(mp, res, math.inf)
         validate_coloring(self.INST, coloring)
         assert coloring[0] == coloring[1]  # read off as one column
 
@@ -696,7 +691,7 @@ class TestSharedFractionalRule:
             return solve_lp(mp)
 
         monkeypatch.setattr(master, "solve_lp", counting)
-        coloring = dive(mp, res, None)
+        coloring = dive(mp, res, math.inf)
         # fixing {0,1} leaves {1,2} at 1 as the only cover of vertex 2
         assert len(solves) == 1
         validate_coloring(self.INST, coloring)
@@ -713,4 +708,4 @@ class TestNodeLowerBound:
 
     def test_big_m_means_infeasible(self):
         res = fake_result([Column(0b1, 0)], [1.0], objective=100.0)
-        assert node_lower_bound(res, big_m=100) is None
+        assert node_lower_bound(res, big_m=100) == math.inf
