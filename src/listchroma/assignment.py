@@ -2,7 +2,9 @@
 
 In that regime each color can serve at most one vertex, so the node reduces
 to a minimum cost matching of the vertices into the concrete colors, which
-scipy's linear_sum_assignment solves.
+scipy's linear_sum_assignment solves. It is the function of
+scipy.optimize's compiled module _lsap, which scipy_ext loads from its file
+so that importing the solver does not run scipy.optimize's package init.
 
 min_cost_matching is the one way a node is finished by matching: it also
 colors every integral leaf of the column generation and the end of every
@@ -17,9 +19,11 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ColorPartition, Graph, NodeState, NumericalFailure, bits
+from .scipy_ext import load_extension
+
+linear_sum_assignment = load_extension("scipy.optimize._lsap").linear_sum_assignment
 
 
 def all_complete(partition: ColorPartition, graph: Graph) -> bool:

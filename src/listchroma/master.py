@@ -10,10 +10,11 @@ MasterProblem: new columns are appended to it and every round of bnp.price_out
 re-solves it (solve_lp) with primal simplex from the previous optimal basis,
 which the new columns leave primal feasible. The model is scipy's bundled
 HiGHS binding, scipy.optimize._highspy._core._Highs, a private API; every
-use of it stays in this module. Vertex duals pi and class duals gamma are the
-row duals, with the sign flipped on the <= class rows. Upper bounds x <= 1
-are intentionally absent; non-negative costs make them redundant at some
-optimum.
+use of it stays in this module. scipy_ext loads the binding from its file,
+so importing the solver does not run scipy.optimize's package init. Vertex
+duals pi and class duals gamma are the row duals, with the sign flipped on
+the <= class rows. Upper bounds x <= 1 are intentionally absent;
+non-negative costs make them redundant at some optimum.
 
 A column is only its (stable set, class) pair. The master alone decides
 what is a column of a node (column_fault) and what it costs
@@ -46,10 +47,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 from .assignment import min_cost_matching
 from .core import EPS, ColorPartition, Instance, NodeState, NumericalFailure, bits
+from .scipy_ext import load_extension
+
+_highs = load_extension("scipy.optimize._highspy._core")
 
 
 class DuplicateColumnError(NumericalFailure):

@@ -1,4 +1,4 @@
-"""Shared fixtures and independent brute-force helpers for the test suite."""
+"""Brute-force helpers, shared instances and the solve recorder of the tests."""
 
 from __future__ import annotations
 

@@ -30,7 +30,7 @@ from listchroma.instgen import GenConfig, generate
 from listchroma.master import Column, DualSolution, LPResult, add_columns, extract_integer_solution, init_with_dummies
 from listchroma.oracle import oracle_solve
 
-from conftest import (
+from helpers import (
     SolveEvents,
     k33_mirrored,
     make_instance,

@@ -7,7 +7,7 @@ from listchroma.assignment import all_complete, min_cost_matching, solve_assignm
 from listchroma.core import NumericalFailure, partition_colors, root_state, validate_coloring
 from listchroma.oracle import oracle_solve
 
-from conftest import make_instance, random_all_complete
+from helpers import make_instance, random_all_complete
 
 
 def brute_force_matching(rows, colors, weights):

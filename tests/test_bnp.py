@@ -42,7 +42,7 @@ from listchroma.master import (
 from listchroma.oracle import oracle_solve
 from listchroma.pricing import SHARED_SEARCH_DENSITY, price_all
 
-from conftest import k33_mirrored, make_instance, petersen, recorded_events
+from helpers import k33_mirrored, make_instance, petersen, recorded_events
 
 
 class TestSolveBasic:

@@ -21,7 +21,7 @@ from listchroma.core import Graph, NumericalFailure, build_instance
 from listchroma.instgen import REJECT, GenConfig, generate
 from listchroma.oracle import OracleResult
 
-from conftest import k33_mirrored, make_instance
+from helpers import k33_mirrored, make_instance
 
 
 def write(tmp_path, name, text):
@@ -184,7 +184,7 @@ class TestSolveCommand:
 
     def test_zero_time_limit_exits_three(self, tmp_path):
         path = str(tmp_path / "p.col")
-        from conftest import petersen
+        from helpers import petersen
 
         write_instance(path, petersen())
         out = str(tmp_path / "p.sol")
@@ -196,7 +196,7 @@ class TestSolveCommand:
         assert weight is None
 
     def test_record_carries_mwss_nodes(self, tmp_path, capsys):
-        from conftest import petersen
+        from helpers import petersen
 
         path = str(tmp_path / "p.col")
         write_instance(path, petersen())
@@ -431,7 +431,7 @@ class TestGoldenOutput:
         ],
     )
     def test_solve_output(self, tmp_path, monkeypatch, capsys, case, code, text, record):
-        from conftest import petersen
+        from helpers import petersen
 
         monkeypatch.chdir(tmp_path)
         write_instance("p.col", petersen(), ["c petersen"])

@@ -29,7 +29,7 @@ from listchroma.master import (
 )
 from listchroma.oracle import oracle_solve
 
-from conftest import make_instance
+from helpers import make_instance
 
 
 class TestDeadline:

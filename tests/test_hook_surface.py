@@ -15,7 +15,7 @@ from pathlib import Path
 from listchroma import bnp
 from listchroma.instgen import GenConfig, generate
 
-from conftest import random_all_complete
+from helpers import random_all_complete
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

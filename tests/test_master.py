@@ -25,7 +25,7 @@ from listchroma.master import (
     solve_lp,
 )
 
-from conftest import make_instance, stable_sets
+from helpers import make_instance, stable_sets
 
 
 def master_for(inst):

@@ -8,7 +8,7 @@ from listchroma import oracle
 from listchroma.core import EmptyListError, validate_coloring
 from listchroma.oracle import TooLargeError, oracle_solve, placement_order
 
-from conftest import enumerate_optimum, k33_mirrored, make_instance
+from helpers import enumerate_optimum, k33_mirrored, make_instance
 
 
 def test_triangle_needs_three_colors():

@@ -17,7 +17,7 @@ from listchroma.pricing import (
     price_all,
 )
 
-from conftest import make_instance, max_stable_weight
+from helpers import make_instance, max_stable_weight
 
 
 def duals_for(inst, pi, gamma=None):
