@@ -1,12 +1,13 @@
 """Microbenches of the node layers outside column generation: singleton
-preprocessing, the minimum cost matching that finishes leaves, and the dive
-that looks for an incumbent before a node branches.
+preprocessing, the minimum cost matching that finishes leaves, the dive
+that looks for an incumbent before a node branches, and the fixed cost of
+a node's small LP in a whole solve.
 """
 
 from math import inf
 
 from listchroma.assignment import min_cost_matching
-from listchroma.bnp import INFEASIBLE, SolveReport, price_out
+from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, price_out, solve
 from listchroma.core import (
     Deadline,
     partition_colors,
@@ -46,3 +47,11 @@ def test_dive_at_c7_root(benchmark):
     # the dive changes its model's bounds, so every round gets a fresh root
     coloring = benchmark.pedantic(dive, setup=lambda: ((*priced_out_root(), inf), {}), rounds=5)
     assert validate_coloring(node, coloring) + state.fixed_weight == 10
+
+
+def test_grid_solve_of_five_nodes(benchmark):
+    # an acceptance-grid instance: five nodes of about 18 LP rows each, so
+    # the per-node cost of building and first solving a master dominates
+    inst = generate(GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=20179, weight_range=(1, 10)))
+    report = benchmark(solve, inst)
+    assert (report.status, report.nodes) == (OPTIMAL, 5)

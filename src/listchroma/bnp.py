@@ -14,6 +14,10 @@ without one). About to branch, it dives (master.dive) over its own column
 pool under that cutoff and offers the coloring read off; if that coloring
 meets the bound, it does not branch.
 Most of a tree without the dive was spent finding the optimum.
+
+The search makes one HiGHS model (master.new_model) at its first LP node and
+lends it to the master of every node; no model outlives its solve, and no
+node's master is used once the next one is built.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import assignment as asg
 from .core import (
@@ -49,6 +54,7 @@ from .master import (
     extract_integer_solution,
     fractional_big_columns,
     init_with_dummies,
+    new_model,
     node_lower_bound,
     solve_lp,
 )
@@ -213,6 +219,11 @@ class _Search:
         # the incumbent and the counters; solve() settles status and wall time
         self.report = SolveReport(INFEASIBLE)
 
+    @cached_property
+    def lp(self):
+        """The search's one LP model, lent to each node's master in turn; made on first use."""
+        return new_model()
+
     def run(self) -> None:
         stack: list[_Node] = [(root_state(self.root), [], {})]
         while stack:
@@ -257,7 +268,7 @@ class _Search:
         inherited = (
             inherit_columns(parent_cols, parent_merge_map, state, partition) if parent_cols else []
         )
-        mp = init_with_dummies(state, partition, inherited)
+        mp = init_with_dummies(state, partition, inherited, self.lp)
         res = price_out(mp, report, self.deadline)
         cutoff = math.inf if report.weight is None else report.weight - state.fixed_weight
         bound = node_lower_bound(res, mp.big_m)

@@ -118,8 +118,9 @@ class Graph:
             out.extend((u, v) for v in bits(m))
         return out
 
-    @property
+    @cached_property
     def m(self) -> int:
+        """The number of edges, computed once per graph."""
         return sum(a.bit_count() for a in self.adj) // 2
 
 

@@ -5,16 +5,21 @@ The LP is
     s.t. sum_{columns covering v} x >= 1          (one row per vertex)
          sum_{columns of class k} x <= |C^k|      (bounded classes only)
          x >= 0
-Each search node keeps one persistent HiGHS model with these rows, built by
-MasterProblem: new columns are appended to it and every round of bnp.price_out
-re-solves it (solve_lp) with primal simplex from the previous optimal basis,
-which the new columns leave primal feasible. The model is scipy's bundled
-HiGHS binding, scipy.optimize._highspy._core._Highs, a private API; every
-use of it stays in this module. scipy_ext loads the binding from its file,
-so importing the solver does not run scipy.optimize's package init. Vertex
-duals pi and class duals gamma are the row duals, with the sign flipped on
-the <= class rows. Upper bounds x <= 1 are intentionally absent;
-non-negative costs make them redundant at some optimum.
+The LP lives in a HiGHS model (new_model) that one solve owns and lends to
+the master of each node in turn: MasterProblem clears it and adds the node's
+rows, and init_with_dummies appends the dummies and the inherited columns
+and sets the all-dummy basis (dummies basic, every other column and every
+cover row at its lower bound, class rows basic). That basis is primal
+feasible at every node and optimal at the root, so no node's first solve
+presolves or runs a phase 1. New columns are appended to the model and every
+round of bnp.price_out re-solves it (solve_lp) with primal simplex from the
+previous basis, which the new columns leave primal feasible. The model is
+scipy's bundled HiGHS binding, scipy.optimize._highspy._core._Highs, a
+private API; every use of it stays in this module. scipy_ext loads the
+binding from its file, so importing the solver does not run scipy.optimize's
+package init. Vertex duals pi and class duals gamma are the row duals, with
+the sign flipped on the <= class rows. Upper bounds x <= 1 are intentionally
+absent; non-negative costs make them redundant at some optimum.
 
 A column is only its (stable set, class) pair. The master alone decides
 what is a column of a node (column_fault) and what it costs
@@ -34,9 +39,9 @@ raises the lower bound of one column at a time to 1 and re-solves, until no
 big column is fractional, and reads a coloring off the same way. A raised
 bound leaves the last basis primal infeasible but dual feasible, so the dive
 switches the model to dual simplex, while pricing rounds stay primal. The
-model's bounds and simplex strategy then stay changed, which is harmless:
-the node's model is dropped once the dive ends, and its children inherit
-only the column pool.
+model's bounds and simplex strategy then stay changed until the next node's
+master clears the model and sets primal simplex again: a node's model is dead
+once its dive ends, and its children inherit only the column pool.
 """
 
 from __future__ import annotations
@@ -115,6 +120,8 @@ _PRIMAL_SIMPLEX = 4
 # seeds 7001-7003) a dive re-solve takes 42 iterations on average, against
 # 100 with primal simplex.
 _DUAL_SIMPLEX = 1
+_BASIC = _highs.HighsBasisStatus.kBasic
+_LOWER = _highs.HighsBasisStatus.kLower
 
 
 def _check(status: _highs.HighsStatus, what: str) -> None:
@@ -122,14 +129,23 @@ def _check(status: _highs.HighsStatus, what: str) -> None:
         raise NumericalFailure(f"HiGHS failed {what}")
 
 
+def new_model() -> _highs._Highs:
+    """An empty HiGHS model that prints nothing, for the masters of one solve."""
+    lp = _highs._Highs()
+    lp.setOptionValue("output_flag", False)
+    return lp
+
+
 class MasterProblem:
     """Mutable column pool plus the LP model of one search node.
 
     The model has one cover row per vertex, then one capacity row per bounded
     class in sorted order, and one LP column per pool column in pool order.
+    It is borrowed: building the master clears whatever lp held, so a master
+    built earlier on the same lp is dead.
     """
 
-    def __init__(self, state: NodeState, partition: ColorPartition, big_m: int):
+    def __init__(self, state: NodeState, partition: ColorPartition, big_m: int, lp: _highs._Highs):
         self.instance = state.instance
         self.partition = partition
         self.big_m = big_m
@@ -139,8 +155,8 @@ class MasterProblem:
         bounded = sorted(partition.bounded)
         self._class_row = {k: n + i for i, k in enumerate(bounded)}
         caps = [float(len(partition.class_members[k])) for k in bounded]
-        lp = self._lp = _highs._Highs()
-        lp.setOptionValue("output_flag", False)
+        self._lp = lp
+        _check(lp.clearModel(), "clearing the LP model")
         lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
         empty = np.zeros(0, dtype=np.int32)
         _check(
@@ -205,11 +221,16 @@ def column_fault(col: Column, inst: Instance, partition: ColorPartition) -> str 
 
 
 def init_with_dummies(
-    state: NodeState, partition: ColorPartition, inherited: Sequence[Column] = ()
+    state: NodeState,
+    partition: ColorPartition,
+    inherited: Sequence[Column] = (),
+    lp: _highs._Highs | None = None,
 ) -> MasterProblem:
     """Master seeded with one big-M singleton column per vertex, then inherited.
 
-    inherited must be distinct and pass column_fault; it is not checked again.
+    The master is built on lp (a new_model() of its own when None) and starts
+    from the all-dummy basis. inherited must be distinct and pass
+    column_fault; it is not checked again.
     From big-M = 2**53 on, node_lower_bound could no longer tell a coloring
     from a dummy in float64, so such weights raise NumericalFailure.
     """
@@ -219,8 +240,13 @@ def init_with_dummies(
     big_m = 1 + sum(inst.weights[j] for j in inst.colors)
     if big_m >= 2**53:
         raise NumericalFailure(f"big-M {big_m} is beyond exact float64 arithmetic")
-    mp = MasterProblem(state, partition, big_m)
+    mp = MasterProblem(state, partition, big_m, new_model() if lp is None else lp)
     mp._append([Column(1 << v, None) for v in range(inst.n)] + list(inherited))
+    basis = _highs.HighsBasis()
+    basis.col_status = [_BASIC] * inst.n + [_LOWER] * len(inherited)
+    basis.row_status = [_LOWER] * inst.n + [_BASIC] * len(mp._class_row)
+    basis.valid, basis.alien = True, False
+    _check(mp._lp.setBasis(basis), "setting the all-dummy basis")
     return mp
 
 

@@ -1,11 +1,12 @@
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from listchroma import assignment as asg, bnp
+from listchroma import assignment as asg, bnp, master
 from listchroma.bnp import (
     INFEASIBLE,
     NUMERICAL_FAILURE,
@@ -310,8 +311,8 @@ class TestInheritColumns:
             kept_lists.append(inherit(*args))
             return kept_lists[-1]
 
-        def recording_init(state, partition, inherited=()):
-            mp = init(state, partition, inherited)
+        def recording_init(state, partition, inherited=(), lp=None):
+            mp = init(state, partition, inherited, lp)
             seeded.append((state.instance.n, list(mp.columns)))
             return mp
 
@@ -419,6 +420,51 @@ class TestDive:
     def test_no_incumbent_no_node(self):
         report = solve(k33_mirrored())
         assert report.coloring is None and report.incumbent_node is None
+
+
+class TestModelHandOff:
+    # a grid instance of five nodes; the root dives, then branches
+    INST = generate(GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=20179, weight_range=(1, 10)))
+
+    def test_every_master_of_a_solve_shares_one_model_reset_for_it(self, monkeypatch):
+        dives, seen = [], []
+        init, real_dive = bnp.init_with_dummies, bnp.dive
+
+        def recording_init(state, partition, inherited=(), lp=None):
+            mp = init(state, partition, inherited, lp)
+            lower = mp._lp.getLp().col_lower_
+            seen.append((len(dives), mp._lp, mp._lp.getOptionValue("simplex_strategy")[1], lower))
+            return mp
+
+        def recording_dive(*args):
+            dives.append(args[0]._lp)
+            return real_dive(*args)
+
+        monkeypatch.setattr(bnp, "init_with_dummies", recording_init)
+        monkeypatch.setattr(bnp, "dive", recording_dive)
+        assert solve(self.INST).nodes == 5
+        models = {id(lp) for _, lp, _, _ in seen} | {id(lp) for lp in dives}
+        assert len(models) == 1 and any(after for after, _, _, _ in seen)
+        for _, _, strategy, lower in seen:
+            assert strategy == master._PRIMAL_SIMPLEX
+            assert set(lower) == {0.0}
+
+    def test_solves_in_threads_match_solves_in_turn(self):
+        # two instances, each solved twice, in more threads than cores
+        insts = [self.INST, generate(GenConfig(n=18, p=0.5, c=1.0, q=0.5, seed=11))] * 2
+        fields = attrgetter(
+            "status", "coloring", "nodes", "pricing_rounds", "columns_generated",
+            "mwss_nodes", "incumbent_node",
+        )
+        in_turn = [fields(solve(inst)) for inst in insts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter over as often as it can
+        try:
+            with ThreadPoolExecutor(max_workers=len(insts)) as pool:
+                threaded = [fields(report) for report in pool.map(solve, insts, timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == in_turn
 
 
 class TestPriceOut:

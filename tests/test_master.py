@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from listchroma import master
-from listchroma.bnp import INFEASIBLE, SolveReport, price_out, select_branching_pair
-from listchroma.core import EPS, Deadline, partition_colors, root_state, validate_coloring
+from listchroma.bnp import INFEASIBLE, SolveReport, inherit_columns, price_out, select_branching_pair
+from listchroma.core import EPS, Deadline, branch_differ, partition_colors, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import (
     Column,
@@ -24,6 +24,7 @@ from listchroma.master import (
     node_lower_bound,
     solve_lp,
 )
+from listchroma.pricing import price_all
 
 from helpers import make_instance, stable_sets
 
@@ -130,9 +131,16 @@ class TestInitWithDummies:
         inst = make_instance(2, [], [[0], [0]], weights={0: 3})
         mp = master_for(inst)
         assert mp.big_m == 4
+        status = master._highs.HighsBasisStatus
+        basis = mp._lp.getBasis()
+        assert basis.valid and basis.col_status == [status.kBasic] * 2
+        assert basis.row_status == [status.kLower] * 2 + [status.kBasic]
         res = solve_lp(mp)
+        # the all-dummy basis is optimal at the root: no presolve, no simplex iteration
+        assert mp._lp.getModelPresolveStatus() == master._highs.HighsPresolveStatus.kNotPresolved
+        assert mp._lp.getInfo().simplex_iteration_count == 0
         assert res.objective == pytest.approx(8.0)
-        assert res.duals.pi == pytest.approx((4.0, 4.0))
+        assert res.duals.pi == (4.0, 4.0)
         assert res.duals.gamma_of(0) == pytest.approx(0.0)
 
 
@@ -575,6 +583,53 @@ class TestDive:
         res = solve_lp(mp)
         assert res.values[1] == pytest.approx(1.0)
         assert dive(mp, res, math.inf) is None
+
+
+class TestModelHandOff:
+    INST = TestDive.INST
+
+    def test_next_master_after_a_dive_starts_primal_from_zero_bounds(self):
+        lp = master.new_model()
+        state = root_state(self.INST)
+        mp = init_with_dummies(state, partition_colors(self.INST), (), lp)
+        res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
+        u, v = select_branching_pair(res)
+        dive(mp, res, math.inf)
+        assert lp.getOptionValue("simplex_strategy")[1] == master._DUAL_SIMPLEX
+        assert max(lp.getLp().col_lower_) == 1.0
+
+        child = branch_differ(state, u, v)
+        part = partition_colors(child.instance)
+        pool = [col for col in mp.columns if not col.is_dummy]
+        inherited = inherit_columns(pool, state.merge_map, child, part)
+        assert inherited
+        handed = init_with_dummies(child, part, inherited, lp)
+        assert lp.getOptionValue("simplex_strategy")[1] == master._PRIMAL_SIMPLEX
+        assert lp.getLp().col_lower_ == [0.0] * len(handed.columns)
+        assert solve_lp(handed) == solve_lp(init_with_dummies(child, part, inherited))
+
+    def test_masters_on_their_own_models_do_not_interfere(self):
+        insts = [generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=seed)) for seed in (3, 4)]
+
+        def rounds(inst):
+            """Every LP optimum of the root's column generation."""
+            mp = master_for(inst)
+            while True:
+                res = solve_lp(mp)
+                yield res
+                cols = price_all(mp.instance, mp.partition, res.duals).columns()
+                if not cols:
+                    return
+                add_columns(mp, cols)
+
+        alone = [list(rounds(inst)) for inst in insts]
+        interleaved = [[], []]
+        for step in itertools.zip_longest(*map(rounds, insts)):
+            for out, res in zip(interleaved, step):
+                if res is not None:
+                    out.append(res)
+        assert min(map(len, alone)) > 1
+        assert interleaved == alone
 
 
 @settings(max_examples=25, deadline=None)
