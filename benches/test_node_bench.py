@@ -7,14 +7,8 @@ a node's small LP in a whole solve.
 from math import inf
 
 from listchroma.assignment import min_cost_matching
-from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, price_out, solve
-from listchroma.core import (
-    Deadline,
-    partition_colors,
-    preprocess_singletons,
-    root_state,
-    validate_coloring,
-)
+from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, open_node, price_out, solve
+from listchroma.core import Deadline, preprocess_singletons, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import dive, init_with_dummies, node_lower_bound
 
@@ -35,18 +29,18 @@ def test_min_cost_matching_vertices_to_colors(benchmark):
 
 def test_dive_at_c7_root(benchmark):
     # c7 seed 7001: root LP 8.92, optimum 10, which the dive finds
-    state = preprocess_singletons(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=7001))))
-    node = state.instance
+    root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=7001))))
+    node = root.state.instance
 
     def priced_out_root():
-        mp = init_with_dummies(state, partition_colors(node))
+        mp = init_with_dummies(*root)
         return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
 
     mp, res = priced_out_root()
     assert node_lower_bound(res, mp.big_m) == 9
     # the dive changes its model's bounds, so every round gets a fresh root
     coloring = benchmark.pedantic(dive, setup=lambda: ((*priced_out_root(), inf), {}), rounds=5)
-    assert validate_coloring(node, coloring) + state.fixed_weight == 10
+    assert validate_coloring(node, coloring) + root.state.fixed_weight == 10
 
 
 def test_grid_solve_of_five_nodes(benchmark):

@@ -7,20 +7,19 @@ coloring) instance, whose rounds take up to pricing.ONE_CLASS_SETS columns.
 
 import pytest
 
-from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, price_out, solve
-from listchroma.core import Deadline, partition_colors, preprocess_singletons, root_state
+from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, open_node, price_out, solve
+from listchroma.core import Deadline, root_state
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import add_columns, init_with_dummies, solve_lp
+from listchroma.master import init_with_dummies, solve_lp
 from listchroma.pricing import SHARED_SEARCH_DENSITY, heaviest_first, price_all
 
 
 def reach_root(cfg):
-    """The root node, its final columns and duals, reached by bnp.price_out."""
-    state = preprocess_singletons(root_state(generate(cfg)))
-    partition = partition_colors(state.instance)
-    mp = init_with_dummies(state, partition)
+    """The root node holding its final columns, and its LP optimum, reached by bnp.price_out."""
+    root = open_node(root_state(generate(cfg)))
+    mp = init_with_dummies(*root)
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
-    return state, partition, [col for col in mp.columns if not col.is_dummy], res
+    return root._replace(pool=[col for col in mp.columns if not col.is_dummy]), res
 
 
 @pytest.fixture(scope="module")
@@ -47,35 +46,29 @@ def is_dense(node):
 
 
 def test_price_all_at_root(benchmark, root):
-    state, partition, _, res = root
+    (state, partition, _), res = root
     assert is_dense(state.instance)
     assert_priced_out(benchmark(price_all, state.instance, partition, res.duals), partition)
 
 
 def test_price_all_at_sparse_root(benchmark, sparse_root):
-    state, partition, _, res = sparse_root
+    (state, partition, _), res = sparse_root
     assert not is_dense(state.instance)
     assert_priced_out(benchmark(price_all, state.instance, partition, res.duals), partition)
 
 
 def test_heaviest_first_at_root(benchmark, root):
     # as within one node's rounds, only the first call builds the graph's neighbor lists
-    state, _, _, res = root
+    (state, _, _), res = root
     order, _, weights, adj = benchmark(heaviest_first, state.instance.graph, res.duals.pi)
     assert weights == sorted(weights, reverse=True)
     assert len(order) == len(adj) == state.instance.n
 
 
 def test_solve_lp_cold_at_root(benchmark, root):
-    # one solve of a fresh model holding the root's final pool
-    state, partition, cols, res = root
-
-    def fresh_master():
-        mp = init_with_dummies(state, partition)
-        add_columns(mp, cols)
-        return (mp,), {}
-
-    got = benchmark.pedantic(solve_lp, setup=fresh_master, rounds=20)
+    # one solve of a fresh model holding the root's final pool, the root re-opened
+    node, res = root
+    got = benchmark.pedantic(solve_lp, setup=lambda: ((init_with_dummies(*node),), {}), rounds=20)
     assert got.objective == pytest.approx(res.objective)
 
 

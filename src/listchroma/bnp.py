@@ -1,11 +1,11 @@
 """Depth-first branch-and-price search.
 
 Every node is itself a list-coloring instance thanks to the robust branching
-rule: SAME merges the pair and intersects lists, DIFFER adds the edge. Open
-nodes wait on an explicit stack, not in Python frames, so the depth of the
-tree is bounded by memory alone. SAME children are explored first since they
-shrink the graph toward the all-complete leaves that the matching module
-finishes off.
+rule: SAME merges the pair and intersects lists, DIFFER adds the edge. An
+open node is a Node that open_node built when its parent branched; it waits
+on an explicit stack, not in a Python frame, so the depth of the tree is
+bounded by memory alone. SAME children are explored first since they shrink
+the graph toward the all-complete leaves that the matching module finishes.
 
 price_out, the one column generation loop, prices each node's master out.
 The node is pruned once master.node_lower_bound of that optimum reaches its
@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import assignment as asg
 from .core import (
@@ -207,9 +209,28 @@ def _chunk_tables(vmap: dict[int, int], n: int) -> list[list[int]]:
     return tables
 
 
-# An open node: its state before preprocessing, then the parent's columns
-# and the parent's merge_map that maps their vertices to the root.
-_Node = tuple[NodeState, list[Column], dict[int, int]]
+class Node(NamedTuple):
+    """An open node: init_with_dummies(*node, lp) builds its master."""
+
+    state: NodeState  # after singleton preprocessing
+    partition: ColorPartition
+    pool: list[Column]  # the parent's columns it kept, in its own vertices
+
+
+def open_node(
+    pre_state: NodeState, parent_cols: Sequence[Column] = (), parent_merge_map: dict | None = None
+) -> Node | None:
+    """Preprocess, partition and inherit the parent's pool; None when a list empties.
+
+    The root is open_node(root_state(root)); a child passes its parent's real
+    columns and merge_map, and is opened when its parent branches.
+    """
+    state = preprocess_singletons(pre_state)
+    if state is None:
+        return None
+    partition = partition_colors(state.instance)
+    pool = inherit_columns(parent_cols, parent_merge_map, state, partition) if parent_cols else []
+    return Node(state, partition, pool)
 
 
 class _Search:
@@ -225,9 +246,9 @@ class _Search:
         return new_model()
 
     def run(self) -> None:
-        stack: list[_Node] = [(root_state(self.root), [], {})]
+        stack = [open_node(root_state(self.root))]
         while stack:
-            stack.extend(reversed(self._evaluate(*stack.pop())))
+            stack.extend(reversed(self._evaluate(stack.pop())))
 
     def _offer(self, node_coloring: dict[int, int], state: NodeState) -> ListColoring:
         """Lift a coloring of the node instance to the root and offer it; return it lifted."""
@@ -238,26 +259,20 @@ class _Search:
             report.coloring, report.incumbent_node = best, report.nodes
         return candidate
 
-    def _evaluate(
-        self,
-        pre_state: NodeState,
-        parent_cols: list[Column],
-        parent_merge_map: dict[int, int],
-    ) -> list[_Node]:
-        """Solve one node; return its children, SAME first, or [] at a leaf."""
+    def _evaluate(self, node: Node | None) -> list[Node | None]:
+        """Count and solve one node (None: infeasible); return its children, SAME first."""
         self.deadline.check()
         report = self.report
         report.nodes += 1
-        state = preprocess_singletons(pre_state)
-        if state is None:
+        if node is None:
             return []
+        state, partition, _ = node
         inst = state.instance
         # Not folded into all_complete: acceptance criterion 6 switches that off
         # to force column generation, and init_with_dummies raises when n == 0.
         if inst.n == 0:
             self._offer({}, state)
             return []
-        partition = partition_colors(inst)
 
         if asg.all_complete(partition, inst.graph):
             node_coloring = asg.solve_assignment(state)
@@ -265,10 +280,7 @@ class _Search:
                 self._offer(node_coloring, state)
             return []
 
-        inherited = (
-            inherit_columns(parent_cols, parent_merge_map, state, partition) if parent_cols else []
-        )
-        mp = init_with_dummies(state, partition, inherited, self.lp)
+        mp = init_with_dummies(*node, self.lp)
         res = price_out(mp, report, self.deadline)
         cutoff = math.inf if report.weight is None else report.weight - state.fixed_weight
         bound = node_lower_bound(res, mp.big_m)
@@ -288,8 +300,8 @@ class _Search:
         u, v = pair
         real_cols = [c for c in mp.columns if not c.is_dummy]
         return [
-            (branch_same(state, u, v), real_cols, state.merge_map),
-            (branch_differ(state, u, v), real_cols, state.merge_map),
+            open_node(branch_same(state, u, v), real_cols, state.merge_map),
+            open_node(branch_differ(state, u, v), real_cols, state.merge_map),
         ]
 
 

@@ -132,7 +132,7 @@ def _check(status: _highs.HighsStatus, what: str) -> None:
 def new_model() -> _highs._Highs:
     """An empty HiGHS model that prints nothing, for the masters of one solve."""
     lp = _highs._Highs()
-    lp.setOptionValue("output_flag", False)
+    _check(lp.setOptionValue("output_flag", False), "switching its output off")
     return lp
 
 
@@ -157,7 +157,7 @@ class MasterProblem:
         caps = [float(len(partition.class_members[k])) for k in bounded]
         self._lp = lp
         _check(lp.clearModel(), "clearing the LP model")
-        lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        _check(lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX), "setting primal simplex")
         empty = np.zeros(0, dtype=np.int32)
         _check(
             lp.addRows(
@@ -355,7 +355,7 @@ def dive(mp: MasterProblem, res: LPResult, cutoff: float) -> dict[int, int] | No
     singletons that the matching uses, so the coloring can be cheaper than
     the point. Every re-solve runs dual simplex.
     """
-    mp._lp.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+    _check(mp._lp.setOptionValue("simplex_strategy", _DUAL_SIMPLEX), "setting dual simplex")
     while node_lower_bound(res, mp.big_m) < cutoff:
         candidates = [(x, col.size, -i) for i, col, x in fractional_big_columns(res) if x < 1]
         if not candidates:

@@ -150,32 +150,33 @@ class SolveEvents:
 
 @contextmanager
 def recorded_events():
-    """Observe solves by wrapping bnp's layer names, as perfbench/spans.py does.
+    """Observe one solve by wrapping bnp's layer names, as perfbench/spans.py does.
 
-    The search is depth first and evaluates one node at a time, so the node
-    being evaluated is the one last passed to preprocess_singletons, and its
-    proven LP optimum is what price_out returns for it.
-    A branched child is keyed by its identity until it is evaluated; the
-    entry holds the child, so the identity cannot be reused meanwhile.
+    A node is opened when its parent branches, right after the parent's
+    price_out, so a child's parent bound is the bound of the last node
+    price_out proved. The recorder keys it by the id of the child's instance
+    when preprocess_singletons returns it; the entry holds that instance, so
+    the id cannot be reused until the child's own price_out pops it.
     """
     events = SolveEvents()
-    node: dict = {}  # the node being evaluated: state, parent bound, bound
-    children: dict[int, tuple] = {}  # id(child pre-state) -> (child, parent bound)
+    opened: dict[int, tuple] = {}  # id(node instance) -> (state, parent bound)
+    last_bound = [None]  # of the last node whose LP price_out proved
     preprocess, price_out = bnp.preprocess_singletons, bnp.price_out
     extract, select = bnp.extract_integer_solution, bnp.select_branching_pair
 
     def preprocessing(pre_state):
-        _, parent_bound = children.pop(id(pre_state), (None, None))
-        node.clear()
-        node.update(state=preprocess(pre_state), parent_bound=parent_bound)
-        return node["state"]
+        state = preprocess(pre_state)
+        if state is not None:
+            opened[id(state.instance)] = (state, last_bound[0])
+        return state
 
     def pricing_out(mp, report, deadline):
         res = price_out(mp, report, deadline)
         events.certifications.append((mp.instance, mp.partition, res.duals))
-        node["bound"] = res.objective + node["state"].fixed_weight
-        if node["parent_bound"] is not None:
-            events.bound_pairs.append((node["parent_bound"], node["bound"]))
+        state, parent_bound = opened.pop(id(mp.instance))
+        last_bound[0] = res.objective + state.fixed_weight
+        if parent_bound is not None:
+            events.bound_pairs.append((parent_bound, last_bound[0]))
         return res
 
     def extracting(mp, res):
@@ -189,19 +190,9 @@ def recorded_events():
             events.root_pair = pair
         return pair
 
-    def branching(branch):
-        def wrapped(state, u, v):
-            child = branch(state, u, v)
-            children[id(child)] = (child, node["bound"])
-            return child
-
-        return wrapped
-
     with pytest.MonkeyPatch.context() as m:
         m.setattr(bnp, "preprocess_singletons", preprocessing)
         m.setattr(bnp, "price_out", pricing_out)
         m.setattr(bnp, "extract_integer_solution", extracting)
         m.setattr(bnp, "select_branching_pair", selecting)
-        m.setattr(bnp, "branch_same", branching(bnp.branch_same))
-        m.setattr(bnp, "branch_differ", branching(bnp.branch_differ))
         yield events

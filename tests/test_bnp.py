@@ -13,7 +13,7 @@ from listchroma.bnp import (
     OPTIMAL,
     TIME_LIMIT,
     SolveReport,
-    inherit_columns,
+    open_node,
     select_branching_pair,
     solve,
     update_incumbent,
@@ -35,7 +35,6 @@ from listchroma.master import (
     Column,
     DualSolution,
     LPResult,
-    add_columns,
     column_fault,
     init_with_dummies,
     solve_lp,
@@ -44,6 +43,9 @@ from listchroma.oracle import oracle_solve
 from listchroma.pricing import SHARED_SEARCH_DENSITY, price_all
 
 from helpers import k33_mirrored, make_instance, petersen, recorded_events
+
+# a grid instance of five nodes; the root dives, then branches
+GRID_5 = GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=20179, weight_range=(1, 10))
 
 
 class TestSolveBasic:
@@ -184,6 +186,13 @@ class TestSolveBasic:
         assert report.status == NUMERICAL_FAILURE
         assert report.coloring is None
 
+    @pytest.mark.parametrize("option", ["_PRIMAL_SIMPLEX", "_DUAL_SIMPLEX"])
+    def test_rejected_simplex_strategy_ends_in_numerical_failure(self, option, monkeypatch):
+        # HiGHS rejects the value and keeps its old one: a solve that went on
+        # would run on the wrong simplex
+        monkeypatch.setattr(master, option, 99)
+        assert solve(generate(GRID_5)).status == NUMERICAL_FAILURE
+
 
 def fake_lp(inst, columns, values):
     return LPResult(
@@ -224,50 +233,35 @@ class TestSelectBranchingPair:
 
 class TestInheritColumns:
     def test_differ_drops_joined_pair(self):
-        inst = make_instance(3, [], [[0, 1]] * 3)
-        state = root_state(inst)
-        child = preprocess_singletons(branch_differ(state, 0, 1))
-        part = partition_colors(child.instance)
+        state = root_state(make_instance(3, [], [[0, 1]] * 3))
         cols = [Column(0b011, 0), Column(0b101, 0)]
-        kept = inherit_columns(cols, state.merge_map, child, part)
-        assert [c.mask for c in kept] == [0b101]
+        child = open_node(branch_differ(state, 0, 1), cols, state.merge_map)
+        assert [c.mask for c in child.pool] == [0b101]
 
     def test_same_rewrites_merged_vertex(self):
         # merge vertex 2 into 0; column {2,1} becomes {0,1}
-        inst = make_instance(3, [], [[0, 1]] * 3)
-        state = root_state(inst)
-        child = preprocess_singletons(branch_same(state, 0, 2))
-        part = partition_colors(child.instance)
-        kept = inherit_columns([Column(0b110, 0)], state.merge_map, child, part)
-        assert [c.mask for c in kept] == [0b11]
+        state = root_state(make_instance(3, [], [[0, 1]] * 3))
+        child = open_node(branch_same(state, 0, 2), [Column(0b110, 0)], state.merge_map)
+        assert [c.mask for c in child.pool] == [0b11]
 
     def test_same_drops_newly_unstable(self):
         # 1 adjacent to 0: after merging 2 into 0, {2,1} hits the edge (0,1)
-        inst = make_instance(3, [(0, 1)], [[0, 1]] * 3)
-        state = root_state(inst)
-        child = preprocess_singletons(branch_same(state, 0, 2))
-        part = partition_colors(child.instance)
-        assert inherit_columns([Column(0b110, 0)], state.merge_map, child, part) == []
+        state = root_state(make_instance(3, [(0, 1)], [[0, 1]] * 3))
+        child = open_node(branch_same(state, 0, 2), [Column(0b110, 0)], state.merge_map)
+        assert child.pool == []
 
     def test_same_deduplicates_rewrites(self):
-        inst = make_instance(3, [], [[0, 1]] * 3)
-        state = root_state(inst)
-        child = preprocess_singletons(branch_same(state, 0, 2))
-        part = partition_colors(child.instance)
-        kept = inherit_columns(
-            [Column(0b110, 0), Column(0b011, 0)], state.merge_map, child, part
-        )
-        assert [c.mask for c in kept] == [0b11]
+        state = root_state(make_instance(3, [], [[0, 1]] * 3))
+        cols = [Column(0b110, 0), Column(0b011, 0)]
+        child = open_node(branch_same(state, 0, 2), cols, state.merge_map)
+        assert [c.mask for c in child.pool] == [0b11]
 
     def test_class_that_lost_u_is_dropped(self):
         # color 1 is not shared by both endpoints: after SAME(0,2) the merged
         # list is {0}, so class-1 columns through the merged vertex die
-        inst = make_instance(3, [], [[0, 1], [0, 1], [0]])
-        state = root_state(inst)
-        child = preprocess_singletons(branch_same(state, 0, 2))
-        part = partition_colors(child.instance)
-        kept = inherit_columns([Column(0b011, 1)], state.merge_map, child, part)
-        assert kept == []
+        state = root_state(make_instance(3, [], [[0, 1], [0, 1], [0]]))
+        child = open_node(branch_same(state, 0, 2), [Column(0b011, 1)], state.merge_map)
+        assert child.pool == []
 
     def test_fixing_after_same_renumbers_past_both(self):
         # the parent is itself a SAME child (root 1 merged into 0), so its ids
@@ -275,14 +269,12 @@ class TestInheritColumns:
         # {0}, so preprocessing fixes it: columns through parent vertex 2 or 3
         # die, and parent vertex 4 shifts down past both of them
         inst = make_instance(6, [], [[0, 1, 2]] * 3 + [[0, 1], [0, 2], [0, 1, 2]])
-        parent = preprocess_singletons(branch_same(root_state(inst), 0, 1))
+        parent = open_node(branch_same(root_state(inst), 0, 1)).state
         assert parent.merge_map == {0: 0, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
-        child = preprocess_singletons(branch_same(parent, 2, 3))
-        assert child.fixed == ((3, 0), (4, 0))
-        part = partition_colors(child.instance)
         cols = [Column(0b10100, 1), Column(0b10010, 1), Column(0b00011, 1)]
-        kept = inherit_columns(cols, parent.merge_map, child, part)
-        assert [c.mask for c in kept] == [0b110, 0b011]
+        child = open_node(branch_same(parent, 2, 3), cols, parent.merge_map)
+        assert child.state.fixed == ((3, 0), (4, 0))
+        assert [c.mask for c in child.pool] == [0b110, 0b011]
 
     def test_inherited_column_charged_child_weight(self):
         # SAME(0,1) leaves the merged vertex the list {0}: preprocessing fixes
@@ -290,41 +282,43 @@ class TestInheritColumns:
         # class-0 column {2,3} outside the fixed vertex survives
         inst = make_instance(4, [], [[0, 1], [0, 2], [0, 1], [0, 1]], weights={0: 5, 1: 1, 2: 1})
         state = root_state(inst)
-        child = preprocess_singletons(branch_same(state, 0, 1))
-        assert child.fixed == ((0, 0), (1, 0)) and child.instance.weights[0] == 0
-        part = partition_colors(child.instance)
-        kept = inherit_columns([Column(0b1100, 0)], state.merge_map, child, part)
-        assert kept == [Column(0b11, 0)]
-        mp = init_with_dummies(child, part)
-        add_columns(mp, kept)
-        assert mp.cost(kept[0]) == 0
+        child = open_node(branch_same(state, 0, 1), [Column(0b1100, 0)], state.merge_map)
+        assert child.state.fixed == ((0, 0), (1, 0)) and child.state.instance.weights[0] == 0
+        assert child.pool == [Column(0b11, 0)]
+        mp = init_with_dummies(*child)
+        assert mp.cost(child.pool[0]) == 0
         res = solve_lp(mp)
         assert res.values[-1] == pytest.approx(1.0)
         assert res.objective == pytest.approx(0.0)
 
-
     def test_child_master_is_dummies_then_inherited(self, monkeypatch):
-        kept_lists, seeded = [], []
+        kept_lists, seeded = {}, []
         inherit, init = bnp.inherit_columns, bnp.init_with_dummies
 
         def recording_inherit(*args):
-            kept_lists.append(inherit(*args))
-            return kept_lists[-1]
+            kept = inherit(*args)
+            kept_lists[id(kept)] = kept
+            return kept
 
         def recording_init(state, partition, inherited=(), lp=None):
             mp = init(state, partition, inherited, lp)
-            seeded.append((state.instance.n, list(mp.columns)))
+            seeded.append((state.instance.n, list(mp.columns), inherited))
             return mp
 
         monkeypatch.setattr(bnp, "inherit_columns", recording_inherit)
         monkeypatch.setattr(bnp, "init_with_dummies", recording_init)
-        # branches at the root, so children inherit columns
-        solve(generate(GenConfig(n=18, p=0.5, c=1.0, q=0.5, seed=11)))
-        (root_n, root_cols), *children = seeded
-        assert root_cols == [Column(1 << v, None) for v in range(root_n)]
-        assert len(children) == len(kept_lists) > 0 and any(kept_lists)
-        for (n, cols), kept in zip(children, kept_lists):
-            assert cols == [Column(1 << v, None) for v in range(n)] + kept
+        # both branch at the root; in GRID_5 both children of a node inherit
+        # before either is evaluated
+        for cfg in [GenConfig(n=18, p=0.5, c=1.0, q=0.5, seed=11), GRID_5]:
+            seeded.clear()
+            solve(generate(cfg))
+            (root_n, root_cols, _), *children = seeded
+            assert root_cols == [Column(1 << v, None) for v in range(root_n)]
+            assert children
+            for n, cols, inherited in children:
+                assert kept_lists[id(inherited)] is inherited  # paired by identity, not call order
+                assert cols == [Column(1 << v, None) for v in range(n)] + inherited
+        assert any(kept_lists.values())
 
 
 def per_bit_inherit(parent_cols, parent_merge_map, state, partition):
@@ -381,12 +375,9 @@ def test_inherit_matches_per_bit_reference(data):
     pair = branch_pair(data, parent)
     assume(pair is not None)
     branch = data.draw(st.sampled_from([branch_same, branch_differ]), label="branch")
-    child = preprocess_singletons(branch(parent, *pair))
-    assume(child is not None and child.instance.n > 0)
-    child_part = partition_colors(child.instance)
-    assert inherit_columns(pool, parent.merge_map, child, child_part) == per_bit_inherit(
-        pool, parent.merge_map, child, child_part
-    )
+    child = open_node(branch(parent, *pair), pool, parent.merge_map)
+    assume(child is not None and child.state.instance.n > 0)
+    assert child.pool == per_bit_inherit(pool, parent.merge_map, child.state, child.partition)
 
 
 class TestDive:
@@ -399,17 +390,17 @@ class TestDive:
 
     def test_incumbent_node_is_where_the_coloring_was_offered(self, monkeypatch):
         nodes, offers = [], []
-        preprocess, update = bnp.preprocess_singletons, bnp.update_incumbent
+        price_out, update = bnp.price_out, bnp.update_incumbent
 
-        def counting(pre_state):
-            nodes.append(pre_state)
-            return preprocess(pre_state)
+        def counting(mp, *args):
+            nodes.append(mp)
+            return price_out(mp, *args)
 
         def recording(current, candidate):
             offers.append((len(nodes), candidate))
             return update(current, candidate)
 
-        monkeypatch.setattr(bnp, "preprocess_singletons", counting)
+        monkeypatch.setattr(bnp, "price_out", counting)
         monkeypatch.setattr(bnp, "update_incumbent", recording)
         # the root's dive offers weight 4, its SAME child the optimum 3
         report = solve(generate(GenConfig(n=10, p=0.5, c=1.0, q=0.5, seed=69)))
@@ -423,8 +414,7 @@ class TestDive:
 
 
 class TestModelHandOff:
-    # a grid instance of five nodes; the root dives, then branches
-    INST = generate(GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=20179, weight_range=(1, 10)))
+    INST = generate(GRID_5)
 
     def test_every_master_of_a_solve_shares_one_model_reset_for_it(self, monkeypatch):
         dives, seen = [], []
@@ -471,8 +461,7 @@ class TestPriceOut:
     INST = generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=3))
 
     def root_master(self):
-        state = preprocess_singletons(root_state(self.INST))
-        return init_with_dummies(state, partition_colors(state.instance))
+        return init_with_dummies(*open_node(root_state(self.INST)))
 
     def test_counts_what_solve_reports_and_proves_the_optimum(self):
         solved = solve(self.INST)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from listchroma import master
-from listchroma.bnp import INFEASIBLE, SolveReport, inherit_columns, price_out, select_branching_pair
+from listchroma.bnp import INFEASIBLE, SolveReport, open_node, price_out, select_branching_pair
 from listchroma.core import EPS, Deadline, branch_differ, partition_colors, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import (
@@ -590,23 +590,21 @@ class TestModelHandOff:
 
     def test_next_master_after_a_dive_starts_primal_from_zero_bounds(self):
         lp = master.new_model()
-        state = root_state(self.INST)
-        mp = init_with_dummies(state, partition_colors(self.INST), (), lp)
+        root = open_node(root_state(self.INST))
+        mp = init_with_dummies(*root, lp)
         res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
         u, v = select_branching_pair(res)
         dive(mp, res, math.inf)
         assert lp.getOptionValue("simplex_strategy")[1] == master._DUAL_SIMPLEX
         assert max(lp.getLp().col_lower_) == 1.0
 
-        child = branch_differ(state, u, v)
-        part = partition_colors(child.instance)
         pool = [col for col in mp.columns if not col.is_dummy]
-        inherited = inherit_columns(pool, state.merge_map, child, part)
-        assert inherited
-        handed = init_with_dummies(child, part, inherited, lp)
+        child = open_node(branch_differ(root.state, u, v), pool, root.state.merge_map)
+        assert child.pool
+        handed = init_with_dummies(*child, lp)
         assert lp.getOptionValue("simplex_strategy")[1] == master._PRIMAL_SIMPLEX
         assert lp.getLp().col_lower_ == [0.0] * len(handed.columns)
-        assert solve_lp(handed) == solve_lp(init_with_dummies(child, part, inherited))
+        assert solve_lp(handed) == solve_lp(init_with_dummies(*child))
 
     def test_masters_on_their_own_models_do_not_interfere(self):
         insts = [generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=seed)) for seed in (3, 4)]
