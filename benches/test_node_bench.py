@@ -7,10 +7,10 @@ a node's small LP in a whole solve.
 from math import inf
 
 from listchroma.assignment import min_cost_matching
-from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, open_node, price_out, solve
+from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, dive, open_node, price_out, solve
 from listchroma.core import Deadline, preprocess_singletons, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import dive, init_with_dummies, node_lower_bound
+from listchroma.master import init_with_dummies, node_lower_bound
 
 
 def test_preprocess_singletons_cascade(benchmark):

@@ -1,17 +1,15 @@
-"""Exact resolution of nodes where every color subgraph G^k is a clique.
+"""Finishing a node by one minimum cost matching of rows to concrete colors.
 
-In that regime each color can serve at most one vertex, so the node reduces
-to a minimum cost matching of the vertices into the concrete colors, which
-scipy's linear_sum_assignment solves. It is the function of
-scipy.optimize's compiled module _lsap, which scipy_ext loads from its file
-so that importing the solver does not run scipy.optimize's package init.
+solve_assignment is the one read-off: every coloring of a node instance
+that the search offers (through core.lift_node_assignment) comes from it.
+Its rows are the big columns of an LP point (master.read_off), then the
+vertices they leave uncovered. On an all-complete node, where every class
+vertex set is a clique, each color serves at most one vertex, so matching
+the vertices alone colors the node optimally, with no master.
 
-min_cost_matching is the one way a node is finished by matching: it also
-colors every integral leaf of the column generation and the end of every
-dive (master.extract_integer_solution, master.dive), matching the big
-columns and the vertices they leave uncovered to colors in one assignment.
-Either way the node ends with a coloring of its own instance for
-core.lift_node_assignment.
+min_cost_matching solves the matching with the function of scipy.optimize's
+compiled module _lsap, which scipy_ext loads from its file so that importing
+the solver does not run scipy.optimize's package init.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from collections.abc import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .core import ColorPartition, Graph, NodeState, NumericalFailure, bits
+from .core import ColorPartition, Graph, Instance, NumericalFailure, bits
 from .scipy_ext import load_extension
 
 linear_sum_assignment = load_extension("scipy.optimize._lsap").linear_sum_assignment
@@ -66,8 +64,24 @@ def min_cost_matching(
     return match
 
 
-def solve_assignment(state: NodeState) -> dict[int, int] | None:
-    """Color an all-complete node optimally; None when it has no coloring."""
-    inst = state.instance
-    match = min_cost_matching(inst.lists, inst.colors, inst.weights)
-    return None if match is None else dict(enumerate(match))
+def solve_assignment(
+    inst: Instance, partition: ColorPartition, big: Sequence[tuple[int, int]] = ()
+) -> tuple[dict[int, int], int] | None:
+    """A coloring {vertex: color} of inst by one matching, and its weight; None when none exists.
+
+    Each big column (mask, class) takes a color of its class, and each
+    vertex the big columns leave uncovered takes a color of its list. A big
+    column colors those of its vertices that no earlier one colored, and the
+    weight is the sum of the matched colors. Without big columns this colors
+    an all-complete node optimally.
+    """
+    residual = [v for v in range(inst.n) if not any(mask >> v & 1 for mask, _ in big)]
+    rows = [partition.class_members[k] for _, k in big]
+    match = min_cost_matching(rows + [inst.lists[v] for v in residual], inst.colors, inst.weights)
+    if match is None:
+        return None
+    coloring = dict(zip(residual, match[len(big) :]))
+    for (mask, _), color in zip(big, match):
+        for v in bits(mask):
+            coloring.setdefault(v, color)
+    return coloring, sum(inst.weights[j] for j in match)

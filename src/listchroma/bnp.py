@@ -5,15 +5,15 @@ rule: SAME merges the pair and intersects lists, DIFFER adds the edge. An
 open node is a Node that open_node built when its parent branched; it waits
 on an explicit stack, not in a Python frame, so the depth of the tree is
 bounded by memory alone. SAME children are explored first since they shrink
-the graph toward the all-complete leaves that the matching module finishes.
+the graph toward all-complete nodes, which need no master (assignment).
 
 price_out, the one column generation loop, prices each node's master out.
 The node is pruned once master.node_lower_bound of that optimum reaches its
 cutoff, the incumbent's weight less the node's fixed weight (math.inf
-without one). About to branch, it dives (master.dive) over its own column
-pool under that cutoff and offers the coloring read off; if that coloring
-meets the bound, it does not branch.
-Most of a tree without the dive was spent finding the optimum.
+without one). A leaf's coloring is read off its LP point. About to branch,
+the node dives under that cutoff, and does not branch if the dive's
+coloring meets the bound. Most of a tree without the dive was spent finding
+the optimum.
 
 The search makes one HiGHS model (master.new_model) at its first LP node and
 lends it to the master of every node; no model outlives its solve, and no
@@ -52,12 +52,13 @@ from .master import (
     MasterProblem,
     add_columns,
     column_fault,
-    dive,
     extract_integer_solution,
+    fix_column,
     fractional_big_columns,
     init_with_dummies,
     new_model,
     node_lower_bound,
+    read_off,
     solve_lp,
 )
 from .pricing import price_all
@@ -93,11 +94,10 @@ def price_out(mp: MasterProblem, report: SolveReport, deadline: Deadline) -> LPR
     That round has shown max pi(S) <= w_k + gamma_k + EPS for every class.
     Rounds, stable set search nodes and columns count into report.
     """
-    inst, partition = mp.instance, mp.partition
     while True:
         deadline.check()
         res = solve_lp(mp)
-        outcome = price_all(inst, partition, res.duals, deadline=deadline)
+        outcome = price_all(mp.instance, mp.partition, res.duals, deadline=deadline)
         report.pricing_rounds += 1
         report.mwss_nodes += outcome.stats.nodes
         cols = outcome.columns()
@@ -150,6 +150,28 @@ def select_branching_pair(res: LPResult) -> tuple[int, int] | None:
     return u, v
 
 
+def dive(mp: MasterProblem, res: LPResult, cutoff: float) -> dict[int, int] | None:
+    """Dive from the LP optimum res over the node's pool; a node coloring, or None.
+
+    Each step fixes (master.fix_column) the fractional big column below 1
+    with the largest x (ties: larger, then earlier in the pool) and
+    re-solves; a column at 1 or above is fixed already. No column is priced:
+    only the model's bounds change. The dive gives up exactly when
+    node_lower_bound reaches cutoff (math.inf without an incumbent). With no
+    fractional big column left it returns master.read_off's coloring without
+    extract_integer_solution's cost check: the pool may lack singletons that
+    the matching uses, so the coloring can be cheaper than the point.
+    """
+    while node_lower_bound(res, mp.big_m) < cutoff:
+        candidates = [(x, col.size, -i) for i, col, x in fractional_big_columns(res) if x < 1]
+        if not candidates:
+            read = read_off(mp, res)
+            return None if read is None else read[0]
+        fix_column(mp, -max(candidates)[2])
+        res = solve_lp(mp)
+    return None
+
+
 def inherit_columns(
     parent_cols: list[Column],
     parent_merge_map: dict[int, int],
@@ -169,7 +191,6 @@ def inherit_columns(
     """
     vmap = {parent_merge_map[r]: cur for r, cur in state.merge_map.items()}
     tables = _chunk_tables(vmap, max(parent_merge_map.values()) + 1)
-    inst = state.instance
     out: list[Column] = []
     seen: set[Column] = set()
     for col in parent_cols:
@@ -187,7 +208,7 @@ def inherit_columns(
         if new in seen:
             continue
         seen.add(new)
-        if column_fault(new, inst, partition) is None:
+        if column_fault(new, state.instance, partition) is None:
             out.append(new)
     return out
 
@@ -268,16 +289,12 @@ class _Search:
             return []
         state, partition, _ = node
         inst = state.instance
-        # Not folded into all_complete: acceptance criterion 6 switches that off
-        # to force column generation, and init_with_dummies raises when n == 0.
-        if inst.n == 0:
-            self._offer({}, state)
-            return []
-
-        if asg.all_complete(partition, inst.graph):
-            node_coloring = asg.solve_assignment(state)
-            if node_coloring is not None:
-                self._offer(node_coloring, state)
+        # n == 0 first: acceptance criterion 6 switches all_complete off to
+        # force column generation, and init_with_dummies raises when n == 0.
+        if inst.n == 0 or asg.all_complete(partition, inst.graph):
+            read = asg.solve_assignment(inst, partition)
+            if read is not None:
+                self._offer(read[0], state)
             return []
 
         mp = init_with_dummies(*node, self.lp)

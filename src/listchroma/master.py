@@ -1,4 +1,4 @@
-"""Restricted master problem: column pool, LP relaxation, duals, leaf read-off.
+"""Restricted master problem: column pool, LP relaxation, duals, bounds and leaves.
 
 The LP is
     min  sum_cols cost * x
@@ -29,19 +29,17 @@ of its class, which singleton fixing may have zeroed.
 
 An LP optimum without a fractional big column (fractional_big_columns) is
 a leaf of the search; extract_integer_solution reads a coloring of the
-node instance off it, with no second LP, and says why that coloring costs
-what the point costs. node_lower_bound is the one bound read from an LP
-point (math.inf when a dummy holds it at big-M): the search prunes on it and
-the dive gives up on it, against a cutoff that is math.inf without incumbent.
+node instance off it (read_off), with no second LP, and says why that
+coloring costs what the point costs. node_lower_bound is the one bound read
+from an LP point (math.inf when a dummy holds it at big-M).
 
-Every lower bound is 0 until a node branches. Right before it does, dive
-raises the lower bound of one column at a time to 1 and re-solves, until no
-big column is fractional, and reads a coloring off the same way. A raised
-bound leaves the last basis primal infeasible but dual feasible, so the dive
-switches the model to dual simplex, while pricing rounds stay primal. The
-model's bounds and simplex strategy then stay changed until the next node's
-master clears the model and sets primal simplex again: a node's model is dead
-once its dive ends, and its children inherit only the column pool.
+Every lower bound is 0 until fix_column raises one to 1, as bnp.dive does
+right before a node branches. A raised bound leaves the last basis primal
+infeasible but dual feasible, so fix_column switches the model to dual
+simplex, while pricing rounds stay primal. The model's bounds and simplex
+strategy then stay changed until the next node's master clears the model
+and sets primal simplex again: a node's model is dead once its dive ends,
+and its children inherit only the column pool.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import min_cost_matching
+from .assignment import solve_assignment
 from .core import EPS, ColorPartition, Instance, NodeState, NumericalFailure, bits
 from .scipy_ext import load_extension
 
@@ -114,11 +112,11 @@ _INF = _highs.kHighsInf
 # simplex solve per round, 129 with warm dual simplex and 65 with warm primal
 # simplex.
 _PRIMAL_SIMPLEX = 4
-# The dive re-solves with dual simplex. Raising a lower bound leaves the
-# previous basis primal infeasible but still dual feasible, which is where
-# dual simplex starts. On the benchmark's c7 cell (n=50 p=0.5 c=1 q=0.5,
-# seeds 7001-7003) a dive re-solve takes 42 iterations on average, against
-# 100 with primal simplex.
+# A model with a fixed column (fix_column) re-solves with dual simplex.
+# Raising a lower bound leaves the previous basis primal infeasible but still
+# dual feasible, which is where dual simplex starts. On the benchmark's c7
+# cell (n=50 p=0.5 c=1 q=0.5, seeds 7001-7003) a dive re-solve takes 42
+# iterations on average, against 100 with primal simplex.
 _DUAL_SIMPLEX = 1
 _BASIC = _highs.HighsBasisStatus.kBasic
 _LOWER = _highs.HighsBasisStatus.kLower
@@ -271,9 +269,8 @@ def solve_lp(mp: MasterProblem) -> LPResult:
     if status != _highs.HighsModelStatus.kOptimal:
         raise NumericalFailure(f"LP solve failed: {lp.modelStatusToString(status)}")
     sol = lp.getSolution()
-    n = mp.instance.n
     row_dual = sol.row_dual
-    pi = tuple(max(0.0, row_dual[v]) for v in range(n))
+    pi = tuple(max(0.0, d) for d in row_dual[: mp.instance.n])
     gamma = {k: max(0.0, -row_dual[r]) for k, r in mp._class_row.items()}
     return LPResult(
         objective=lp.getObjectiveValue(),
@@ -292,39 +289,23 @@ def fractional_big_columns(res: LPResult) -> list[tuple[int, Column, float]]:
     x = np.asarray(res.values, dtype=float)
     frac = np.flatnonzero(np.abs(x - np.rint(x)) > EPS)
     cols = res.columns
-    return [
-        (i, cols[i], xi)
-        for i, xi in zip(frac.tolist(), x[frac].tolist())
-        if cols[i].size >= 2
-    ]
+    pairs = zip(frac.tolist(), x[frac].tolist())
+    return [(i, cols[i], xi) for i, xi in pairs if cols[i].size >= 2]
 
 
-def _read_off(mp: MasterProblem, res: LPResult) -> tuple[dict[int, int], int] | None:
-    """A coloring {node vertex: color} read off res and its weight; None when no matching exists.
+def read_off(mp: MasterProblem, res: LPResult) -> tuple[dict[int, int], int] | None:
+    """assignment.solve_assignment of the node with the big columns above 0.5 in res.
 
-    One min_cost_matching into the node's colors. Its rows are the columns of
-    two or more vertices above 0.5, in pool order, each taking a color of its
-    class, then the vertices they leave uncovered, each taking a color of its
-    list. A big column colors those of its vertices no earlier one colored.
+    The big columns are those of two or more vertices, in pool order.
     """
-    inst = mp.instance
     big = [col for col, x in zip(res.columns, res.values) if col.size >= 2 and x > 0.5]
-    residual = [v for v in range(inst.n) if not any(col.mask >> v & 1 for col in big)]
-    rows = [mp.partition.class_members[col.class_rep] for col in big]
-    match = min_cost_matching(rows + [inst.lists[v] for v in residual], inst.colors, inst.weights)
-    if match is None:
-        return None
-    coloring = dict(zip(residual, match[len(big) :]))
-    for col, color in zip(big, match):
-        for v in col.vertices():
-            coloring.setdefault(v, color)
-    return coloring, sum(inst.weights[j] for j in match)
+    return solve_assignment(mp.instance, mp.partition, big)
 
 
 def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]:
     """Read a coloring {node vertex: color} off an LP optimum without fractional big columns.
 
-    The read-off is _read_off's single matching. The point is optimal over
+    The read-off is read_off's single matching. The point is optimal over
     all columns, since extraction runs only after a pricing round found none,
     so no list-color completion of its big columns is cheaper. One costs the
     same: covering the uncovered vertices by singletons under the class
@@ -332,7 +313,7 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]
     integral at its LP optimum. A matching that finds no coloring or misses
     the point's cost raises NumericalFailure.
     """
-    read = _read_off(mp, res)
+    read = read_off(mp, res)
     if read is None:
         raise NumericalFailure("no matching colors the leaf's big columns and uncovered vertices")
     coloring, objective = read
@@ -341,33 +322,13 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]
     return coloring
 
 
-def dive(mp: MasterProblem, res: LPResult, cutoff: float) -> dict[int, int] | None:
-    """Dive from the LP optimum res over the node's pool; a node coloring, or None.
-
-    Each step fixes the fractional big column (fractional_big_columns) below
-    1 with the largest x (ties: larger, then earlier in the pool) by raising
-    its lower bound to 1, and re-solves warm; a column at 1 or above is fixed
-    already. No column is priced, so mp.columns stays as it is; only the
-    model's bounds change. The dive gives up exactly when node_lower_bound
-    of the current point reaches cutoff (math.inf without an incumbent). With
-    no fractional big column left it reads a coloring off like
-    extract_integer_solution, without the cost check: the pool may lack
-    singletons that the matching uses, so the coloring can be cheaper than
-    the point. Every re-solve runs dual simplex.
-    """
+def fix_column(mp: MasterProblem, i: int) -> None:
+    """Raise the lower bound of pool column i to 1, for re-solves by dual simplex."""
     _check(mp._lp.setOptionValue("simplex_strategy", _DUAL_SIMPLEX), "setting dual simplex")
-    while node_lower_bound(res, mp.big_m) < cutoff:
-        candidates = [(x, col.size, -i) for i, col, x in fractional_big_columns(res) if x < 1]
-        if not candidates:
-            read = _read_off(mp, res)
-            return None if read is None else read[0]
-        i = -max(candidates)[2]
-        _check(
-            mp._lp.changeColsBounds(1, np.array([i], dtype=np.int32), np.ones(1), np.full(1, _INF)),
-            "fixing a dive column",
-        )
-        res = solve_lp(mp)
-    return None
+    _check(
+        mp._lp.changeColsBounds(1, np.array([i], dtype=np.int32), np.ones(1), np.full(1, _INF)),
+        "fixing a column",
+    )
 
 
 def node_lower_bound(res: LPResult, big_m: int) -> float:

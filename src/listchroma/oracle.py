@@ -196,7 +196,10 @@ def oracle_solve(inst: Instance, cap: int = 14) -> OracleResult:
             tried_classes.add(class_of[c])
             place(i, c, active, child)
 
-    backtrack(0, 0, 0)
+    try:
+        backtrack(0, 0, 0)
+    except RecursionError:  # two frames per placed vertex
+        raise TooLargeError(f"oracle search of {n} vertices passes the recursion limit") from None
     if best_weight is None:
         return OracleResult(None, None, explored)
     witness = list_coloring(

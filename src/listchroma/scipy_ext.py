@@ -53,5 +53,9 @@ def load_extension(name: str) -> ModuleType:
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]  # as importlib does: a failed load leaves no module behind
+        raise
     return module

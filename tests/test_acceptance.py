@@ -265,7 +265,7 @@ def test_criterion_6_all_complete_cross_check(monkeypatch):
             part = partition_colors(inst)
             assert all_complete(part, inst.graph)
             expect = oracle_solve(inst)
-            direct = solve_assignment(root_state(inst))
+            direct, _ = solve_assignment(inst, part) or (None, None)
             via_matching = solve(inst)
             # bnp reaches all_complete through the module: column generation
             # then has to finish every all-complete node itself

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from listchroma.assignment import all_complete, min_cost_matching, solve_assignment
-from listchroma.core import NumericalFailure, partition_colors, root_state, validate_coloring
+from listchroma.core import NumericalFailure, partition_colors, validate_coloring
 from listchroma.oracle import oracle_solve
 
 from helpers import make_instance, random_all_complete
@@ -102,41 +102,49 @@ class TestMinCostMatching:
         assert min_cost_matching([[0]], [0, 1], {0: 1, 1: 2**60}) == [0]
 
 
+def coloring_of(inst):
+    """solve_assignment's coloring of inst without big columns, checked against its weight."""
+    read = solve_assignment(inst, partition_colors(inst))
+    if read is None:
+        return None
+    coloring, weight = read
+    assert validate_coloring(inst, coloring) == weight
+    return coloring
+
+
 class TestSolveAssignment:
     def test_two_adjacent_vertices_use_both_colors(self):
         inst = make_instance(2, [(0, 1)], [[0, 1], [0, 1]], weights={0: 5, 1: 3})
-        state = root_state(inst)
-        out = solve_assignment(state)
+        out = coloring_of(inst)
         assert out is not None
         weight = validate_coloring(inst, out)
         assert weight == 8
 
     def test_dummy_absorbs_expensive_color(self):
         inst = make_instance(1, [], [[0, 1]], weights={0: 5, 1: 3})
-        out = solve_assignment(root_state(inst))
+        out = coloring_of(inst)
         assert out == {0: 1}
 
     def test_more_vertices_than_colors_is_infeasible(self):
         inst = make_instance(
             3, [(0, 1), (1, 2), (0, 2)], [[0, 1]] * 3, weights={0: 1, 1: 2}
         )
-        assert solve_assignment(root_state(inst)) is None
+        assert coloring_of(inst) is None
 
     def test_forbidden_matching_is_infeasible(self):
         # two adjacent vertices, both lists stuck on the same single color
         inst = make_instance(2, [(0, 1)], [[0], [0, 1]], weights={0: 1, 1: 9})
-        state = root_state(inst)
-        out = solve_assignment(state)
+        out = coloring_of(inst)
         assert out == {0: 0, 1: 1}
         stuck = make_instance(2, [(0, 1)], [[0], [0]], weights={0: 1})
-        assert solve_assignment(root_state(stuck)) is None
+        assert coloring_of(stuck) is None
 
     def test_matches_oracle_on_random_all_complete_instances(self):
         for seed in range(60):
             inst = random_all_complete(seed)
             part = partition_colors(inst)
             assert all_complete(part, inst.graph)
-            got = solve_assignment(root_state(inst))
+            got = coloring_of(inst)
             expect = oracle_solve(inst)
             if expect.feasible:
                 assert got is not None

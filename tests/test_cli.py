@@ -587,6 +587,18 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == f"error: {sol}: {message}\n"
 
+    def test_oracle_search_too_deep_for_python_exits_one(self, tmp_path, capsys):
+        # 600 isolated vertices on one color: within --oracle-cap, but the
+        # oracle's search recurses twice per vertex
+        inst = make_instance(600, [], [[0]] * 600)
+        path = str(tmp_path / "deep.col")
+        write_instance(path, inst)
+        sol = str(tmp_path / "deep.sol")
+        assert main(["solve", path, "--out", sol]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["check", path, sol, "--oracle", "--oracle-cap", "1000"]) == EXIT_INPUT_ERROR
+        assert "recursion limit" in capsys.readouterr().err
+
     def test_oracle_flags_suboptimal_weight(self, tmp_path, capsys):
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 5})
         path = str(tmp_path / "i.col")

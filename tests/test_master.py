@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from listchroma import master
-from listchroma.bnp import INFEASIBLE, SolveReport, open_node, price_out, select_branching_pair
+from listchroma import bnp, master
+from listchroma.bnp import INFEASIBLE, SolveReport, dive, open_node, price_out, select_branching_pair
 from listchroma.core import EPS, Deadline, branch_differ, partition_colors, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import (
@@ -18,7 +18,6 @@ from listchroma.master import (
     NumericalFailure,
     add_columns,
     column_fault,
-    dive,
     extract_integer_solution,
     init_with_dummies,
     node_lower_bound,
@@ -318,7 +317,7 @@ def fake_result(columns, values, objective=0.0):
     )
 
 
-class TestCheckIntegrality:
+class TestIntegralPointIsALeaf:
     def test_integral(self):
         cols = [Column(0b011, 0), Column(0b100, 0), Column(0b001, None)]
         res = fake_result(cols, [1.0, 1.0, 0.0])
@@ -655,7 +654,7 @@ def test_dive_resolves_match_cold_linprog(n, seed):
         return res
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(master, "solve_lp", checked)
+        m.setattr(bnp, "solve_lp", checked)
         dive(mp, res, math.inf)
     assert len(points) > 1
 
@@ -729,7 +728,7 @@ class TestSharedFractionalRule:
         def no_solve(mp):
             raise AssertionError("the dive re-solved an integral point")
 
-        monkeypatch.setattr(master, "solve_lp", no_solve)
+        monkeypatch.setattr(bnp, "solve_lp", no_solve)
         coloring = dive(mp, res, math.inf)
         validate_coloring(self.INST, coloring)
         assert coloring[0] == coloring[1]  # read off as one column
@@ -743,7 +742,7 @@ class TestSharedFractionalRule:
             solves.append(mp)
             return solve_lp(mp)
 
-        monkeypatch.setattr(master, "solve_lp", counting)
+        monkeypatch.setattr(bnp, "solve_lp", counting)
         coloring = dive(mp, res, math.inf)
         # fixing {0,1} leaves {1,2} at 1 as the only cover of vertex 2
         assert len(solves) == 1

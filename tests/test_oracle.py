@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ def test_cap_enforced():
     with pytest.raises(TooLargeError):
         oracle_solve(inst, cap=14)
     assert oracle_solve(inst, cap=15).optimum == 1
+
+
+def test_search_deeper_than_the_recursion_limit_is_too_large():
+    # the search recurses twice per placed vertex, so a long enough path of
+    # placements passes the cap but not Python's recursion limit
+    n = sys.getrecursionlimit()
+    inst = make_instance(n, [], [[0]] * n)
+    with pytest.raises(TooLargeError, match="recursion limit"):
+        oracle_solve(inst, cap=n)
 
 
 def test_witness_is_always_valid_and_minimal():

@@ -93,7 +93,7 @@ class TestPriceAll:
         out = price_all(inst, part, duals_for(inst, [1.0] * 5))
         assert out.stats.cache_hits == len(part.reps) - searches == 2 - searches
 
-    def test_early_exit_mode_same_outcome(self):
+    def test_first_set_above_threshold_decides_like_the_maximum(self):
         # the first set above the threshold decides each class as the exact
         # maximum (4) would
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 5, 1: 2})
@@ -155,7 +155,7 @@ class TestMwssSearch:
             assert weight == pytest.approx(expect, abs=1e-9)
             assert search(g, vmask, pi, expect) == (0, 0)
 
-    def test_early_exit_returns_sound_violator(self):
+    def test_first_set_found_is_a_sound_violator(self):
         rng = np.random.Generator(np.random.PCG64(23))
         for trial in range(40):
             n = int(rng.integers(3, 12))
@@ -593,7 +593,7 @@ class TestExtendToMaximal:
 
 
 class TestReuseCorrectness:
-    def test_cached_equals_fresh(self):
+    def test_shared_search_finds_every_violated_class(self):
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(30):
             n = int(rng.integers(2, 9))

@@ -3,6 +3,7 @@
 Import order matters only in a fresh interpreter, so those tests run one.
 """
 
+import importlib.machinery
 import subprocess
 import sys
 from pathlib import Path
@@ -72,3 +73,18 @@ def test_missing_module_names_the_directory_and_version():
     assert str(Path(scipy.__path__[0], "optimize")) in message
     assert scipy.__version__ in message
     assert name not in sys.modules
+
+
+def test_failed_load_leaves_no_module_behind(monkeypatch):
+    # a module left registered would be returned, empty, by the next call
+    name = "scipy.optimize._lsap"
+    monkeypatch.delitem(sys.modules, name)
+
+    def failing(self, module):
+        raise ImportError("initialisation failed")
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", failing)
+    for _ in range(2):
+        with pytest.raises(ImportError, match="initialisation failed"):
+            load_extension(name)
+        assert name not in sys.modules
