@@ -1,14 +1,31 @@
 """Microbenches of the node layers outside column generation: singleton
 preprocessing, the minimum cost matching that finishes leaves, the dive
-that looks for an incumbent before a node branches, and the fixed cost of
-a node's small LP in a whole solve.
+that looks for an incumbent before a node branches, the translation of a
+parent's pool into its child, and the fixed cost of a node's small LP in a
+whole solve.
 """
 
 from math import inf
 
 from listchroma.assignment import min_cost_matching
-from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, dive, open_node, price_out, solve
-from listchroma.core import Deadline, preprocess_singletons, root_state, validate_coloring
+from listchroma.bnp import (
+    INFEASIBLE,
+    OPTIMAL,
+    SolveReport,
+    dive,
+    inherit_columns,
+    open_node,
+    price_out,
+    select_branching_pair,
+    solve,
+)
+from listchroma.core import (
+    Deadline,
+    branch_same,
+    preprocess_singletons,
+    root_state,
+    validate_coloring,
+)
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import init_with_dummies, node_lower_bound
 
@@ -41,6 +58,18 @@ def test_dive_at_c7_root(benchmark):
     # the dive changes its model's bounds, so every round gets a fresh root
     coloring = benchmark.pedantic(dive, setup=lambda: ((*priced_out_root(), inf), {}), rounds=5)
     assert validate_coloring(node, coloring) + root.state.fixed_weight == 10
+
+
+def test_inherit_columns_deep_child(benchmark):
+    # c7 cell seed 3: the 465 columns of the priced-out root, translated
+    # into its SAME child of 49 vertices, which keeps 399 of them
+    root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=3))))
+    mp = init_with_dummies(*root)
+    res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
+    pool = [col for col in mp.columns if not col.is_dummy]
+    child = open_node(branch_same(root.state, *select_branching_pair(res)))
+    kept = benchmark(inherit_columns, pool, root.state.merge_map, child.state, child.partition)
+    assert (len(pool), child.state.instance.n, len(kept)) == (465, 49, 399)
 
 
 def test_grid_solve_of_five_nodes(benchmark):

@@ -39,6 +39,7 @@ from .core import (
     NodeState,
     NumericalFailure,
     SearchTimeout,
+    bits,
     branch_differ,
     branch_same,
     lift_node_assignment,
@@ -185,24 +186,20 @@ def inherit_columns(
     root vertex of the child was live in the parent. A column dies when it
     contains a vertex eliminated by preprocessing, when its class color
     vanished from the child, or when merging broke master.column_fault;
-    duplicates created by the merge are kept once.
-
-    A parent mask is translated a byte at a time through _chunk_tables.
+    duplicates created by merged vertices or merged classes are kept once.
     """
-    vmap = {parent_merge_map[r]: cur for r, cur in state.merge_map.items()}
-    tables = _chunk_tables(vmap, max(parent_merge_map.values()) + 1)
+    child_bit = {parent_merge_map[r]: 1 << cur for r, cur in state.merge_map.items()}
     out: list[Column] = []
     seen: set[Column] = set()
     for col in parent_cols:
         rep = partition.rep_of.get(col.class_rep)
         if rep is None:
             continue
-        mask, rest, i = 0, col.mask, 0
-        while rest:
-            mask |= tables[i][rest & 0xFF]
-            rest >>= 8
-            i += 1
-        if mask < 0:
+        mask = 0
+        try:
+            for v in bits(col.mask):
+                mask |= child_bit[v]
+        except KeyError:
             continue  # a vertex of the column is gone
         new = Column(mask, rep)
         if new in seen:
@@ -211,23 +208,6 @@ def inherit_columns(
         if column_fault(new, state.instance, partition) is None:
             out.append(new)
     return out
-
-
-def _chunk_tables(vmap: dict[int, int], n: int) -> list[list[int]]:
-    """Child masks of every 8-bit chunk of a mask over parent vertices 0..n-1.
-
-    tables[c][b] is the OR of 1 << vmap[v] over the set bits v of b << 8c,
-    or -1 when one of those vertices is missing from vmap; since -1 has
-    every bit set, OR-ing it into a mask keeps the mask at -1.
-    """
-    tables = []
-    for base in range(0, n, 8):
-        table = [0]
-        for v in range(base, min(base + 8, n)):
-            bit = 1 << vmap[v] if v in vmap else -1
-            table += [t | bit for t in table]
-        tables.append(table)
-    return tables
 
 
 class Node(NamedTuple):

@@ -256,6 +256,15 @@ class TestInheritColumns:
         child = open_node(branch_same(state, 0, 2), cols, state.merge_map)
         assert [c.mask for c in child.pool] == [0b11]
 
+    def test_classes_that_merge_keep_one_column(self):
+        # SAME(2,3) leaves the merged vertex the list {2}, so preprocessing
+        # fixes it; colors 0 and 1 then share the list of vertices 0 and 1
+        # and become one class, where the two class columns {0,1} coincide
+        state = root_state(make_instance(4, [], [[0, 1], [0, 1], [0, 2], [1, 2]]))
+        cols = [Column(0b11, 0), Column(0b11, 1), Column(0b101, 0)]
+        child = open_node(branch_same(state, 2, 3), cols, state.merge_map)
+        assert child.pool == [Column(0b11, 0)]
+
     def test_class_that_lost_u_is_dropped(self):
         # color 1 is not shared by both endpoints: after SAME(0,2) the merged
         # list is {0}, so class-1 columns through the merged vertex die
@@ -321,16 +330,18 @@ class TestInheritColumns:
         assert any(kept_lists.values())
 
 
-def per_bit_inherit(parent_cols, parent_merge_map, state, partition):
-    """inherit_columns as it was: each column through the set of its translated vertices."""
-    vmap = {parent_merge_map[r]: cur for r, cur in state.merge_map.items()}
+def root_set_inherit(parent_cols, parent_merge_map, state, partition):
+    """inherit_columns through root vertices: a parent vertex stands for the roots sent to it."""
+    roots = {}
+    for r, v in parent_merge_map.items():
+        roots.setdefault(v, set()).add(r)
     out, seen = [], set()
     for col in parent_cols:
-        moved = {vmap.get(v) for v in bits(col.mask)}
+        col_roots = set().union(*(roots[v] for v in bits(col.mask)))
         rep = partition.rep_of.get(col.class_rep)
-        if None in moved or rep is None:
+        if not col_roots <= state.merge_map.keys() or rep is None:
             continue
-        new = Column(sum(1 << nv for nv in moved), rep)
+        new = Column(sum(1 << v for v in {state.merge_map[r] for r in col_roots}), rep)
         if new in seen:
             continue
         seen.add(new)
@@ -353,8 +364,8 @@ def branch_pair(data, state):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_inherit_matches_per_bit_reference(data):
-    """The chunk-table translation keeps the per-bit translation's columns and order."""
+def test_inherit_matches_root_set_reference(data):
+    """inherit_columns keeps the columns of the translation through root vertex sets, in order."""
     n = data.draw(st.integers(min_value=9, max_value=20), label="n")
     seed = data.draw(st.integers(min_value=0, max_value=10**6), label="seed")
     parent = root_state(generate(GenConfig(n=n, p=0.3, c=1.0, q=0.5, seed=seed)))
@@ -377,7 +388,7 @@ def test_inherit_matches_per_bit_reference(data):
     branch = data.draw(st.sampled_from([branch_same, branch_differ]), label="branch")
     child = open_node(branch(parent, *pair), pool, parent.merge_map)
     assume(child is not None and child.state.instance.n > 0)
-    assert child.pool == per_bit_inherit(pool, parent.merge_map, child.state, child.partition)
+    assert child.pool == root_set_inherit(pool, parent.merge_map, child.state, child.partition)
 
 
 class TestDive:

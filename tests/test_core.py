@@ -412,7 +412,7 @@ def read_off_big_columns(inst, chosen):
     return lift_node_assignment(extract_integer_solution(mp, res), state, inst)
 
 
-class TestReconstruct:
+class TestLeafReadOffLifted:
     """A leaf's read-off (master.extract_integer_solution) lifted to a root coloring."""
 
     def test_direct_readback(self):
