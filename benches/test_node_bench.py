@@ -1,8 +1,8 @@
 """Microbenches of the node layers outside column generation: singleton
 preprocessing, the minimum cost matching that finishes leaves, the dive
 that looks for an incumbent before a node branches, the translation of a
-parent's pool into its child, and the fixed cost of a node's small LP in a
-whole solve.
+parent's pool into its child, the build of that child's master, and the
+fixed cost of a node's small LP in a whole solve.
 """
 
 from math import inf
@@ -27,7 +27,7 @@ from listchroma.core import (
     validate_coloring,
 )
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import init_with_dummies, node_lower_bound
+from listchroma.master import init_with_dummies, new_model, node_lower_bound
 
 
 def test_preprocess_singletons_cascade(benchmark):
@@ -54,7 +54,7 @@ def test_dive_at_c7_root(benchmark):
         return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
 
     mp, res = priced_out_root()
-    assert node_lower_bound(res, mp.big_m) == 9
+    assert node_lower_bound(mp, res) == 9
     # the dive changes its model's bounds, so every round gets a fresh root
     coloring = benchmark.pedantic(dive, setup=lambda: ((*priced_out_root(), inf), {}), rounds=5)
     assert validate_coloring(node, coloring) + root.state.fixed_weight == 10
@@ -66,10 +66,22 @@ def test_inherit_columns_deep_child(benchmark):
     root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=3))))
     mp = init_with_dummies(*root)
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
-    pool = [col for col in mp.columns if not col.is_dummy]
     child = open_node(branch_same(root.state, *select_branching_pair(res)))
-    kept = benchmark(inherit_columns, pool, root.state.merge_map, child.state, child.partition)
-    assert (len(pool), child.state.instance.n, len(kept)) == (465, 49, 399)
+    kept = benchmark(inherit_columns, mp.columns, root.state.merge_map, child.state, child.partition)
+    assert (len(mp.columns), child.state.instance.n, len(kept)) == (465, 49, 399)
+
+
+def test_init_with_dummies_deep_child(benchmark):
+    # the master of that SAME child: its 49 dummies and the 399 inherited
+    # columns, built on one lent model as the search builds every master
+    root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=3))))
+    mp = init_with_dummies(*root)
+    res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
+    same = branch_same(root.state, *select_branching_pair(res))
+    child = open_node(same, mp.columns, root.state.merge_map)
+    lp = new_model()
+    benchmark(init_with_dummies, *child, lp)
+    assert (child.state.instance.n, len(child.pool), lp.getNumCol()) == (49, 399, 448)
 
 
 def test_grid_solve_of_five_nodes(benchmark):

@@ -19,7 +19,7 @@ def reach_root(cfg):
     root = open_node(root_state(generate(cfg)))
     mp = init_with_dummies(*root)
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
-    return root._replace(pool=[col for col in mp.columns if not col.is_dummy]), res
+    return root._replace(pool=mp.columns), res
 
 
 @pytest.fixture(scope="module")

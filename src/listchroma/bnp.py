@@ -163,7 +163,7 @@ def dive(mp: MasterProblem, res: LPResult, cutoff: float) -> dict[int, int] | No
     extract_integer_solution's cost check: the pool may lack singletons that
     the matching uses, so the coloring can be cheaper than the point.
     """
-    while node_lower_bound(res, mp.big_m) < cutoff:
+    while node_lower_bound(mp, res) < cutoff:
         candidates = [(x, col.size, -i) for i, col, x in fractional_big_columns(res) if x < 1]
         if not candidates:
             read = read_off(mp, res)
@@ -223,8 +223,8 @@ def open_node(
 ) -> Node | None:
     """Preprocess, partition and inherit the parent's pool; None when a list empties.
 
-    The root is open_node(root_state(root)); a child passes its parent's real
-    columns and merge_map, and is opened when its parent branches.
+    The root is open_node(root_state(root)); a child passes its parent's pool
+    and merge_map, and is opened when its parent branches.
     """
     state = preprocess_singletons(pre_state)
     if state is None:
@@ -269,9 +269,7 @@ class _Search:
             return []
         state, partition, _ = node
         inst = state.instance
-        # n == 0 first: acceptance criterion 6 switches all_complete off to
-        # force column generation, and init_with_dummies raises when n == 0.
-        if inst.n == 0 or asg.all_complete(partition, inst.graph):
+        if asg.all_complete(partition, inst.graph):
             read = asg.solve_assignment(inst, partition)
             if read is not None:
                 self._offer(read[0], state)
@@ -280,9 +278,9 @@ class _Search:
         mp = init_with_dummies(*node, self.lp)
         res = price_out(mp, report, self.deadline)
         cutoff = math.inf if report.weight is None else report.weight - state.fixed_weight
-        bound = node_lower_bound(res, mp.big_m)
+        bound = node_lower_bound(mp, res)
         if bound >= cutoff:
-            return []  # no coloring (inf: a dummy is still active), or none lighter
+            return []  # inf: the node has no coloring; else none lighter
 
         pair = select_branching_pair(res)
         if pair is None:
@@ -295,10 +293,9 @@ class _Search:
                 return []  # the dive met the node's bound: nothing below is lighter
 
         u, v = pair
-        real_cols = [c for c in mp.columns if not c.is_dummy]
         return [
-            open_node(branch_same(state, u, v), real_cols, state.merge_map),
-            open_node(branch_differ(state, u, v), real_cols, state.merge_map),
+            open_node(branch_same(state, u, v), mp.columns, state.merge_map),
+            open_node(branch_differ(state, u, v), mp.columns, state.merge_map),
         ]
 
 

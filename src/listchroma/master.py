@@ -23,9 +23,12 @@ absent; non-negative costs make them redundant at some optimum.
 
 A column is only its (stable set, class) pair. The master alone decides
 what is a column of a node (column_fault) and what it costs
-(MasterProblem.cost): the class weight w_k of the node's instance, or big-M
-for a dummy. So a column carried into a child node costs the child's weight
-of its class, which singleton fixing may have zeroed.
+(MasterProblem.cost): the class weight w_k of the node's instance. So a
+column carried into a child node costs the child's weight of its class,
+which singleton fixing may have zeroed. The big-M dummies are no columns:
+LP column v is vertex v's dummy and LP column n + i is pool column i, so
+the pool (MasterProblem.columns) and an LP point (LPResult) hold real
+columns only.
 
 An LP optimum without a fractional big column (fractional_big_columns) is
 a leaf of the search; extract_integer_solution reads a coloring of the
@@ -66,16 +69,12 @@ class Column(NamedTuple):
     """A master variable: a stable set of G^k and its class, nothing more.
 
     The pair is the column's identity and carries no cost; the master that
-    holds it charges it (MasterProblem.cost). Dummy columns (class_rep None)
-    are the per-vertex big-M singletons that keep the initial LP feasible.
+    holds it charges it (MasterProblem.cost). The big-M dummies that keep a
+    node's LP feasible are no Columns: they live only in the master's model.
     """
 
     mask: int
-    class_rep: int | None
-
-    @property
-    def is_dummy(self) -> bool:
-        return self.class_rep is None
+    class_rep: int
 
     @property
     def size(self) -> int:
@@ -96,6 +95,8 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class LPResult:
+    """An LP optimum; values[i] is the x of pool column columns[i], LP column n + i."""
+
     objective: float
     values: tuple[float, ...]
     columns: tuple[Column, ...]
@@ -138,7 +139,7 @@ class MasterProblem:
     """Mutable column pool plus the LP model of one search node.
 
     The model has one cover row per vertex, then one capacity row per bounded
-    class in sorted order, and one LP column per pool column in pool order.
+    class in sorted order; its columns are the n dummies, then the pool's.
     It is borrowed: building the master clears whatever lp held, so a master
     built earlier on the same lp is dead.
     """
@@ -171,13 +172,13 @@ class MasterProblem:
         )
 
     def cost(self, col: Column) -> int:
-        """What the LP charges col: big_m for a dummy, else its class weight."""
-        return self.big_m if col.class_rep is None else self.instance.weights[col.class_rep]
+        """What the LP charges col: its class weight."""
+        return self.instance.weights[col.class_rep]
 
-    def _append(self, cols: list[Column]) -> None:
-        """Append columns x >= 0 with unit coefficients in their rows."""
-        starts: list[int] = []
-        index: list[int] = []
+    def _append(self, cols: Sequence[Column], dummies: int = 0) -> None:
+        """Append columns x >= 0 with unit entries in their rows, after `dummies` big-M dummies."""
+        starts = list(range(dummies))
+        index = list(range(dummies))
         for col in cols:
             starts.append(len(index))
             index.extend(col.vertices())
@@ -185,10 +186,10 @@ class MasterProblem:
                 index.append(self._class_row[col.class_rep])
         _check(
             self._lp.addCols(
-                len(cols),
-                np.array([self.cost(col) for col in cols], dtype=float),
-                np.zeros(len(cols)),
-                np.full(len(cols), _INF),
+                len(starts),
+                np.array([self.big_m] * dummies + [self.cost(col) for col in cols], dtype=float),
+                np.zeros(len(starts)),
+                np.full(len(starts), _INF),
                 len(index),
                 np.array(starts, dtype=np.int32),
                 np.array(index, dtype=np.int32),
@@ -205,8 +206,6 @@ def column_fault(col: Column, inst: Instance, partition: ColorPartition) -> str 
     mask, k = col
     if mask == 0:
         return "empty column"
-    if k is None:
-        return "dummy columns are created only at initialization"
     if k not in partition.class_members:
         return f"column class {k} is not a representative"
     if mask & ~partition.vertex_mask[k]:
@@ -224,7 +223,7 @@ def init_with_dummies(
     inherited: Sequence[Column] = (),
     lp: _highs._Highs | None = None,
 ) -> MasterProblem:
-    """Master seeded with one big-M singleton column per vertex, then inherited.
+    """Master whose pool is inherited; its model holds one big-M dummy per vertex first.
 
     The master is built on lp (a new_model() of its own when None) and starts
     from the all-dummy basis. inherited must be distinct and pass
@@ -239,7 +238,7 @@ def init_with_dummies(
     if big_m >= 2**53:
         raise NumericalFailure(f"big-M {big_m} is beyond exact float64 arithmetic")
     mp = MasterProblem(state, partition, big_m, new_model() if lp is None else lp)
-    mp._append([Column(1 << v, None) for v in range(inst.n)] + list(inherited))
+    mp._append(inherited, dummies=inst.n)
     basis = _highs.HighsBasis()
     basis.col_status = [_BASIC] * inst.n + [_LOWER] * len(inherited)
     basis.row_status = [_LOWER] * inst.n + [_BASIC] * len(mp._class_row)
@@ -274,7 +273,7 @@ def solve_lp(mp: MasterProblem) -> LPResult:
     gamma = {k: max(0.0, -row_dual[r]) for k, r in mp._class_row.items()}
     return LPResult(
         objective=lp.getObjectiveValue(),
-        values=tuple(sol.col_value),
+        values=tuple(sol.col_value[mp.instance.n :]),
         columns=tuple(mp.columns),
         duals=DualSolution(pi, gamma),
     )
@@ -325,14 +324,15 @@ def extract_integer_solution(mp: MasterProblem, res: LPResult) -> dict[int, int]
 def fix_column(mp: MasterProblem, i: int) -> None:
     """Raise the lower bound of pool column i to 1, for re-solves by dual simplex."""
     _check(mp._lp.setOptionValue("simplex_strategy", _DUAL_SIMPLEX), "setting dual simplex")
+    lp_col = np.array([mp.instance.n + i], dtype=np.int32)
     _check(
-        mp._lp.changeColsBounds(1, np.array([i], dtype=np.int32), np.ones(1), np.full(1, _INF)),
+        mp._lp.changeColsBounds(1, lp_col, np.ones(1), np.full(1, _INF)),
         "fixing a column",
     )
 
 
-def node_lower_bound(res: LPResult, big_m: int) -> float:
-    """Integer lower bound from the LP value; math.inf (a dummy at big-M) flags no coloring."""
-    if res.objective >= big_m - EPS:
+def node_lower_bound(mp: MasterProblem, res: LPResult) -> float:
+    """Integer lower bound from mp's LP value res; math.inf (a dummy at big-M) flags no coloring."""
+    if res.objective >= mp.big_m - EPS:
         return math.inf
     return math.ceil(res.objective - EPS)

@@ -8,9 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from listchroma import bnp
-from listchroma.core import EPS, Graph, Instance, build_instance
+from listchroma.core import EPS, Graph, Instance, build_instance, partition_colors, root_state
+from listchroma.master import init_with_dummies
 
 
 def make_instance(n, edges, lists, weights=None) -> Instance:
@@ -19,6 +21,35 @@ def make_instance(n, edges, lists, weights=None) -> Instance:
     if weights is None:
         weights = {j: 1 for j in colors}
     return build_instance(Graph.from_edges(n, edges), colors, weights, lists)
+
+
+def master_for(inst):
+    """The root master of inst, built on the instance as it is (no preprocessing)."""
+    return init_with_dummies(root_state(inst), partition_colors(inst))
+
+
+def cold_linprog_objective(mp, lower=None):
+    """The LP optimum of mp's dummies and pool from a fresh scipy linprog solve (the reference).
+
+    lower gives each pool column's lower bound; None means all zero. The
+    dummies (cost big-M, one per vertex) stay at lower bound zero.
+    """
+    n = mp.instance.n
+    bounded = sorted(mp.partition.bounded)
+    class_row = {k: n + i for i, k in enumerate(bounded)}
+    a_ub = np.zeros((n + len(bounded), n + len(mp.columns)))
+    a_ub[range(n), range(n)] = -1.0
+    for j, col in enumerate(mp.columns, start=n):
+        for v in col.vertices():
+            a_ub[v, j] = -1.0
+        if col.class_rep in class_row:
+            a_ub[class_row[col.class_rep], j] = 1.0
+    b_ub = [-1.0] * n + [float(len(mp.partition.class_members[k])) for k in bounded]
+    cost = [mp.big_m] * n + [mp.cost(col) for col in mp.columns]
+    lower = [0.0] * n + ([0.0] * len(mp.columns) if lower is None else list(lower))
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(lo, None) for lo in lower], method="highs")
+    assert ref.status == 0
+    return ref.fun
 
 
 def enumerate_optimum(inst: Instance) -> int | None:

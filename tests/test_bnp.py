@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
@@ -13,12 +14,15 @@ from listchroma.bnp import (
     OPTIMAL,
     TIME_LIMIT,
     SolveReport,
+    dive,
     open_node,
+    price_out,
     select_branching_pair,
     solve,
     update_incumbent,
 )
 from listchroma.core import (
+    EPS,
     Deadline,
     SearchTimeout,
     bits,
@@ -29,20 +33,30 @@ from listchroma.core import (
     partition_colors,
     preprocess_singletons,
     root_state,
+    validate_coloring,
 )
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import (
     Column,
     DualSolution,
     LPResult,
+    add_columns,
     column_fault,
     init_with_dummies,
+    node_lower_bound,
     solve_lp,
 )
 from listchroma.oracle import oracle_solve
 from listchroma.pricing import SHARED_SEARCH_DENSITY, price_all
 
-from helpers import k33_mirrored, make_instance, petersen, recorded_events
+from helpers import (
+    cold_linprog_objective,
+    k33_mirrored,
+    make_instance,
+    master_for,
+    petersen,
+    recorded_events,
+)
 
 # a grid instance of five nodes; the root dives, then branches
 GRID_5 = GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=20179, weight_range=(1, 10))
@@ -145,10 +159,30 @@ class TestSolveBasic:
         with_asg = solve(inst)
         # bnp reaches all_complete through the module, so column generation
         # then finishes the all-complete root
-        monkeypatch.setattr(asg, "all_complete", lambda *a: False)
+        monkeypatch.setattr(asg, "all_complete", lambda partition, graph: not partition.reps)
         without = solve(inst)
         assert with_asg.weight == without.weight == 8
         assert without.columns_generated > 0
+
+    def test_node_without_vertex_is_matched_through_all_complete(self, monkeypatch):
+        # every list is one color: preprocessing fixes the whole root, whose
+        # empty partition all_complete accepts before the matching reads it off
+        calls = []
+        all_complete, solve_assignment = asg.all_complete, asg.solve_assignment
+
+        def recording_all_complete(partition, graph):
+            calls.append("all_complete")
+            return all_complete(partition, graph)
+
+        def recording_solve_assignment(*args):
+            calls.append("solve_assignment")
+            return solve_assignment(*args)
+
+        monkeypatch.setattr(asg, "all_complete", recording_all_complete)
+        monkeypatch.setattr(asg, "solve_assignment", recording_solve_assignment)
+        report = solve(make_instance(3, [(0, 1)], [[0], [1], [0]], weights={0: 2, 1: 3}))
+        assert (report.status, report.weight, report.nodes) == (OPTIMAL, 5, 1)
+        assert calls == ["all_complete", "solve_assignment"]
 
     @pytest.mark.parametrize("seed, incumbent", [(30, 150000000006), (24, None)])
     def test_float_noise_duplicate_ends_in_numerical_failure(self, seed, incumbent):
@@ -297,10 +331,10 @@ class TestInheritColumns:
         mp = init_with_dummies(*child)
         assert mp.cost(child.pool[0]) == 0
         res = solve_lp(mp)
-        assert res.values[-1] == pytest.approx(1.0)
+        assert res.values == pytest.approx((1.0,))
         assert res.objective == pytest.approx(0.0)
 
-    def test_child_master_is_dummies_then_inherited(self, monkeypatch):
+    def test_child_master_is_its_inherited_pool(self, monkeypatch):
         kept_lists, seeded = {}, []
         inherit, init = bnp.inherit_columns, bnp.init_with_dummies
 
@@ -311,7 +345,7 @@ class TestInheritColumns:
 
         def recording_init(state, partition, inherited=(), lp=None):
             mp = init(state, partition, inherited, lp)
-            seeded.append((state.instance.n, list(mp.columns), inherited))
+            seeded.append((state.instance.n, list(mp.columns), inherited, mp._lp.getNumCol()))
             return mp
 
         monkeypatch.setattr(bnp, "inherit_columns", recording_inherit)
@@ -321,12 +355,12 @@ class TestInheritColumns:
         for cfg in [GenConfig(n=18, p=0.5, c=1.0, q=0.5, seed=11), GRID_5]:
             seeded.clear()
             solve(generate(cfg))
-            (root_n, root_cols, _), *children = seeded
-            assert root_cols == [Column(1 << v, None) for v in range(root_n)]
+            (root_n, root_cols, _, root_lp_cols), *children = seeded
+            assert root_cols == [] and root_lp_cols == root_n  # the root's model: dummies only
             assert children
-            for n, cols, inherited in children:
+            for n, cols, inherited, lp_cols in children:
                 assert kept_lists[id(inherited)] is inherited  # paired by identity, not call order
-                assert cols == [Column(1 << v, None) for v in range(n)] + inherited
+                assert cols == inherited and lp_cols == n + len(inherited)
         assert any(kept_lists.values())
 
 
@@ -391,7 +425,16 @@ def test_inherit_matches_root_set_reference(data):
     assert child.pool == root_set_inherit(pool, parent.merge_map, child.state, child.partition)
 
 
+def root_optimum(inst):
+    """The root master of inst and its LP optimum, priced out by bnp.price_out."""
+    mp = master_for(inst)
+    return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
+
+
 class TestDive:
+    # root LP 5.67, with a fractional big column to branch on
+    INST = generate(GenConfig(n=20, p=0.5, c=1.0, q=0.5, seed=3))
+
     def test_optimum_arrives_at_the_root(self):
         # c7 seed 7001: without the dive its optimum first appeared at node
         # 24 of a 37-node tree
@@ -422,6 +465,121 @@ class TestDive:
     def test_no_incumbent_no_node(self):
         report = solve(k33_mirrored())
         assert report.coloring is None and report.incumbent_node is None
+
+    def test_coloring_no_lighter_than_the_bound(self):
+        mp, res = root_optimum(self.INST)
+        assert select_branching_pair(res) is not None
+        coloring = dive(mp, res, math.inf)
+        assert coloring is not None
+        assert validate_coloring(self.INST, coloring) >= node_lower_bound(mp, res)
+
+    @pytest.mark.parametrize("above", [0, -1])
+    def test_cutoff_at_or_below_the_bound_gives_up(self, above):
+        mp, res = root_optimum(self.INST)
+        assert dive(mp, res, node_lower_bound(mp, res) + above) is None
+
+    def test_cutoff_above_the_coloring_keeps_it(self):
+        mp, res = root_optimum(self.INST)
+        free = dive(mp, res, math.inf)
+        mp, res = root_optimum(self.INST)
+        assert dive(mp, res, validate_coloring(self.INST, free) + 1) == free
+
+    def test_pool_unchanged(self):
+        mp, res = root_optimum(self.INST)
+        pool = list(mp.columns)
+        dive(mp, res, math.inf)
+        assert mp.columns == pool == list(res.columns)
+
+    def test_deterministic(self):
+        first = dive(*root_optimum(self.INST), math.inf)
+        assert dive(*root_optimum(self.INST), math.inf) == first
+
+    def test_positive_dummy_gives_up(self):
+        # no pool column covers vertex 1, so its dummy (LP column 1) stays at one
+        inst = make_instance(2, [(0, 1)], [[0], [0, 1]])
+        mp = master_for(inst)
+        add_columns(mp, [Column(0b01, 0)])
+        res = solve_lp(mp)
+        assert mp._lp.getSolution().col_value[1] == pytest.approx(1.0)
+        assert dive(mp, res, math.inf) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=12, max_value=18),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_dive_resolves_match_cold_linprog(n, seed):
+    """After each fixing, the dive's warm dual simplex optimum is the cold optimum."""
+    mp, res = root_optimum(generate(GenConfig(n=n, p=0.5, c=1.0, q=0.5, seed=seed)))
+    assume(select_branching_pair(res) is not None)
+    lower = [0.0] * len(mp.columns)
+    points = [res]
+
+    def checked(mp):
+        # LP column n + i is pool column i; the dummies in front are never fixed
+        model_lower = mp._lp.getLp().col_lower_
+        assert model_lower[: mp.instance.n] == [0.0] * mp.instance.n
+        after = model_lower[mp.instance.n :]
+        raised = [i for i, (a, b) in enumerate(zip(lower, after)) if a != b]
+        # one more column fixed at one, fractional in the point before
+        assert len(raised) == 1 and after[raised[0]] == 1.0
+        assert raised[0] in [i for i, _, _ in master.fractional_big_columns(points[-1])]
+        lower[:] = after
+        res = solve_lp(mp)
+        assert res.objective == pytest.approx(cold_linprog_objective(mp, lower), rel=1e-9, abs=1e-9)
+        points.append(res)
+        return res
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bnp, "solve_lp", checked)
+        dive(mp, res, math.inf)
+    assert len(points) > 1
+
+
+class TestSharedFractionalRule:
+    """Branching and the dive call the same big columns fractional."""
+
+    # edgeless, one class of two colors: the pool is {0,1} and {1,2}
+    INST = make_instance(3, [], [[0, 1]] * 3)
+
+    def lp_at(self, x01, x12):
+        mp = master_for(self.INST)
+        add_columns(mp, [Column(0b011, 0), Column(0b110, 0)])
+        res = LPResult(
+            objective=x01 + x12,
+            values=(x01, x12),
+            columns=tuple(mp.columns),
+            duals=DualSolution((0.0,) * 3, {}),
+        )
+        return mp, res
+
+    def test_within_eps_of_an_integer_is_integral(self, monkeypatch):
+        mp, res = self.lp_at(1 - EPS / 2, EPS / 2)
+        assert select_branching_pair(res) is None
+
+        def no_solve(mp):
+            raise AssertionError("the dive re-solved an integral point")
+
+        monkeypatch.setattr(bnp, "solve_lp", no_solve)
+        coloring = dive(mp, res, math.inf)
+        validate_coloring(self.INST, coloring)
+        assert coloring[0] == coloring[1]  # read off as one column
+
+    def test_half_is_fractional(self, monkeypatch):
+        mp, res = self.lp_at(0.5, 0.5)
+        assert select_branching_pair(res) is not None
+        solves = []
+
+        def counting(mp):
+            solves.append(mp)
+            return solve_lp(mp)
+
+        monkeypatch.setattr(bnp, "solve_lp", counting)
+        coloring = dive(mp, res, math.inf)
+        # fixing {0,1} leaves {1,2} at 1 as the only cover of vertex 2
+        assert len(solves) == 1
+        validate_coloring(self.INST, coloring)
 
 
 class TestModelHandOff:
@@ -481,7 +639,7 @@ class TestPriceOut:
         res = bnp.price_out(mp, report, Deadline(None))
         counters = attrgetter("pricing_rounds", "mwss_nodes", "columns_generated")
         assert counters(report) == counters(solved)
-        assert report.mwss_nodes > 0 and report.columns_generated == len(mp.columns) - mp.instance.n
+        assert report.mwss_nodes > 0 and report.columns_generated == len(mp.columns)
         assert price_all(mp.instance, mp.partition, res.duals).columns() == []
 
     def test_expired_deadline_raises_before_solving(self, monkeypatch):

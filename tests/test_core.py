@@ -398,14 +398,14 @@ def test_same_child_matches_edge_list_merge(data):
 def read_off_big_columns(inst, chosen):
     """Root coloring read off an LP point with the (mask, class) columns chosen at one.
 
-    The pool is the root master's dummies followed by chosen, in that order.
+    The pool is chosen, in that order.
     """
     state = root_state(inst)
     mp = init_with_dummies(state, partition_colors(inst))
     add_columns(mp, [Column(mask, k) for mask, k in chosen])
     res = LPResult(
         objective=float(sum(inst.weights[k] for _, k in chosen)),
-        values=(0.0,) * inst.n + (1.0,) * len(chosen),
+        values=(1.0,) * len(chosen),
         columns=tuple(mp.columns),
         duals=DualSolution((0.0,) * inst.n, {}),
     )

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from listchroma import bnp, master
+from listchroma import master
 from listchroma.bnp import INFEASIBLE, SolveReport, dive, open_node, price_out, select_branching_pair
 from listchroma.core import EPS, Deadline, branch_differ, partition_colors, root_state, validate_coloring
 from listchroma.instgen import GenConfig, generate
@@ -25,16 +25,11 @@ from listchroma.master import (
 )
 from listchroma.pricing import price_all
 
-from helpers import make_instance, stable_sets
-
-
-def master_for(inst):
-    state = root_state(inst)
-    return init_with_dummies(state, partition_colors(inst))
+from helpers import cold_linprog_objective, make_instance, master_for, stable_sets
 
 
 def brute_force_selection_cost(mp, columns):
-    """Cheapest 0/1 column selection satisfying cover and class capacities."""
+    """Cheapest 0/1 selection of pool columns satisfying cover and class capacities."""
     best = None
     part = mp.partition
     n = mp.instance.n
@@ -62,14 +57,20 @@ def assert_duals_certify(mp, res):
     """Dual feasibility plus complementary slackness of an optimal LP point."""
     tol = EPS * max(1.0, mp.big_m)
     for col, x in zip(res.columns, res.values):
-        gamma = 0.0 if col.is_dummy else res.duals.gamma_of(col.class_rep)
+        gamma = res.duals.gamma_of(col.class_rep)
         reduced = sum(res.duals.pi[v] for v in col.vertices()) - (mp.cost(col) + gamma)
         assert reduced <= tol
         if x > EPS:
             assert abs(reduced) <= tol
+    # vertex v's big-M dummy is LP column v of the model, outside the pool
+    dummies = mp._lp.getSolution().col_value[: mp.instance.n]
+    for v, x in enumerate(dummies):
+        assert res.duals.pi[v] <= mp.big_m + tol
+        if x > EPS:
+            assert abs(res.duals.pi[v] - mp.big_m) <= tol
     # primal feasibility and row-side complementary slackness
     for v in range(mp.instance.n):
-        cover = sum(
+        cover = dummies[v] + sum(
             x for col, x in zip(res.columns, res.values) if col.mask >> v & 1
         )
         assert cover >= 1 - EPS
@@ -86,28 +87,6 @@ def assert_duals_certify(mp, res):
             assert res.duals.gamma_of(k) <= tol
 
 
-def cold_linprog_objective(mp, lower=None):
-    """The pool's LP optimum from a fresh scipy linprog solve (the reference).
-
-    lower gives each column's lower bound; None means all zero.
-    """
-    n = mp.instance.n
-    bounded = sorted(mp.partition.bounded)
-    class_row = {k: n + i for i, k in enumerate(bounded)}
-    a_ub = np.zeros((n + len(bounded), len(mp.columns)))
-    for j, col in enumerate(mp.columns):
-        for v in col.vertices():
-            a_ub[v, j] = -1.0
-        if col.class_rep in class_row:
-            a_ub[class_row[col.class_rep], j] = 1.0
-    b_ub = [-1.0] * n + [float(len(mp.partition.class_members[k])) for k in bounded]
-    cost = [mp.cost(col) for col in mp.columns]
-    bounds = (0, None) if lower is None else [(lo, None) for lo in lower]
-    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    assert ref.status == 0
-    return ref.fun
-
-
 class TestInitWithDummies:
     def test_three_vertices_weight_sum_five(self):
         inst = make_instance(
@@ -115,10 +94,15 @@ class TestInitWithDummies:
         )
         mp = master_for(inst)
         assert mp.big_m == 6
-        assert len(mp.columns) == 3
-        assert all(c.is_dummy and mp.cost(c) == 6 for c in mp.columns)
+        assert mp.columns == []
+        # the three dummies live in the model: cost 6, a unit entry in their own cover row
+        lp = mp._lp.getLp()
+        assert list(lp.col_cost_) == [6.0] * 3
+        assert list(lp.a_matrix_.start_) == [0, 1, 2, 3] and list(lp.a_matrix_.index_) == [0, 1, 2]
+        assert list(lp.a_matrix_.value_) == [1.0] * 3
         res = solve_lp(mp)
         assert res.objective == pytest.approx(18.0)
+        assert res.values == ()
 
     def test_single_vertex(self):
         inst = make_instance(1, [], [[0]], weights={0: 4})
@@ -152,7 +136,7 @@ class TestSolveLP:
         expected = brute_force_selection_cost(mp, mp.columns)
         assert expected == 1
         assert res.objective == pytest.approx(expected)
-        assert res.values[2] == pytest.approx(1.0)
+        assert res.values == pytest.approx((1.0,))
 
     def test_singleton_cover_of_triangle(self):
         inst = make_instance(3, [(0, 1), (1, 2), (0, 2)], [[0, 1, 2]] * 3, weights={0: 2, 1: 2, 2: 2})
@@ -193,9 +177,7 @@ class TestSolveLP:
         add_columns(mp, [Column(0b01, 0), Column(0b10, 0), Column(0b01, 1), Column(0b10, 1)])
         res = solve_lp(mp)
         assert res.objective < mp.big_m
-        assert all(
-            x <= EPS for col, x in zip(res.columns, res.values) if col.is_dummy
-        )
+        assert all(x <= EPS for x in mp._lp.getSolution().col_value[:2])
 
     def test_deterministic_given_pool(self):
         inst = make_instance(3, [(0, 1)], [[0, 1]] * 3)
@@ -261,7 +243,8 @@ class TestAddColumns:
         inst = make_instance(2, [], [[0], [0, 1]])
         mp = master_for(inst)
         add_columns(mp, [Column(0b11, 0)])
-        assert len(mp.columns) == 3
+        assert mp.columns == [Column(0b11, 0)]
+        assert mp._lp.getNumCol() == 3
 
     def test_one_column_per_class(self):
         inst = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 1, 1: 2})
@@ -269,7 +252,7 @@ class TestAddColumns:
         part = partition_colors(inst)
         cols = [Column(0b11, k) for k in part.reps]
         add_columns(mp, cols)
-        assert len(mp.columns) == 2 + len(part.reps)
+        assert mp.columns == cols and len(cols) == len(part.reps)
 
     def test_duplicate_rejected(self):
         inst = make_instance(2, [], [[0], [0, 1]])
@@ -280,8 +263,8 @@ class TestAddColumns:
         with pytest.raises(DuplicateColumnError):
             add_columns(mp, [Column(0b01, 0), Column(0b01, 0)])
         # a rejected batch leaves the pool and its LP untouched
-        assert len(mp.columns) == 3
-        assert len(solve_lp(mp).values) == 3
+        assert len(mp.columns) == 1 and mp._lp.getNumCol() == 3
+        assert len(solve_lp(mp).values) == 1
 
     # colors 0 and 1 form the class of representative 0 on V = {0, 1};
     # color 2 lives on {1, 2}; vertices 0 and 1 are adjacent
@@ -289,7 +272,7 @@ class TestAddColumns:
         "col, message",
         [
             (Column(0, 0), "empty column"),
-            (Column(0b001, None), "dummy columns are created only at initialization"),
+            (Column(0b001, None), "column class None is not a representative"),
             (Column(0b001, 1), "column class 1 is not a representative"),
             (Column(0b100, 0), "column leaves V_k of class 0"),
             (Column(0b011, 0), "column is not a stable set"),
@@ -304,7 +287,7 @@ class TestAddColumns:
         with pytest.raises(ValueError, match=message):
             add_columns(mp, [Column(0b001, 0), col])
         # the valid column in front of it was not appended either
-        assert len(mp.columns) == 3
+        assert mp.columns == [] and mp._lp.getNumCol() == 3
 
 
 def fake_result(columns, values, objective=0.0):
@@ -319,7 +302,7 @@ def fake_result(columns, values, objective=0.0):
 
 class TestIntegralPointIsALeaf:
     def test_integral(self):
-        cols = [Column(0b011, 0), Column(0b100, 0), Column(0b001, None)]
+        cols = [Column(0b011, 0), Column(0b100, 0), Column(0b001, 0)]
         res = fake_result(cols, [1.0, 1.0, 0.0])
         assert select_branching_pair(res) is None
 
@@ -345,7 +328,7 @@ class TestExtractIntegerSolution:
         add_columns(mp, [Column(0b011, 0), Column(0b100, 1), Column(0b100, 2)])
         res = LPResult(
             objective=3.0,
-            values=(0.0, 0.0, 0.0, 1.0, 0.5, 0.5),
+            values=(1.0, 0.5, 0.5),
             columns=tuple(mp.columns),
             duals=DualSolution((1.0, 0.0, 2.0), {}),
         )
@@ -371,7 +354,7 @@ class TestExtractIntegerSolution:
         add_columns(mp, cols)
         res = LPResult(
             objective=5.0,
-            values=(0.0, 0.0, 0.5, 0.5, 0.5, 0.5),
+            values=(0.5, 0.5, 0.5, 0.5),
             columns=tuple(mp.columns),
             duals=DualSolution((2.5, 2.5), {0: 0.5}),
         )
@@ -387,7 +370,7 @@ class TestExtractIntegerSolution:
         add_columns(mp, [Column(0b11, 0)])
         res = LPResult(
             objective=1.0,
-            values=(0.0, 0.0, 1.0),
+            values=(1.0,),
             columns=tuple(mp.columns),
             duals=DualSolution((1.0, 0.0), {}),
         )
@@ -400,7 +383,7 @@ class TestExtractIntegerSolution:
         add_columns(mp, [Column(0b11, 0)])
         res = LPResult(
             objective=2.0,
-            values=(0.0, 0.0, 1.0),
+            values=(1.0,),
             columns=tuple(mp.columns),
             duals=DualSolution((1.0, 1.0), {}),
         )
@@ -484,9 +467,7 @@ def test_extraction_matches_residual_linprog(data):
 
     cols = mp.columns
     residual = [v for v in range(n) if not covered >> v & 1]
-    cand = [
-        i for i, col in enumerate(cols) if col.size == 1 and not col.is_dummy and col.mask & ~covered
-    ]
+    cand = [i for i, col in enumerate(cols) if col.size == 1 and col.mask & ~covered]
     fixed = sum(mp.cost(col) for col in at_one)
     values = [0.0] * len(cols)
     for col in at_one:
@@ -495,9 +476,7 @@ def test_extraction_matches_residual_linprog(data):
     ref = residual_linprog(mp, at_one, residual, [cols[i] for i in cand])
     best = residual_linprog(mp, at_one, residual, [col for col in singles if col.mask & ~covered])
     if ref is None:
-        # only the big-M dummies cover what the singletons cannot
-        for v in residual:
-            values[v] = 1.0
+        # only the big-M dummies, outside the pool, cover what the singletons cannot
         objective = mp.big_m * len(residual)
     else:
         objective, x = ref
@@ -528,7 +507,7 @@ def test_color_without_pool_singleton_beats_point():
     add_columns(mp, [Column(0b011, 0), Column(0b100, 2)])
     res = LPResult(
         objective=5.0,
-        values=(0.0, 0.0, 0.0, 1.0, 1.0),
+        values=(1.0, 1.0),
         columns=tuple(mp.columns),
         duals=DualSolution((1.0, 0.0, 4.0), {}),
     )
@@ -536,56 +515,8 @@ def test_color_without_pool_singleton_beats_point():
         extract_integer_solution(mp, res)
 
 
-def root_optimum(inst):
-    """The root master of inst and its LP optimum, priced out by bnp.price_out."""
-    mp = master_for(inst)
-    return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
-
-
-class TestDive:
-    # root LP 5.67, with a fractional big column to branch on
-    INST = generate(GenConfig(n=20, p=0.5, c=1.0, q=0.5, seed=3))
-
-    def test_coloring_no_lighter_than_the_bound(self):
-        mp, res = root_optimum(self.INST)
-        assert select_branching_pair(res) is not None
-        coloring = dive(mp, res, math.inf)
-        assert coloring is not None
-        assert validate_coloring(self.INST, coloring) >= node_lower_bound(res, mp.big_m)
-
-    @pytest.mark.parametrize("above", [0, -1])
-    def test_cutoff_at_or_below_the_bound_gives_up(self, above):
-        mp, res = root_optimum(self.INST)
-        assert dive(mp, res, node_lower_bound(res, mp.big_m) + above) is None
-
-    def test_cutoff_above_the_coloring_keeps_it(self):
-        mp, res = root_optimum(self.INST)
-        free = dive(mp, res, math.inf)
-        mp, res = root_optimum(self.INST)
-        assert dive(mp, res, validate_coloring(self.INST, free) + 1) == free
-
-    def test_pool_unchanged(self):
-        mp, res = root_optimum(self.INST)
-        pool = list(mp.columns)
-        dive(mp, res, math.inf)
-        assert mp.columns == pool == list(res.columns)
-
-    def test_deterministic(self):
-        first = dive(*root_optimum(self.INST), math.inf)
-        assert dive(*root_optimum(self.INST), math.inf) == first
-
-    def test_positive_dummy_gives_up(self):
-        # no pool column covers vertex 1, so its dummy stays at one
-        inst = make_instance(2, [(0, 1)], [[0], [0, 1]])
-        mp = master_for(inst)
-        add_columns(mp, [Column(0b01, 0)])
-        res = solve_lp(mp)
-        assert res.values[1] == pytest.approx(1.0)
-        assert dive(mp, res, math.inf) is None
-
-
 class TestModelHandOff:
-    INST = TestDive.INST
+    INST = generate(GenConfig(n=20, p=0.5, c=1.0, q=0.5, seed=3))
 
     def test_next_master_after_a_dive_starts_primal_from_zero_bounds(self):
         lp = master.new_model()
@@ -597,12 +528,12 @@ class TestModelHandOff:
         assert lp.getOptionValue("simplex_strategy")[1] == master._DUAL_SIMPLEX
         assert max(lp.getLp().col_lower_) == 1.0
 
-        pool = [col for col in mp.columns if not col.is_dummy]
-        child = open_node(branch_differ(root.state, u, v), pool, root.state.merge_map)
+        child = open_node(branch_differ(root.state, u, v), mp.columns, root.state.merge_map)
         assert child.pool
         handed = init_with_dummies(*child, lp)
         assert lp.getOptionValue("simplex_strategy")[1] == master._PRIMAL_SIMPLEX
-        assert lp.getLp().col_lower_ == [0.0] * len(handed.columns)
+        assert lp.getNumCol() == child.state.instance.n + len(handed.columns)
+        assert lp.getLp().col_lower_ == [0.0] * lp.getNumCol()
         assert solve_lp(handed) == solve_lp(init_with_dummies(*child))
 
     def test_masters_on_their_own_models_do_not_interfere(self):
@@ -629,36 +560,6 @@ class TestModelHandOff:
         assert interleaved == alone
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=12, max_value=18),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_dive_resolves_match_cold_linprog(n, seed):
-    """After each fixing, the dive's warm dual simplex optimum is the cold optimum."""
-    mp, res = root_optimum(generate(GenConfig(n=n, p=0.5, c=1.0, q=0.5, seed=seed)))
-    assume(select_branching_pair(res) is not None)
-    lower = [0.0] * len(mp.columns)
-    points = [res]
-
-    def checked(mp):
-        after = mp._lp.getLp().col_lower_
-        raised = [i for i, (a, b) in enumerate(zip(lower, after)) if a != b]
-        # one more column fixed at one, fractional in the point before
-        assert len(raised) == 1 and after[raised[0]] == 1.0
-        assert raised[0] in [i for i, _, _ in master.fractional_big_columns(points[-1])]
-        lower[:] = after
-        res = solve_lp(mp)
-        assert res.objective == pytest.approx(cold_linprog_objective(mp, lower), rel=1e-9, abs=1e-9)
-        points.append(res)
-        return res
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(bnp, "solve_lp", checked)
-        dive(mp, res, math.inf)
-    assert len(points) > 1
-
-
 def scalar_fractional_scan(res):
     """fractional_big_columns as the per-column comprehension it replaced."""
     pool = enumerate(zip(res.columns, res.values))
@@ -683,14 +584,13 @@ _values = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(min_value=1, max_value=63), st.sampled_from([None, 0, 1]), _values),
+        st.tuples(st.integers(min_value=1, max_value=63), st.sampled_from([0, 1]), _values),
         max_size=30,
     ),
     st.booleans(),
 )
 def test_fractional_scan_matches_scalar_comprehension(pool, as_array):
     """The numpy scan keeps the scalar test's verdicts, order and float values."""
-    # None on a singleton is a dummy; on a bigger mask it still counts by size
     columns = tuple(Column(mask, k) for mask, k, _ in pool)
     values = [x for _, _, x in pool]
     res = LPResult(
@@ -704,60 +604,19 @@ def test_fractional_scan_matches_scalar_comprehension(pool, as_array):
     assert all(type(x) is float for _, _, x in scan)
 
 
-class TestSharedFractionalRule:
-    """Branching and the dive call the same big columns fractional."""
-
-    # edgeless, one class of two colors: three dummies, then {0,1} and {1,2}
-    INST = make_instance(3, [], [[0, 1]] * 3)
-
-    def lp_at(self, x01, x12):
-        mp = master_for(self.INST)
-        add_columns(mp, [Column(0b011, 0), Column(0b110, 0)])
-        res = LPResult(
-            objective=x01 + x12,
-            values=(0.0, 0.0, 0.0, x01, x12),
-            columns=tuple(mp.columns),
-            duals=DualSolution((0.0,) * 3, {}),
-        )
-        return mp, res
-
-    def test_within_eps_of_an_integer_is_integral(self, monkeypatch):
-        mp, res = self.lp_at(1 - EPS / 2, EPS / 2)
-        assert select_branching_pair(res) is None
-
-        def no_solve(mp):
-            raise AssertionError("the dive re-solved an integral point")
-
-        monkeypatch.setattr(bnp, "solve_lp", no_solve)
-        coloring = dive(mp, res, math.inf)
-        validate_coloring(self.INST, coloring)
-        assert coloring[0] == coloring[1]  # read off as one column
-
-    def test_half_is_fractional(self, monkeypatch):
-        mp, res = self.lp_at(0.5, 0.5)
-        assert select_branching_pair(res) is not None
-        solves = []
-
-        def counting(mp):
-            solves.append(mp)
-            return solve_lp(mp)
-
-        monkeypatch.setattr(bnp, "solve_lp", counting)
-        coloring = dive(mp, res, math.inf)
-        # fixing {0,1} leaves {1,2} at 1 as the only cover of vertex 2
-        assert len(solves) == 1
-        validate_coloring(self.INST, coloring)
-
-
 class TestNodeLowerBound:
+    # one vertex whose one color weighs 99: big-M 100
+    MP = master_for(make_instance(1, [], [[0]], weights={0: 99}))
+
     def test_rounds_up_within_eps(self):
         res = fake_result([Column(0b1, 0)], [1.0], objective=2.000001)
-        assert node_lower_bound(res, big_m=100) == 2
+        assert node_lower_bound(self.MP, res) == 2
 
     def test_fractional_rounds_up(self):
         res = fake_result([Column(0b1, 0)], [1.0], objective=2.5)
-        assert node_lower_bound(res, big_m=100) == 3
+        assert node_lower_bound(self.MP, res) == 3
 
     def test_big_m_means_infeasible(self):
+        assert self.MP.big_m == 100
         res = fake_result([Column(0b1, 0)], [1.0], objective=100.0)
-        assert node_lower_bound(res, big_m=100) == math.inf
+        assert node_lower_bound(self.MP, res) == math.inf
