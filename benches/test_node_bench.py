@@ -50,7 +50,7 @@ def test_dive_at_c7_root(benchmark):
     node = root.state.instance
 
     def priced_out_root():
-        mp = init_with_dummies(*root)
+        mp = init_with_dummies(*root, new_model())
         return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
 
     mp, res = priced_out_root()
@@ -64,7 +64,7 @@ def test_inherit_columns_deep_child(benchmark):
     # c7 cell seed 3: the 465 columns of the priced-out root, translated
     # into its SAME child of 49 vertices, which keeps 399 of them
     root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=3))))
-    mp = init_with_dummies(*root)
+    mp = init_with_dummies(*root, new_model())
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
     child = open_node(branch_same(root.state, *select_branching_pair(res)))
     kept = benchmark(inherit_columns, mp.columns, root.state.merge_map, child.state, child.partition)
@@ -75,7 +75,7 @@ def test_init_with_dummies_deep_child(benchmark):
     # the master of that SAME child: its 49 dummies and the 399 inherited
     # columns, built on one lent model as the search builds every master
     root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=3))))
-    mp = init_with_dummies(*root)
+    mp = init_with_dummies(*root, new_model())
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
     same = branch_same(root.state, *select_branching_pair(res))
     child = open_node(same, mp.columns, root.state.merge_map)

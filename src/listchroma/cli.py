@@ -21,10 +21,12 @@ from contextlib import AbstractContextManager, nullcontext
 from itertools import product
 from typing import TextIO
 
-from .core import ColoringError, EmptyListError, Graph, Instance, build_instance, validate_coloring
+from .core import (
+    ColoringError, Deadline, EmptyListError, Graph, Instance, build_instance, validate_coloring,
+)
 from .bnp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, TIME_LIMIT, SolveReport, solve
 from .instgen import GENERATOR_NAME, GenConfig, generate
-from .oracle import TooLargeError, oracle_solve
+from .oracle import DEFAULT_CAP, TooLargeError, oracle_solve
 
 SEED_ENV = "LISTCHROMA_SEED"
 
@@ -39,6 +41,24 @@ class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+def _line_ints(lineno: int, parts: list[str], shape: str, fields_are: str) -> list[int]:
+    """The integer fields of a line of the given shape, say 'e <u> <v>', after its plain words.
+
+    One integer per <field>, any number for a last '<...s...>'. ParseError
+    says which shape was expected, or that fields_are "must be integers".
+    """
+    words = shape.split()
+    head = [word for word in words if word[0] != "<"]
+    fields, arity = parts[len(head) :], len(words) - len(head)
+    bad_arity = len(fields) < arity - 1 if shape.endswith("...>") else len(fields) != arity
+    if parts[: len(head)] != head or bad_arity:
+        raise ParseError(lineno, f"expected '{shape}'")
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError(lineno, f"{fields_are} must be integers") from None
 
 
 def parse_instance(path: str) -> tuple[Instance, list[str]]:
@@ -65,12 +85,7 @@ def parse_instance(path: str) -> tuple[Instance, list[str]]:
     if not body:
         raise ParseError(len(raw) + 1, "missing problem line")
     lineno, parts = body[0]
-    if len(parts) != 5 or parts[0] != "p" or parts[1] != "mwlcp":
-        raise ParseError(lineno, "expected 'p mwlcp <n> <m> <ncolors>'")
-    try:
-        n, m, ncolors = int(parts[2]), int(parts[3]), int(parts[4])
-    except ValueError:
-        raise ParseError(lineno, "problem line counts must be integers") from None
+    n, m, ncolors = _line_ints(lineno, parts, "p mwlcp <n> <m> <ncolors>", "problem line counts")
     if n < 1 or m < 0 or ncolors < 1:
         raise ParseError(lineno, "problem line counts out of range")
     expected = 1 + m + ncolors + n
@@ -83,12 +98,7 @@ def parse_instance(path: str) -> tuple[Instance, list[str]]:
     edges: list[tuple[int, int]] = []
     seen_edges: set[tuple[int, int]] = set()
     for lineno, parts in body[1 : 1 + m]:
-        if len(parts) != 3 or parts[0] != "e":
-            raise ParseError(lineno, "expected 'e <u> <v>'")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, "edge endpoints must be integers") from None
+        u, v = _line_ints(lineno, parts, "e <u> <v>", "edge endpoints")
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(lineno, f"edge endpoint out of range 1..{n}")
         if u == v:
@@ -101,12 +111,7 @@ def parse_instance(path: str) -> tuple[Instance, list[str]]:
 
     weights: dict[int, int] = {}
     for lineno, parts in body[1 + m : 1 + m + ncolors]:
-        if len(parts) != 3 or parts[0] != "w":
-            raise ParseError(lineno, "expected 'w <color> <weight>'")
-        try:
-            j, wj = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, "color id and weight must be integers") from None
+        j, wj = _line_ints(lineno, parts, "w <color> <weight>", "color id and weight")
         if j < 1:
             raise ParseError(lineno, "color ids are 1-based")
         if wj < 0:
@@ -117,14 +122,7 @@ def parse_instance(path: str) -> tuple[Instance, list[str]]:
 
     lists: dict[int, list[int]] = {}
     for lineno, parts in body[1 + m + ncolors :]:
-        if len(parts) < 3 or parts[0] != "l":
-            raise ParseError(lineno, "expected 'l <v> <len> <colors...>'")
-        try:
-            v = int(parts[1])
-            length = int(parts[2])
-            cols = [int(x) for x in parts[3:]]
-        except ValueError:
-            raise ParseError(lineno, "list line fields must be integers") from None
+        v, length, *cols = _line_ints(lineno, parts, "l <v> <len> <colors...>", "list line fields")
         if not 1 <= v <= n:
             raise ParseError(lineno, f"vertex {v} out of range 1..{n}")
         if v - 1 in lists:
@@ -483,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("solution", help="solution record path (key=value format)")
     k.add_argument("--oracle", action="store_true",
                    help="also compare against the brute-force oracle")
-    k.add_argument("--oracle-cap", type=int, default=14, help="oracle vertex cap")
+    k.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP, help="oracle vertex cap")
     k.set_defaults(func=cmd_check)
 
     b = sub.add_parser("bench", help="run a benchmark grid and print the table")
@@ -508,11 +506,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 means infeasible here
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_INPUT_ERROR
-    # solve and bench: a NaN limit would never expire, and a negative one is no
-    # budget (core.Deadline refuses both too, for callers of the library)
-    time_limit = getattr(args, "time_limit", None)
-    if time_limit is not None and not time_limit >= 0:
-        print(f"error: --time-limit must be a number >= 0, got {time_limit}", file=sys.stderr)
+    try:  # solve and bench: a limit core.Deadline refuses, before any solve
+        Deadline(getattr(args, "time_limit", None))
+    except ValueError as exc:
+        print(f"error: {str(exc).replace('time limit', '--time-limit', 1)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)

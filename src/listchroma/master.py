@@ -5,21 +5,22 @@ The LP is
     s.t. sum_{columns covering v} x >= 1          (one row per vertex)
          sum_{columns of class k} x <= |C^k|      (bounded classes only)
          x >= 0
-The LP lives in a HiGHS model (new_model) that one solve owns and lends to
-the master of each node in turn: MasterProblem clears it and adds the node's
-rows, and init_with_dummies appends the dummies and the inherited columns
-and sets the all-dummy basis (dummies basic, every other column and every
-cover row at its lower bound, class rows basic). That basis is primal
-feasible at every node and optimal at the root, so no node's first solve
-presolves or runs a phase 1. New columns are appended to the model and every
-round of bnp.price_out re-solves it (solve_lp) with primal simplex from the
-previous basis, which the new columns leave primal feasible. The model is
-scipy's bundled HiGHS binding, scipy.optimize._highspy._core._Highs, a
-private API; every use of it stays in this module. scipy_ext loads the
-binding from its file, so importing the solver does not run scipy.optimize's
-package init. Vertex duals pi and class duals gamma are the row duals, with
-the sign flipped on the <= class rows. Upper bounds x <= 1 are intentionally
-absent; non-negative costs make them redundant at some optimum.
+The LP lives in a HiGHS model (new_model) that every master borrows from its
+caller; one solve lends its model to the master of each node in turn.
+MasterProblem clears it and adds the node's rows, and init_with_dummies
+appends the dummies and the inherited columns and sets the all-dummy basis
+(dummies basic, every other column and every cover row at its lower bound,
+class rows basic). That basis is primal feasible at every node and optimal
+at the root, so no node's first solve presolves or runs a phase 1. New
+columns are appended to the model and every round of bnp.price_out re-solves
+it (solve_lp) with primal simplex from the previous basis, which the new
+columns leave primal feasible. The model is scipy's bundled HiGHS binding,
+scipy.optimize._highspy._core._Highs, a private API; every use of it stays
+in this module. scipy_ext loads the binding from its file, so importing the
+solver does not run scipy.optimize's package init. Vertex duals pi and class
+duals gamma are the row duals, with the sign flipped on the <= class rows.
+Upper bounds x <= 1 are intentionally absent; non-negative costs make them
+redundant at some optimum.
 
 A column is only its (stable set, class) pair. The master alone decides
 what is a column of a node (column_fault) and what it costs
@@ -218,16 +219,14 @@ def column_fault(col: Column, inst: Instance, partition: ColorPartition) -> str 
 
 
 def init_with_dummies(
-    state: NodeState,
-    partition: ColorPartition,
-    inherited: Sequence[Column] = (),
-    lp: _highs._Highs | None = None,
+    state: NodeState, partition: ColorPartition, inherited: Sequence[Column], lp: _highs._Highs
 ) -> MasterProblem:
     """Master whose pool is inherited; its model holds one big-M dummy per vertex first.
 
-    The master is built on lp (a new_model() of its own when None) and starts
-    from the all-dummy basis. inherited must be distinct and pass
-    column_fault; it is not checked again.
+    The caller lends lp, a new_model(), as the search lends its one model
+    per solve to each node in turn; the master clears it and starts from the
+    all-dummy basis. inherited must be distinct and pass column_fault; it is
+    not checked again.
     From big-M = 2**53 on, node_lower_bound could no longer tell a coloring
     from a dummy in float64, so such weights raise NumericalFailure.
     """
@@ -237,7 +236,7 @@ def init_with_dummies(
     big_m = 1 + sum(inst.weights[j] for j in inst.colors)
     if big_m >= 2**53:
         raise NumericalFailure(f"big-M {big_m} is beyond exact float64 arithmetic")
-    mp = MasterProblem(state, partition, big_m, new_model() if lp is None else lp)
+    mp = MasterProblem(state, partition, big_m, lp)
     mp._append(inherited, dummies=inst.n)
     basis = _highs.HighsBasis()
     basis.col_status = [_BASIC] * inst.n + [_LOWER] * len(inherited)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 from .core import Instance, ListColoring, list_coloring, partition_colors
 
+DEFAULT_CAP = 14  # vertices; oracle_solve and `check --oracle-cap` refuse more by default
+
 
 class TooLargeError(ValueError):
     """Instance exceeds the enumeration cap."""
@@ -46,7 +48,7 @@ def placement_order(inst: Instance) -> list[int]:
     return order
 
 
-def oracle_solve(inst: Instance, cap: int = 14) -> OracleResult:
+def oracle_solve(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact optimum by backtracking over the vertices in placement_order.
 
     Position i of the search holds vertex order[i]; the witness is mapped

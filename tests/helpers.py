@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from listchroma import bnp
 from listchroma.core import EPS, Graph, Instance, build_instance, partition_colors, root_state
-from listchroma.master import init_with_dummies
+from listchroma.master import init_with_dummies, new_model
 
 
 def make_instance(n, edges, lists, weights=None) -> Instance:
@@ -24,8 +24,8 @@ def make_instance(n, edges, lists, weights=None) -> Instance:
 
 
 def master_for(inst):
-    """The root master of inst, built on the instance as it is (no preprocessing)."""
-    return init_with_dummies(root_state(inst), partition_colors(inst))
+    """The root master of inst on a new model, built on the instance as it is (no preprocessing)."""
+    return init_with_dummies(root_state(inst), partition_colors(inst), (), new_model())
 
 
 def cold_linprog_objective(mp, lower=None):

@@ -27,7 +27,7 @@ from listchroma.core import (
     validate_coloring,
 )
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import Column, DualSolution, LPResult, add_columns, extract_integer_solution, init_with_dummies
+from listchroma.master import Column, DualSolution, LPResult, add_columns, extract_integer_solution, init_with_dummies, new_model
 from listchroma.oracle import oracle_solve
 
 from helpers import (
@@ -231,7 +231,7 @@ def test_criterion_5_singleton_extraction(suite):
 
         # direct exercise of the path on optimal degenerate LP points
         inst = make_instance(3, [], [[0, 2], [0], [1, 2]], weights={0: 1, 1: 2, 2: 2})
-        mp = init_with_dummies(root_state(inst), partition_colors(inst))
+        mp = init_with_dummies(root_state(inst), partition_colors(inst), (), new_model())
         add_columns(mp, [Column(0b011, 0), Column(0b100, 1), Column(0b100, 2)])
         res = LPResult(
             objective=3.0,
@@ -242,7 +242,7 @@ def test_criterion_5_singleton_extraction(suite):
         assert_leaf_read_off(inst, res, extract_integer_solution(mp, res))
 
         inst2 = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 2, 1: 3})
-        mp2 = init_with_dummies(root_state(inst2), partition_colors(inst2))
+        mp2 = init_with_dummies(root_state(inst2), partition_colors(inst2), (), new_model())
         add_columns(
             mp2,
             [Column(0b01, 0), Column(0b10, 0), Column(0b01, 1), Column(0b10, 1)],

@@ -43,6 +43,7 @@ from listchroma.master import (
     add_columns,
     column_fault,
     init_with_dummies,
+    new_model,
     node_lower_bound,
     solve_lp,
 )
@@ -328,7 +329,7 @@ class TestInheritColumns:
         child = open_node(branch_same(state, 0, 1), [Column(0b1100, 0)], state.merge_map)
         assert child.state.fixed == ((0, 0), (1, 0)) and child.state.instance.weights[0] == 0
         assert child.pool == [Column(0b11, 0)]
-        mp = init_with_dummies(*child)
+        mp = init_with_dummies(*child, new_model())
         assert mp.cost(child.pool[0]) == 0
         res = solve_lp(mp)
         assert res.values == pytest.approx((1.0,))
@@ -343,7 +344,7 @@ class TestInheritColumns:
             kept_lists[id(kept)] = kept
             return kept
 
-        def recording_init(state, partition, inherited=(), lp=None):
+        def recording_init(state, partition, inherited, lp):
             mp = init(state, partition, inherited, lp)
             seeded.append((state.instance.n, list(mp.columns), inherited, mp._lp.getNumCol()))
             return mp
@@ -589,7 +590,7 @@ class TestModelHandOff:
         dives, seen = [], []
         init, real_dive = bnp.init_with_dummies, bnp.dive
 
-        def recording_init(state, partition, inherited=(), lp=None):
+        def recording_init(state, partition, inherited, lp):
             mp = init(state, partition, inherited, lp)
             lower = mp._lp.getLp().col_lower_
             seen.append((len(dives), mp._lp, mp._lp.getOptionValue("simplex_strategy")[1], lower))
@@ -630,7 +631,7 @@ class TestPriceOut:
     INST = generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=3))
 
     def root_master(self):
-        return init_with_dummies(*open_node(root_state(self.INST)))
+        return init_with_dummies(*open_node(root_state(self.INST)), new_model())
 
     def test_counts_what_solve_reports_and_proves_the_optimum(self):
         solved = solve(self.INST)

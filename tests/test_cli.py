@@ -83,6 +83,79 @@ class TestParsing:
             parse_instance(path)
         assert err.value.lineno == lineno
 
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("c no problem line\n", 2, "missing problem line"),
+            ("p mwlcp 2 1\n", 1, "expected 'p mwlcp <n> <m> <ncolors>'"),
+            ("p mwlcp 2 x 1\n", 1, "problem line counts must be integers"),
+            ("p mwlcp 0 0 1\n", 1, "problem line counts out of range"),
+            (
+                "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\n",
+                4,
+                "expected 4 data lines after the problem line, got 3",
+            ),
+            ("p mwlcp 2 1 1\nf 1 2\nw 1 1\nl 1 1 1\nl 2 1 1\n", 2, "expected 'e <u> <v>'"),
+            ("p mwlcp 2 1 1\ne 1 b\nw 1 1\nl 1 1 1\nl 2 1 1\n", 2, "edge endpoints must be integers"),
+            ("p mwlcp 2 1 1\ne 1 3\nw 1 1\nl 1 1 1\nl 2 1 1\n", 2, "edge endpoint out of range 1..2"),
+            ("p mwlcp 2 1 1\ne 2 2\nw 1 1\nl 1 1 1\nl 2 1 1\n", 2, "self-loops are not allowed"),
+            (
+                "p mwlcp 2 2 1\ne 1 2\nc comment\ne 2 1\nw 1 1\nl 1 1 1\nl 2 1 1\n",
+                4,
+                "duplicate edge (1, 2)",
+            ),
+            ("p mwlcp 2 1 1\ne 1 2\nw 1\nl 1 1 1\nl 2 1 1\n", 3, "expected 'w <color> <weight>'"),
+            (
+                "p mwlcp 2 1 1\ne 1 2\nw 1 1.5\nl 1 1 1\nl 2 1 1\n",
+                3,
+                "color id and weight must be integers",
+            ),
+            ("p mwlcp 2 1 1\ne 1 2\nw 0 1\nl 1 1 1\nl 2 1 1\n", 3, "color ids are 1-based"),
+            ("p mwlcp 2 1 1\ne 1 2\nw 1 -4\nl 1 1 1\nl 2 1 1\n", 3, "weights must be non-negative"),
+            (
+                "p mwlcp 2 1 2\ne 1 2\nw 1 1\n\nw 1 2\nl 1 1 1\nl 2 1 1\n",
+                5,
+                "duplicate weight line for color 1",
+            ),
+            (
+                "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1\nl 2 1 1\n",
+                4,
+                "expected 'l <v> <len> <colors...>'",
+            ),
+            (
+                "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 a\nl 2 1 1\n",
+                4,
+                "list line fields must be integers",
+            ),
+            ("p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 3 1 1\nl 2 1 1\n", 4, "vertex 3 out of range 1..2"),
+            (
+                "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 1\nl 1 1 1\n",
+                5,
+                "duplicate list line for vertex 1",
+            ),
+            (
+                "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 2 1\nl 2 1 1\n",
+                4,
+                "declared length 2 but 1 colors",
+            ),
+            (
+                "p mwlcp 2 1 2\ne 1 2\nw 1 1\nw 2 1\nl 1 2 1 1\nl 2 1 1\n",
+                5,
+                "duplicate color in list",
+            ),
+            (
+                "p mwlcp 2 1 1\ne 1 2\nw 1 1\nl 1 1 2\nl 2 1 1\n",
+                4,
+                "list references undeclared color 2",
+            ),
+        ],
+    )
+    def test_every_error_names_its_line_and_problem(self, tmp_path, text, lineno, message):
+        # one file per raise site of parse_instance
+        with pytest.raises(ParseError) as err:
+            parse_instance(write(tmp_path, "bad.col", text))
+        assert (err.value.lineno, str(err.value)) == (lineno, f"line {lineno}: {message}")
+
     def test_missing_lines_detected(self, tmp_path):
         path = write(tmp_path, "short.col", "p mwlcp 2 0 1\nw 1 1\nl 1 1 1\n")
         with pytest.raises(ParseError):

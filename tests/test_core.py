@@ -26,6 +26,7 @@ from listchroma.master import (
     add_columns,
     extract_integer_solution,
     init_with_dummies,
+    new_model,
 )
 from listchroma.oracle import oracle_solve
 
@@ -401,7 +402,7 @@ def read_off_big_columns(inst, chosen):
     The pool is chosen, in that order.
     """
     state = root_state(inst)
-    mp = init_with_dummies(state, partition_colors(inst))
+    mp = init_with_dummies(state, partition_colors(inst), (), new_model())
     add_columns(mp, [Column(mask, k) for mask, k in chosen])
     res = LPResult(
         objective=float(sum(inst.weights[k] for _, k in chosen)),

@@ -32,14 +32,20 @@ def test_every_wrapped_layer_fires(monkeypatch):
     tracer = spans.Tracer()
     solve = spans.wrap_solve(tracer, bnp.solve)
     shared = []  # PricingStats.cache_hits of every round, read past the hook
-    price_all = bnp.price_all
+    verdicts = []  # asg.all_complete's answer per node: True skips the master
+    price_all, all_complete = bnp.price_all, bnp.asg.all_complete
 
     def recording(*args, **kwargs):
         outcome = price_all(*args, **kwargs)
         shared.append(outcome.stats.cache_hits)
         return outcome
 
+    def recording_all_complete(*args):
+        verdicts.append(all_complete(*args))
+        return verdicts[-1]
+
     monkeypatch.setattr(bnp, "price_all", recording)
+    monkeypatch.setattr(bnp.asg, "all_complete", recording_all_complete)
     # a grid instance of five nodes: inheritance, a leaf read-off, and
     # classes on one vertex set that share a pricing search
     branching = generate(GenConfig(n=10, p=0.5, c=1.5, q=0.5, seed=20179, weight_range=(1, 10)))
@@ -60,6 +66,11 @@ def test_every_wrapped_layer_fires(monkeypatch):
         "assignment.all_complete", "assignment.solve_assignment",
     }
     assert {name for name in wrapped if not fired[name]} == set()
+    # master imports solve_assignment by name, so the LP leaf read-offs
+    # (master.extract) are no assignment spans and assignment.hit_ratio
+    # counts only the nodes that all_complete accepted
+    assert fired["master.extract"] > 0
+    assert fired["assignment.solve_assignment"] == sum(verdicts) > 0
 
     counts = tracer.counts
     assert counts["nodes"] == first.nodes + second.nodes

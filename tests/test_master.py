@@ -534,14 +534,14 @@ class TestModelHandOff:
         assert lp.getOptionValue("simplex_strategy")[1] == master._PRIMAL_SIMPLEX
         assert lp.getNumCol() == child.state.instance.n + len(handed.columns)
         assert lp.getLp().col_lower_ == [0.0] * lp.getNumCol()
-        assert solve_lp(handed) == solve_lp(init_with_dummies(*child))
+        assert solve_lp(handed) == solve_lp(init_with_dummies(*child, master.new_model()))
 
     def test_masters_on_their_own_models_do_not_interfere(self):
         insts = [generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=seed)) for seed in (3, 4)]
 
         def rounds(inst):
-            """Every LP optimum of the root's column generation."""
-            mp = master_for(inst)
+            """Every LP optimum of the root's column generation, on a model of its own."""
+            mp = init_with_dummies(root_state(inst), partition_colors(inst), (), master.new_model())
             while True:
                 res = solve_lp(mp)
                 yield res

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from listchroma import oracle
+from listchroma.cli import build_parser
 from listchroma.core import EmptyListError, validate_coloring
 from listchroma.oracle import TooLargeError, oracle_solve, placement_order
 
@@ -50,6 +51,15 @@ def test_cap_enforced():
     with pytest.raises(TooLargeError):
         oracle_solve(inst, cap=14)
     assert oracle_solve(inst, cap=15).optimum == 1
+
+
+def test_one_default_cap_for_the_library_and_the_cli():
+    # the benchmark's grid runs oracle_solve(inst), so the default stays 14
+    assert oracle.DEFAULT_CAP == 14
+    args = build_parser().parse_args(["check", "inst.col", "inst.sol", "--oracle"])
+    assert args.oracle_cap == oracle.DEFAULT_CAP
+    with pytest.raises(TooLargeError, match="capped at 14 vertices, got 15"):
+        oracle_solve(make_instance(15, [], [[0]] * 15))
 
 
 def test_search_deeper_than_the_recursion_limit_is_too_large():

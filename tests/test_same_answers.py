@@ -1,4 +1,4 @@
-"""tools/same_answers.py, run on the grid workload: it must keep working."""
+"""tools/same_answers.py, on the grid workload and a stand-in hard panel: it must keep working."""
 
 import importlib.util
 import re
@@ -29,12 +29,17 @@ def test_checkout_agrees_with_itself():
     assert totals and totals[1] == totals[2] and totals[3] == totals[4]
 
 
-def test_tally_counts_answers_and_tree_sizes(monkeypatch):
+def load_tool(monkeypatch):
     spec = importlib.util.spec_from_file_location("same_answers", TOOL)
     tool = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tool)  # dataclasses look their module up
     monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts perfbench/ on it
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_tally_counts_answers_and_tree_sizes(monkeypatch):
+    tool = load_tool(monkeypatch)
 
     def answer(**fields):
         return {**dict.fromkeys(tool.FIELDS, 0), "status": "optimal", "weight": 9, **fields}
@@ -64,6 +69,22 @@ def test_a_changed_tree_is_reported(tmp_path):
     assert run.returncode == 1, run.stderr
     # the grid's first config is feasible
     assert run.stdout.splitlines()[-1].endswith(": status optimal vs solved")
+
+
+def test_hard_panel_is_named_and_not_run_by_default(monkeypatch, capsys):
+    tool = load_tool(monkeypatch)
+    assert [tool.instance_key(cfg) for cfg in tool.HARD] == [
+        "n50_p0.5_c1.0_q0.5_s3",
+        "n50_p0.5_c1.0_q0.5_s7004_w1-10",
+        "n70_p0.75_c1.0_q0.5_s7001",
+    ]
+    # a one-config stand-in, so that this test does not solve the panel
+    grid_config = tool.WORKLOADS["grid-oracle"][0]
+    monkeypatch.setitem(tool.PANELS, "hard", [grid_config])
+    assert tool.main([str(ROOT), str(ROOT), "hard"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["hard: 1 of 1 configs identical", "  status and weight equal on 1 of 1"]
+    assert "hard" not in tool.WORKLOADS
 
 
 def test_unknown_workload_is_a_usage_error():
