@@ -27,7 +27,7 @@ from listchroma.core import (
     validate_coloring,
 )
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import init_with_dummies, new_model, node_lower_bound
+from listchroma.master import MasterProblem, new_model, node_lower_bound
 
 
 def test_preprocess_singletons_cascade(benchmark):
@@ -50,7 +50,7 @@ def test_dive_at_c7_root(benchmark):
     node = root.state.instance
 
     def priced_out_root():
-        mp = init_with_dummies(*root, new_model())
+        mp = MasterProblem(*root, new_model())
         return mp, price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
 
     mp, res = priced_out_root()
@@ -64,23 +64,23 @@ def test_inherit_columns_deep_child(benchmark):
     # c7 cell seed 3: the 465 columns of the priced-out root, translated
     # into its SAME child of 49 vertices, which keeps 399 of them
     root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=3))))
-    mp = init_with_dummies(*root, new_model())
+    mp = MasterProblem(*root, new_model())
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
     child = open_node(branch_same(root.state, *select_branching_pair(res)))
     kept = benchmark(inherit_columns, mp.columns, root.state.merge_map, child.state, child.partition)
     assert (len(mp.columns), child.state.instance.n, len(kept)) == (465, 49, 399)
 
 
-def test_init_with_dummies_deep_child(benchmark):
+def test_master_problem_deep_child(benchmark):
     # the master of that SAME child: its 49 dummies and the 399 inherited
     # columns, built on one lent model as the search builds every master
     root = open_node(root_state(generate(GenConfig(n=50, p=0.5, c=1.0, q=0.5, seed=3))))
-    mp = init_with_dummies(*root, new_model())
+    mp = MasterProblem(*root, new_model())
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
     same = branch_same(root.state, *select_branching_pair(res))
     child = open_node(same, mp.columns, root.state.merge_map)
     lp = new_model()
-    benchmark(init_with_dummies, *child, lp)
+    benchmark(MasterProblem, *child, lp)
     assert (child.state.instance.n, len(child.pool), lp.getNumCol()) == (49, 399, 448)
 
 

@@ -10,14 +10,14 @@ import pytest
 from listchroma.bnp import INFEASIBLE, OPTIMAL, SolveReport, open_node, price_out, solve
 from listchroma.core import Deadline, root_state
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import init_with_dummies, new_model, solve_lp
+from listchroma.master import MasterProblem, new_model, solve_lp
 from listchroma.pricing import SHARED_SEARCH_DENSITY, heaviest_first, price_all
 
 
 def reach_root(cfg):
     """The root node holding its final columns, and its LP optimum, reached by bnp.price_out."""
     root = open_node(root_state(generate(cfg)))
-    mp = init_with_dummies(*root, new_model())
+    mp = MasterProblem(*root, new_model())
     res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
     return root._replace(pool=mp.columns), res
 
@@ -68,7 +68,7 @@ def test_heaviest_first_at_root(benchmark, root):
 def test_solve_lp_cold_at_root(benchmark, root):
     # one solve of a fresh model holding the root's final pool, the root re-opened
     node, res = root
-    got = benchmark.pedantic(solve_lp, setup=lambda: ((init_with_dummies(*node, new_model()),), {}), rounds=20)
+    got = benchmark.pedantic(solve_lp, setup=lambda: ((MasterProblem(*node, new_model()),), {}), rounds=20)
     assert got.objective == pytest.approx(res.objective)
 
 

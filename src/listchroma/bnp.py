@@ -56,7 +56,6 @@ from .master import (
     extract_integer_solution,
     fix_column,
     fractional_big_columns,
-    init_with_dummies,
     new_model,
     node_lower_bound,
     read_off,
@@ -211,7 +210,7 @@ def inherit_columns(
 
 
 class Node(NamedTuple):
-    """An open node: init_with_dummies(*node, lp) builds its master."""
+    """An open node: MasterProblem(*node, lp) builds its master."""
 
     state: NodeState  # after singleton preprocessing
     partition: ColorPartition
@@ -275,7 +274,7 @@ class _Search:
                 self._offer(read[0], state)
             return []
 
-        mp = init_with_dummies(*node, self.lp)
+        mp = MasterProblem(*node, self.lp)
         res = price_out(mp, report, self.deadline)
         cutoff = math.inf if report.weight is None else report.weight - state.fixed_weight
         bound = node_lower_bound(mp, res)

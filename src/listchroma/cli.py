@@ -232,9 +232,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         inst, comments = parse_instance(args.input)
-    except ParseError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except EmptyListError as exc:
         # an empty list after normalization means no coloring exists at all
         with _open_out(args.out) as out:
@@ -334,9 +331,6 @@ def read_solution(path: str) -> tuple[str, dict[int, int], int | None]:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         inst, _ = parse_instance(args.input)
-    except ParseError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except EmptyListError as exc:
         print(f"error: {args.input}: {exc.one_based()}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -513,6 +507,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
+    except ParseError as exc:
+        # a malformed instance file, in solve or check
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except OSError as exc:
         # an unreadable input or an unwritable --out, in any command
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,11 @@ The LP is
          x >= 0
 The LP lives in a HiGHS model (new_model) that every master borrows from its
 caller; one solve lends its model to the master of each node in turn.
-MasterProblem clears it and adds the node's rows, and init_with_dummies
-appends the dummies and the inherited columns and sets the all-dummy basis
-(dummies basic, every other column and every cover row at its lower bound,
-class rows basic). That basis is primal feasible at every node and optimal
-at the root, so no node's first solve presolves or runs a phase 1. New
+Building a MasterProblem clears the model, adds the node's rows, the
+dummies and the inherited columns, and sets the all-dummy basis (dummies
+basic, every other column and every cover row at its lower bound, class
+rows basic). That basis is primal feasible at every node and optimal at the
+root, so no node's first solve presolves or runs a phase 1. New
 columns are appended to the model and every round of bnp.price_out re-solves
 it (solve_lp) with primal simplex from the previous basis, which the new
 columns leave primal feasible. The model is scipy's bundled HiGHS binding,
@@ -137,21 +137,32 @@ def new_model() -> _highs._Highs:
 
 
 class MasterProblem:
-    """Mutable column pool plus the LP model of one search node.
+    """Mutable column pool plus the LP model of one search node; its pool starts as inherited.
 
     The model has one cover row per vertex, then one capacity row per bounded
-    class in sorted order; its columns are the n dummies, then the pool's.
-    It is borrowed: building the master clears whatever lp held, so a master
-    built earlier on the same lp is dead.
+    class in sorted order; its columns are the n big-M dummies, then the
+    pool's. The caller lends lp, a new_model(), as the search lends its one
+    model per solve to each node in turn: building the master clears whatever
+    lp held, so a master built earlier on the same lp is dead. inherited must
+    be distinct and pass column_fault; it is not checked again.
+    A node with no vertex has no master (ValueError). From big-M = 2**53 on,
+    node_lower_bound could no longer tell a coloring from a dummy in float64,
+    so such weights raise NumericalFailure. A refused master leaves lp as it was.
     """
 
-    def __init__(self, state: NodeState, partition: ColorPartition, big_m: int, lp: _highs._Highs):
-        self.instance = state.instance
+    def __init__(
+        self, state: NodeState, partition: ColorPartition, inherited: Sequence[Column], lp: _highs._Highs
+    ):
+        inst = self.instance = state.instance
+        n = inst.n
+        if n < 1:
+            raise ValueError("empty instance has no master problem")
+        self.big_m = 1 + sum(inst.weights[j] for j in inst.colors)
+        if self.big_m >= 2**53:
+            raise NumericalFailure(f"big-M {self.big_m} is beyond exact float64 arithmetic")
         self.partition = partition
-        self.big_m = big_m
         self.columns: list[Column] = []
         self._keys: set[Column] = set()
-        n = self.instance.n
         bounded = sorted(partition.bounded)
         self._class_row = {k: n + i for i, k in enumerate(bounded)}
         caps = [float(len(partition.class_members[k])) for k in bounded]
@@ -171,6 +182,12 @@ class MasterProblem:
             ),
             "adding LP rows",
         )
+        self._append(inherited, dummies=n)
+        basis = _highs.HighsBasis()
+        basis.col_status = [_BASIC] * n + [_LOWER] * len(inherited)
+        basis.row_status = [_LOWER] * n + [_BASIC] * len(caps)
+        basis.valid, basis.alien = True, False
+        _check(lp.setBasis(basis), "setting the all-dummy basis")
 
     def cost(self, col: Column) -> int:
         """What the LP charges col: its class weight."""
@@ -216,34 +233,6 @@ def column_fault(col: Column, inst: Instance, partition: ColorPartition) -> str 
         if adj[v] & mask:
             return "column is not a stable set"
     return None
-
-
-def init_with_dummies(
-    state: NodeState, partition: ColorPartition, inherited: Sequence[Column], lp: _highs._Highs
-) -> MasterProblem:
-    """Master whose pool is inherited; its model holds one big-M dummy per vertex first.
-
-    The caller lends lp, a new_model(), as the search lends its one model
-    per solve to each node in turn; the master clears it and starts from the
-    all-dummy basis. inherited must be distinct and pass column_fault; it is
-    not checked again.
-    From big-M = 2**53 on, node_lower_bound could no longer tell a coloring
-    from a dummy in float64, so such weights raise NumericalFailure.
-    """
-    inst = state.instance
-    if inst.n < 1:
-        raise ValueError("empty instance has no master problem")
-    big_m = 1 + sum(inst.weights[j] for j in inst.colors)
-    if big_m >= 2**53:
-        raise NumericalFailure(f"big-M {big_m} is beyond exact float64 arithmetic")
-    mp = MasterProblem(state, partition, big_m, lp)
-    mp._append(inherited, dummies=inst.n)
-    basis = _highs.HighsBasis()
-    basis.col_status = [_BASIC] * inst.n + [_LOWER] * len(inherited)
-    basis.row_status = [_LOWER] * inst.n + [_BASIC] * len(mp._class_row)
-    basis.valid, basis.alien = True, False
-    _check(mp._lp.setBasis(basis), "setting the all-dummy basis")
-    return mp
 
 
 def add_columns(mp: MasterProblem, cols: list[Column]) -> None:

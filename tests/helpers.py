@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from listchroma import bnp
 from listchroma.core import EPS, Graph, Instance, build_instance, partition_colors, root_state
-from listchroma.master import init_with_dummies, new_model
+from listchroma.master import MasterProblem, new_model
 
 
 def make_instance(n, edges, lists, weights=None) -> Instance:
@@ -25,7 +25,7 @@ def make_instance(n, edges, lists, weights=None) -> Instance:
 
 def master_for(inst):
     """The root master of inst on a new model, built on the instance as it is (no preprocessing)."""
-    return init_with_dummies(root_state(inst), partition_colors(inst), (), new_model())
+    return MasterProblem(root_state(inst), partition_colors(inst), (), new_model())
 
 
 def cold_linprog_objective(mp, lower=None):

@@ -27,13 +27,14 @@ from listchroma.core import (
     validate_coloring,
 )
 from listchroma.instgen import GenConfig, generate
-from listchroma.master import Column, DualSolution, LPResult, add_columns, extract_integer_solution, init_with_dummies, new_model
+from listchroma.master import Column, DualSolution, LPResult, add_columns, extract_integer_solution
 from listchroma.oracle import oracle_solve
 
 from helpers import (
     SolveEvents,
     k33_mirrored,
     make_instance,
+    master_for,
     max_stable_weight,
     petersen,
     random_all_complete,
@@ -231,7 +232,7 @@ def test_criterion_5_singleton_extraction(suite):
 
         # direct exercise of the path on optimal degenerate LP points
         inst = make_instance(3, [], [[0, 2], [0], [1, 2]], weights={0: 1, 1: 2, 2: 2})
-        mp = init_with_dummies(root_state(inst), partition_colors(inst), (), new_model())
+        mp = master_for(inst)
         add_columns(mp, [Column(0b011, 0), Column(0b100, 1), Column(0b100, 2)])
         res = LPResult(
             objective=3.0,
@@ -242,7 +243,7 @@ def test_criterion_5_singleton_extraction(suite):
         assert_leaf_read_off(inst, res, extract_integer_solution(mp, res))
 
         inst2 = make_instance(2, [], [[0, 1], [0, 1]], weights={0: 2, 1: 3})
-        mp2 = init_with_dummies(root_state(inst2), partition_colors(inst2), (), new_model())
+        mp2 = master_for(inst2)
         add_columns(
             mp2,
             [Column(0b01, 0), Column(0b10, 0), Column(0b01, 1), Column(0b10, 1)],

@@ -40,9 +40,9 @@ from listchroma.master import (
     Column,
     DualSolution,
     LPResult,
+    MasterProblem,
     add_columns,
     column_fault,
-    init_with_dummies,
     new_model,
     node_lower_bound,
     solve_lp,
@@ -329,7 +329,7 @@ class TestInheritColumns:
         child = open_node(branch_same(state, 0, 1), [Column(0b1100, 0)], state.merge_map)
         assert child.state.fixed == ((0, 0), (1, 0)) and child.state.instance.weights[0] == 0
         assert child.pool == [Column(0b11, 0)]
-        mp = init_with_dummies(*child, new_model())
+        mp = MasterProblem(*child, new_model())
         assert mp.cost(child.pool[0]) == 0
         res = solve_lp(mp)
         assert res.values == pytest.approx((1.0,))
@@ -337,7 +337,7 @@ class TestInheritColumns:
 
     def test_child_master_is_its_inherited_pool(self, monkeypatch):
         kept_lists, seeded = {}, []
-        inherit, init = bnp.inherit_columns, bnp.init_with_dummies
+        inherit, init = bnp.inherit_columns, bnp.MasterProblem
 
         def recording_inherit(*args):
             kept = inherit(*args)
@@ -350,7 +350,7 @@ class TestInheritColumns:
             return mp
 
         monkeypatch.setattr(bnp, "inherit_columns", recording_inherit)
-        monkeypatch.setattr(bnp, "init_with_dummies", recording_init)
+        monkeypatch.setattr(bnp, "MasterProblem", recording_init)
         # both branch at the root; in GRID_5 both children of a node inherit
         # before either is evaluated
         for cfg in [GenConfig(n=18, p=0.5, c=1.0, q=0.5, seed=11), GRID_5]:
@@ -588,7 +588,7 @@ class TestModelHandOff:
 
     def test_every_master_of_a_solve_shares_one_model_reset_for_it(self, monkeypatch):
         dives, seen = [], []
-        init, real_dive = bnp.init_with_dummies, bnp.dive
+        init, real_dive = bnp.MasterProblem, bnp.dive
 
         def recording_init(state, partition, inherited, lp):
             mp = init(state, partition, inherited, lp)
@@ -600,7 +600,7 @@ class TestModelHandOff:
             dives.append(args[0]._lp)
             return real_dive(*args)
 
-        monkeypatch.setattr(bnp, "init_with_dummies", recording_init)
+        monkeypatch.setattr(bnp, "MasterProblem", recording_init)
         monkeypatch.setattr(bnp, "dive", recording_dive)
         assert solve(self.INST).nodes == 5
         models = {id(lp) for _, lp, _, _ in seen} | {id(lp) for lp in dives}
@@ -631,7 +631,7 @@ class TestPriceOut:
     INST = generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=3))
 
     def root_master(self):
-        return init_with_dummies(*open_node(root_state(self.INST)), new_model())
+        return MasterProblem(*open_node(root_state(self.INST)), new_model())
 
     def test_counts_what_solve_reports_and_proves_the_optimum(self):
         solved = solve(self.INST)

@@ -19,18 +19,10 @@ from listchroma.core import (
     validate_coloring,
 )
 from listchroma.core import ColoringError
-from listchroma.master import (
-    Column,
-    DualSolution,
-    LPResult,
-    add_columns,
-    extract_integer_solution,
-    init_with_dummies,
-    new_model,
-)
+from listchroma.master import Column, DualSolution, LPResult, add_columns, extract_integer_solution
 from listchroma.oracle import oracle_solve
 
-from helpers import make_instance
+from helpers import make_instance, master_for
 
 
 class TestDeadline:
@@ -402,7 +394,7 @@ def read_off_big_columns(inst, chosen):
     The pool is chosen, in that order.
     """
     state = root_state(inst)
-    mp = init_with_dummies(state, partition_colors(inst), (), new_model())
+    mp = master_for(inst)
     add_columns(mp, [Column(mask, k) for mask, k in chosen])
     res = LPResult(
         objective=float(sum(inst.weights[k] for _, k in chosen)),

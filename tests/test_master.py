@@ -8,18 +8,26 @@ from scipy.optimize import linprog
 
 from listchroma import master
 from listchroma.bnp import INFEASIBLE, SolveReport, dive, open_node, price_out, select_branching_pair
-from listchroma.core import EPS, Deadline, branch_differ, partition_colors, root_state, validate_coloring
+from listchroma.core import (
+    EPS,
+    Deadline,
+    branch_differ,
+    partition_colors,
+    preprocess_singletons,
+    root_state,
+    validate_coloring,
+)
 from listchroma.instgen import GenConfig, generate
 from listchroma.master import (
     Column,
     DualSolution,
     DuplicateColumnError,
     LPResult,
+    MasterProblem,
     NumericalFailure,
     add_columns,
     column_fault,
     extract_integer_solution,
-    init_with_dummies,
     node_lower_bound,
     solve_lp,
 )
@@ -87,7 +95,7 @@ def assert_duals_certify(mp, res):
             assert res.duals.gamma_of(k) <= tol
 
 
-class TestInitWithDummies:
+class TestMasterProblem:
     def test_three_vertices_weight_sum_five(self):
         inst = make_instance(
             3, [(0, 1)], [[0, 1]] * 3, weights={0: 2, 1: 3}
@@ -125,6 +133,23 @@ class TestInitWithDummies:
         assert res.objective == pytest.approx(8.0)
         assert res.duals.pi == (4.0, 4.0)
         assert res.duals.gamma_of(0) == pytest.approx(0.0)
+
+    def test_refusals_leave_the_lent_model_as_it_was(self):
+        inst = make_instance(3, [(0, 1)], [[0, 1]] * 3, weights={0: 2, 1: 3})
+        lp = master.new_model()
+        mp = MasterProblem(root_state(inst), partition_colors(inst), (), lp)
+        objective = solve_lp(mp).objective
+        shape = lp.getNumCol(), lp.getNumRow()
+        refused = [
+            # the one vertex is fixed to its one color: a node with no vertex
+            (preprocess_singletons(root_state(make_instance(1, [], [[0]]))), ValueError, "empty instance"),
+            (root_state(make_instance(1, [], [[0]], weights={0: 2**53})), NumericalFailure, "big-M"),
+        ]
+        for state, error, message in refused:
+            with pytest.raises(error, match=message):
+                MasterProblem(state, partition_colors(state.instance), (), lp)
+            assert (lp.getNumCol(), lp.getNumRow()) == shape
+            assert solve_lp(mp).objective == objective
 
 
 class TestSolveLP:
@@ -521,7 +546,7 @@ class TestModelHandOff:
     def test_next_master_after_a_dive_starts_primal_from_zero_bounds(self):
         lp = master.new_model()
         root = open_node(root_state(self.INST))
-        mp = init_with_dummies(*root, lp)
+        mp = MasterProblem(*root, lp)
         res = price_out(mp, SolveReport(INFEASIBLE), Deadline(None))
         u, v = select_branching_pair(res)
         dive(mp, res, math.inf)
@@ -530,18 +555,18 @@ class TestModelHandOff:
 
         child = open_node(branch_differ(root.state, u, v), mp.columns, root.state.merge_map)
         assert child.pool
-        handed = init_with_dummies(*child, lp)
+        handed = MasterProblem(*child, lp)
         assert lp.getOptionValue("simplex_strategy")[1] == master._PRIMAL_SIMPLEX
         assert lp.getNumCol() == child.state.instance.n + len(handed.columns)
         assert lp.getLp().col_lower_ == [0.0] * lp.getNumCol()
-        assert solve_lp(handed) == solve_lp(init_with_dummies(*child, master.new_model()))
+        assert solve_lp(handed) == solve_lp(MasterProblem(*child, master.new_model()))
 
     def test_masters_on_their_own_models_do_not_interfere(self):
         insts = [generate(GenConfig(n=15, p=0.5, c=1.0, q=0.5, seed=seed)) for seed in (3, 4)]
 
         def rounds(inst):
             """Every LP optimum of the root's column generation, on a model of its own."""
-            mp = init_with_dummies(root_state(inst), partition_colors(inst), (), master.new_model())
+            mp = master_for(inst)
             while True:
                 res = solve_lp(mp)
                 yield res

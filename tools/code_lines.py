@@ -3,11 +3,13 @@
     python3 tools/code_lines.py [DIR ...]
 
 For every *.py file under each DIR (src/listchroma when none is given),
-sorted by path, and then in total, prints the non-blank lines and the code
-lines. A code line holds a token that is neither a comment nor part of a
-docstring; a docstring here is any statement made of string literals alone.
-The tokens come from tokenize, so a line inside a multi-line string that is
-not a docstring is code. Exits 2 when a DIR is not a directory.
+sorted by path, prints the non-blank lines and the code lines. Each DIR's
+files end with its total ("total DIR") when more than one DIR is given;
+the last line is the total over all of them ("total"). A code line holds a
+token that is neither a comment nor part of a docstring; a docstring here
+is any statement made of string literals alone. The tokens come from
+tokenize, so a line inside a multi-line string that is not a docstring is
+code. Exits 2 when a DIR is not a directory.
 """
 
 from __future__ import annotations
@@ -46,11 +48,17 @@ def main(argv: list[str]) -> int:
         return 2
     total_nonblank = total_code = 0
     print(f"{'non-blank':>9} {'code':>6}  file")
-    for path in sorted(p for d in dirs for p in d.rglob("*.py")):
-        nonblank, code = count(path.read_text())
-        total_nonblank += nonblank
-        total_code += code
-        print(f"{nonblank:>9} {code:>6}  {path}")
+    for d in dirs:
+        dir_nonblank = dir_code = 0
+        for path in sorted(d.rglob("*.py")):
+            nonblank, code = count(path.read_text())
+            dir_nonblank += nonblank
+            dir_code += code
+            print(f"{nonblank:>9} {code:>6}  {path}")
+        if len(dirs) > 1:
+            print(f"{dir_nonblank:>9} {dir_code:>6}  total {d}")
+        total_nonblank += dir_nonblank
+        total_code += dir_code
     print(f"{total_nonblank:>9} {total_code:>6}  total")
     return 0
 
