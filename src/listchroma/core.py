@@ -193,6 +193,21 @@ class ColorPartition:
     bounded: frozenset[int]
     rep_of: dict[int, int]
 
+    @cached_property
+    def classes_of(self) -> tuple[list[int], ...]:
+        """classes_of[v] lists the classes whose vertex set holds v, ascending.
+
+        Computed once per partition. Every vertex has a nonempty list, so
+        vertices 0..n-1 all appear.
+        """
+        out: tuple[list[int], ...] = tuple(
+            [] for _ in range(max((m.bit_length() for m in self.vertex_mask.values()), default=0))
+        )
+        for k in self.reps:
+            for v in self.vertices[k]:
+                out[v].append(k)
+        return out
+
 
 def partition_colors(inst: Instance) -> ColorPartition:
     """Group indistinguishable colors; deterministic for identical instances."""

@@ -13,6 +13,14 @@ form one group, on a sparser one the classes of each vertex set do. A shared
 search hands every class the set its own search would find, because both
 visit the stable sets of V_k in the same order and prune only subtrees that
 hold no set above the threshold of any class still open.
+
+A shared search reads which of its classes hold a vertex from a membership
+table. The node's ColorPartition lists each vertex's classes once
+(classes_of); each round relabels those lists into the search's numbering
+and the group's class order with map and sum, no loop over single bits. The
+search keeps the weight still selectable, rem, from the smaller side of each
+include step: it subtracts the removed candidates' weights when fewer are
+removed than kept, else it sums the kept ones.
 """
 
 from __future__ import annotations
@@ -84,6 +92,7 @@ def mwss_search(
     stats: PricingStats | None = None,
     deadline: Deadline = Deadline(None),
     limit: int = 1,
+    member: Sequence[int] | None = None,
 ) -> list[int]:
     """Branch and bound for stable sets heavier than the thresholds of a group of classes.
 
@@ -100,6 +109,10 @@ def mwss_search(
     sets or when the search is exhausted. The result is [first, second, ...],
     or [0] without a set; with limit 1 it is the first set alone.
 
+    A group of several classes needs member, its membership table: bit c of
+    member[i] is set iff vertex_masks[c] holds i. price_all relabels it from
+    the partition's classes_of, so the search builds no table of its own.
+
     A search node carries open, the bitmask of the unsettled classes whose
     vertex sets hold every chosen vertex; the lowest open class has the
     tightest threshold. A node is pruned when the current weight plus
@@ -108,9 +121,14 @@ def mwss_search(
     set beats takes it and is settled, in every node at once through alive.
     Once a single class is open, its subtree is searched over its own
     vertices only, which is the whole search for a group of one class.
+    An include step updates rem, the weight still selectable, from the
+    smaller side: it subtracts the weights of the candidates it removes when
+    they are fewer than those it keeps, else it sums the kept ones.
     """
     if limit > 1 and len(vertex_masks) > 1:
         raise ValueError(f"only a group of one class takes a limit above 1, got {limit}")
+    if member is None and len(vertex_masks) > 1:
+        raise ValueError("a group of several classes needs its membership table")
     if stats is None:
         stats = PricingStats()
     nodes = stats.nodes
@@ -120,18 +138,11 @@ def mwss_search(
     if alive == 1:
         union = vertex_masks[0]
     else:
-        # what the search over several open classes needs; member[i] holds
-        # the classes whose vertex set holds i
+        # what the search over several open classes needs
         targets = [t + EPS for t in thresholds]
-        member = [0] * len(weights)
         union = 0
-        for c, vmask in enumerate(vertex_masks):
+        for vmask in vertex_masks:
             union |= vmask
-            cbit = 1 << c
-            while vmask:
-                low = vmask & -vmask
-                member[low.bit_length() - 1] |= cbit
-                vmask ^= low
     rem = sum(w for i, w in enumerate(weights) if union >> i & 1)
     # Each entry is a search node (candidates, weight, mask, weight still
     # selectable, open classes). The include branch is followed in place and
@@ -177,12 +188,19 @@ def mwss_search(
                             continue
                         sub.append((cand ^ bit, cur_w, cur_mask, rem - weights[i]))
                         removed = cand & (adj[i] | bit)
-                        rm = removed
-                        while rm:
-                            lowrm = rm & -rm
-                            rem -= weights[lowrm.bit_length() - 1]
-                            rm ^= lowrm
-                        cand, cur_w, cur_mask = cand & ~removed, w2, cur_mask | bit
+                        cand ^= removed
+                        if removed.bit_count() < cand.bit_count():
+                            while removed:
+                                lowrm = removed & -removed
+                                rem -= weights[lowrm.bit_length() - 1]
+                                removed ^= lowrm
+                        else:
+                            rem, kept = 0.0, cand
+                            while kept:
+                                lowrm = kept & -kept
+                                rem += weights[lowrm.bit_length() - 1]
+                                kept ^= lowrm
+                        cur_w, cur_mask = w2, cur_mask | bit
                 break
             nodes += 1
             if nodes % 1000 == 0:
@@ -209,12 +227,19 @@ def mwss_search(
                 continue
             stack.append((cand ^ bit, cur_w, cur_mask, rem - weights[i], open_))
             removed = cand & (adj[i] | bit)
-            rm = removed
-            while rm:
-                lowrm = rm & -rm
-                rem -= weights[lowrm.bit_length() - 1]
-                rm ^= lowrm
-            cand, cur_w, cur_mask, open_ = cand & ~removed, w2, cur_mask | bit, inc
+            cand ^= removed
+            if removed.bit_count() < cand.bit_count():
+                while removed:
+                    lowrm = removed & -removed
+                    rem -= weights[lowrm.bit_length() - 1]
+                    removed ^= lowrm
+            else:
+                rem, kept = 0.0, cand
+                while kept:
+                    lowrm = kept & -kept
+                    rem += weights[lowrm.bit_length() - 1]
+                    kept ^= lowrm
+            cur_w, cur_mask, open_ = w2, cur_mask | bit, inc
     stats.nodes = nodes
     return found + more
 
@@ -263,10 +288,19 @@ def price_all(
             by_set.setdefault(vmask[k], []).append(k)
         groups = list(by_set.values())
     limit = ONE_CLASS_SETS if len(classes) == 1 else 1
+    node_bit = [1 << v for v in order]  # node_bit[i]: the node vertex of search index i
 
     def column(mask: int, k: int) -> Column:
         full = extend_to_maximal(mask, vmask[k], adj)
-        return Column(sum(1 << order[i] for i in bits(full)), k)
+        return Column(sum(map(node_bit.__getitem__, bits(full))), k)
+
+    def membership(group: list[int]) -> list[int]:
+        # per search index, the bits of the group's classes whose vertex set holds it
+        class_bit = dict.fromkeys(partition.reps, 0)
+        class_bit.update({k: 1 << c for c, k in enumerate(group)})
+        get = class_bit.__getitem__
+        classes_of = partition.classes_of
+        return [sum(map(get, classes_of[v])) for v in order]
 
     per_class: dict[int, Column | None] = {}
     extra: list[Column] = []
@@ -280,6 +314,7 @@ def price_all(
             stats,
             deadline,
             limit=limit,
+            member=membership(group) if len(group) > 1 else None,
         )
         for k, mask in zip(group, found):
             per_class[k] = column(mask, k) if mask else None

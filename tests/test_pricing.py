@@ -1,10 +1,12 @@
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from listchroma.core import EPS, Deadline, Graph, SearchTimeout, bits, partition_colors
+from listchroma import pricing
 from listchroma.master import Column, DualSolution
 from listchroma.pricing import (
     ONE_CLASS_SETS,
@@ -37,6 +39,21 @@ def search_sets(graph, vertex_mask, pi, threshold, stats=None, limit=1):
         for mask in masks
         if mask
     ]
+
+
+def member_by_bits(vertex_masks, n):
+    """The vertex -> class table of a group, built one bit at a time, kept as the reference.
+
+    member[i] has bit c set iff vertex_masks[c] holds vertex i.
+    """
+    member = [0] * n
+    for c, vmask in enumerate(vertex_masks):
+        cbit = 1 << c
+        while vmask:
+            low = vmask & -vmask
+            member[low.bit_length() - 1] |= cbit
+            vmask ^= low
+    return member
 
 
 def search(graph, vertex_mask, pi, threshold, stats=None):
@@ -290,6 +307,15 @@ def test_limit_above_one_needs_a_group_of_one():
         mwss_search(adj, [0b111, 0b011], [1.0] * 3, [0.5, 1.0], limit=2)
 
 
+def test_group_of_several_classes_needs_its_membership_table():
+    adj = Graph.from_edges(3, []).adj
+    with pytest.raises(ValueError, match="membership table"):
+        mwss_search(adj, [0b111, 0b011], [1.0] * 3, [0.5, 1.0])
+    member = member_by_bits([0b111, 0b011], 3)
+    assert member == [0b11, 0b11, 0b01]
+    assert mwss_search(adj, [0b111, 0b011], [1.0] * 3, [0.5, 1.0], member=member) == [0b001, 0b011]
+
+
 def per_class_extend_to_maximal(mask, vertex_mask, graph, pi):
     """extend_to_maximal in the original vertex ids, kept as the reference."""
     closed = mask
@@ -531,8 +557,54 @@ def test_group_search_matches_one_class_searches(data):
     masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
     masks += [m for m in masks if data.draw(st.booleans())]
     thresholds = sorted(data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.75, 2.5, 4.0])) for _ in masks)
-    got = mwss_search(adj, masks, weights, thresholds)
+    got = mwss_search(adj, masks, weights, thresholds, member=member_by_bits(masks, n))
     assert got == [mwss_search(adj, [m], weights, [t])[0] for m, t in zip(masks, thresholds)]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 70) | st.integers(65, 70), seed=st.integers(0, 2**32 - 1))
+def test_price_all_hands_the_search_the_per_bit_membership(dense, n, seed):
+    # The table price_all relabels from the partition's classes_of must be
+    # the one the per-bit loop builds from the group's vertex masks: on a
+    # dense node graph for the group of all classes, on a sparse one for
+    # each vertex set's group of twins. Up to 70 vertices, so masks pass 64
+    # bits. The search is stubbed out: only the table is checked.
+    rng = np.random.default_rng(seed)
+    p = 0.7 if dense else 0.2
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    members = [sum(1 << v for v in range(n) if rng.random() < 0.4) for _ in range(rng.integers(1, 7))]
+    for v in range(n):
+        if not any(m >> v & 1 for m in members):
+            members[int(rng.integers(len(members)))] |= 1 << v  # no vertex without a color
+    members = [m for m in members if m]
+    # twins on one vertex set: an equal weight joins the class, another makes a class of its own
+    members += [m for m in members for _ in range(int(rng.integers(0, 3)))]
+    weights = {j: int(rng.integers(1, 4)) for j in range(len(members))}
+    lists = [[j for j, m in enumerate(members) if m >> v & 1] for v in range(n)]
+    inst = make_instance(n, edges, lists, weights=weights)
+    assume(is_dense(inst.graph) == dense)
+    part = partition_colors(inst)
+    pi = [float(rng.choice([0.0, 0.5, 1.0, 2.0])) for _ in range(n)]
+    calls = []
+
+    def recorded(adj, vertex_masks, weights, thresholds, stats, deadline, limit, member):
+        calls.append((list(vertex_masks), member))
+        return [0] * len(vertex_masks)
+
+    with patch.object(pricing, "mwss_search", recorded):
+        price_all(inst, part, duals_for(inst, pi))
+    assert sum(len(masks) for masks, _ in calls) == len(part.reps)
+    for masks, member in calls:
+        if len(masks) == 1:
+            assert member is None
+            continue
+        assert member == member_by_bits(masks, n)
+        union = 0
+        for m in masks:
+            union |= m
+        # a vertex in no class of the group reads 0
+        assert all(member[i] == 0 for i in range(n) if not union >> i & 1)
 
 
 @pytest.mark.parametrize("classes", [1, 3], ids=["one_class_loop", "shared_loop"])
@@ -547,11 +619,33 @@ def test_expired_deadline_stops_the_search(classes):
     adj = Graph.from_edges(n, edges).adj
     full = (1 << n) - 1
     args = (adj, [full] * classes, [1.0] * n, [10.0] * classes)
+    member = member_by_bits([full] * classes, n) if classes > 1 else None
     stats = PricingStats()
-    assert mwss_search(*args, stats) == [0] * classes
+    assert mwss_search(*args, stats, member=member) == [0] * classes
     assert stats.nodes > 1000
     with pytest.raises(SearchTimeout):
-        mwss_search(*args, PricingStats(), Deadline(0))
+        mwss_search(*args, PricingStats(), Deadline(0), member=member)
+
+
+@pytest.mark.parametrize("classes", [1, 3], ids=["one_class_loop", "shared_loop"])
+def test_fixed_graphs_search_the_nodes_of_the_recursive_reference(classes):
+    # Include steps on these graphs remove more candidates than they keep
+    # about as often as fewer, so rem is kept from both sides, and a wrong
+    # side shows in the node count. Three classes on one vertex set with one
+    # threshold settle together and must visit the one-class recursion's nodes.
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        n = int(rng.integers(8, 16))
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        weights = sorted(rng.choice([0.25, 0.5, 1.0, 1.5, 2.0, 3.125], n).tolist(), reverse=True)
+        threshold = float(rng.uniform(2.0, 10.0))
+        full = (1 << n) - 1
+        member = member_by_bits([full] * classes, n) if classes > 1 else None
+        got, ref = PricingStats(), PricingStats()
+        found = mwss_search(g.adj, [full] * classes, weights, [threshold] * classes, got, member=member)
+        [(mask, _)] = recursive_mwss_search(g, full, weights, threshold, ref) or [(0, 0)]
+        assert found == [mask] * classes
+        assert got.nodes == ref.nodes
 
 
 @pytest.mark.parametrize("found", [True, False])
